@@ -107,6 +107,13 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _check_horizon_premium(name: str, t: float, c: float) -> None:
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"{name} requires finite t > 0")
+    if not 0.0 <= c < math.inf:
+        raise DomainError(f"{name} requires finite c >= 0")
+
+
 def _require_exp_pair(m: RiskModel, backend: str) -> ExpPair:
     if not m.is_exponential_pair():
         raise BackendIncompatibleError(
@@ -204,10 +211,7 @@ def var_capital(
     ``monte_carlo`` takes the empirical quantile of terminal deficits.
     """
     alpha = _check_alpha(alpha)
-    if not t > 0.0:
-        raise DomainError("var_capital requires t > 0")
-    if c < 0.0:
-        raise DomainError("var_capital requires c >= 0")
+    _check_horizon_premium("var_capital", t, c)
     if spec.backend == "clt":
         v = approx.var_clt(m, alpha, t, c)
         return CapitalPoint(kind="var", c=c, value=v, clamped=(v == 0.0))
@@ -261,10 +265,7 @@ def nonruin_capital(
     solve with the same defining equation.
     """
     alpha = _check_alpha(alpha)
-    if not t > 0.0:
-        raise DomainError("nonruin_capital requires t > 0")
-    if c < 0.0:
-        raise DomainError("nonruin_capital requires c >= 0")
+    _check_horizon_premium("nonruin_capital", t, c)
     if spec.backend == "monte_carlo":
         cfg = _sim_config(spec, t)
         est = montecarlo.estimate_capitals(m, alpha, c, cfg)["nonruin_cap"]
@@ -307,6 +308,8 @@ def ultimate_capital(
         InfiniteCapitalError: for c <= c*.
     """
     alpha = _check_alpha(alpha)
+    if not math.isfinite(c):
+        raise DomainError("ultimate_capital requires finite c")
     k = derived_constants(m)
     if c <= k.c_star:
         raise InfiniteCapitalError(
@@ -340,8 +343,8 @@ def capital_curve(
     c_grid = [float(c) for c in c_grid]
     if any(b <= a for a, b in zip(c_grid, c_grid[1:])):
         raise DomainError("c_grid must be strictly increasing")
-    if any(c < 0.0 for c in c_grid):
-        raise DomainError("c_grid must be nonnegative")
+    if not all(0.0 <= c < math.inf for c in c_grid):
+        raise DomainError("c_grid must be finite and nonnegative")
     for kind in kinds:
         if kind not in ("var", "nonruin", "ultimate"):
             raise DomainError(f"unknown capital kind {kind!r}")

@@ -49,8 +49,8 @@ class Exponential:
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0.0:
-            raise DomainError("exponential rate must be positive")
+        if not 0.0 < self.rate < math.inf:
+            raise DomainError("exponential rate must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,9 @@ class Erlang:
     shape: int
 
     def __post_init__(self):
-        if not self.rate > 0.0:
-            raise DomainError("erlang rate must be positive")
-        if int(self.shape) != self.shape or self.shape < 1:
+        if not 0.0 < self.rate < math.inf:
+            raise DomainError("erlang rate must be finite and positive")
+        if not (1 <= self.shape < math.inf and int(self.shape) == self.shape):
             raise DomainError("erlang shape must be a positive integer")
 
 
@@ -76,8 +76,8 @@ class MixtureExp2:
     weight: float
 
     def __post_init__(self):
-        if not (self.rate1 > 0.0 and self.rate2 > 0.0):
-            raise DomainError("mixture rates must be positive")
+        if not (0.0 < self.rate1 < math.inf and 0.0 < self.rate2 < math.inf):
+            raise DomainError("mixture rates must be finite and positive")
         if not 0.0 < self.weight < 1.0:
             raise DomainError("mixture weight must lie in (0, 1)")
 
@@ -93,8 +93,8 @@ class Pareto:
     scale: float
 
     def __post_init__(self):
-        if not (self.shape > 0.0 and self.scale > 0.0):
-            raise DomainError("pareto parameters must be positive")
+        if not (0.0 < self.shape < math.inf and 0.0 < self.scale < math.inf):
+            raise DomainError("pareto parameters must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,8 @@ class Kummer:
     l: float
 
     def __post_init__(self):
-        if not (self.k > 0.0 and self.l > 0.0):
-            raise DomainError("kummer parameters must be positive")
+        if not (0.0 < self.k < math.inf and 0.0 < self.l < math.inf):
+            raise DomainError("kummer parameters must be finite and positive")
 
 
 Distribution = Union[Exponential, Erlang, MixtureExp2, Pareto, Kummer]

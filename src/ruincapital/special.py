@@ -1,9 +1,9 @@
 """Scalar special-function kernels used by every other module.
 
-The heavy lifting (erf-family, exponentially scaled Bessel I1) is delegated
-to :mod:`scipy.special`; this module pins down domains, overflow-safe
-compositions and the inverse-Gaussian distribution function, which scipy
-does not expose in the overflow-safe form needed here.
+The heavy lifting (the erf family) is delegated to :mod:`scipy.special`;
+this module pins down domains, overflow-safe compositions and the
+inverse-Gaussian distribution function, which scipy does not expose in
+the overflow-safe form needed here.
 
 All functions are pure and accept numpy arrays where it is natural.
 """
@@ -21,7 +21,6 @@ __all__ = [
     "std_normal_cdf",
     "std_normal_quantile",
     "normal_pdf",
-    "bessel_i1_scaled",
     "inverse_gaussian_cdf",
 ]
 
@@ -29,11 +28,6 @@ __all__ = [
 def std_normal_cdf(x):
     """Standard Gaussian distribution function Phi(x)."""
     return sp.ndtr(x)
-
-
-def _std_normal_log_cdf(x):
-    # log Phi(x), stable deep in the left tail
-    return sp.log_ndtr(x)
 
 
 def std_normal_quantile(p: float) -> float:
@@ -68,21 +62,6 @@ def normal_pdf(x, mean, variance):
     x = np.asarray(x, dtype=float)
     z = (x - mean) ** 2 / (2.0 * variance)
     out = np.exp(-z) / np.sqrt(2.0 * np.pi * variance)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def bessel_i1_scaled(x):
-    """Exponentially scaled modified Bessel function e^{-x} I_1(x), x >= 0.
-
-    The scaled form stays in [0, 1) for all x, so downstream integrands can
-    fold the e^{x} factor into their own exponent and never overflow.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise DomainError("bessel_i1_scaled requires x >= 0")
-    out = sp.i1e(x)
     if out.ndim == 0:
         return float(out)
     return out

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -145,3 +147,11 @@ def test_domain_checks():
         var_capital(UNIT, 0.05, 200.0, -0.5, EXACT)
     with pytest.raises(DomainError):
         nonruin_capital(UNIT, 0.05, 200.0, 1.0, SolveSpec(backend="monte_carlo"))
+    with pytest.raises(DomainError):
+        nonruin_capital(UNIT, 0.05, 200.0, math.nan, EXACT)
+    with pytest.raises(DomainError):
+        nonruin_capital(UNIT, 0.05, math.inf, 1.0, EXACT)
+    with pytest.raises(DomainError):
+        capital_curve(UNIT, 0.05, 200.0, [0.5, math.inf], EXACT)
+    with pytest.raises(DomainError):
+        ultimate_capital(UNIT, 0.05, math.nan)

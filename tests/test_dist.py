@@ -156,3 +156,7 @@ def test_config_round_trip():
         distribution_from_config({"family": "cauchy"})
     with pytest.raises(DomainError):
         distribution_from_config({"family": "exponential"})
+    with pytest.raises(DomainError):
+        Exponential(math.inf)
+    with pytest.raises(DomainError):
+        Erlang(1.0, math.inf)

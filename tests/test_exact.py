@@ -85,7 +85,21 @@ def test_finite_ruin_routes_agree():
     for p, u, c, t in cases:
         osc = ruin_ultimate_exp(p, u, c) - _oscillatory_integral(p, u, c, t)
         seal = _ruin_finite_seal(p, u, c, t)
-        assert osc == pytest.approx(seal, abs=5e-8)
+        assert osc == pytest.approx(seal, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "p,u,c,t,ref",
+    [
+        # 128- and 256-panel uniform rules and an adaptive quad at 1e-14
+        (UNIT, 400.0, 0.55, 1000.0, 0.875167282716719),
+        # a long horizon: 4096 uniform panels and a 1152-panel graded rule
+        (ExpPair(0.8, 0.6), 3000.0, 1.2, 20000.0, 0.1419517745468408),
+    ],
+    ids=["t1000", "t20000"],
+)
+def test_seal_route_converged_value(p, u, c, t, ref):
+    assert _ruin_finite_seal(p, u, c, t) == pytest.approx(ref, abs=1e-12)
 
 
 def test_finite_ruin_monotone_in_horizon_and_capital():
@@ -139,11 +153,19 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         ExpPair(-1.0, 1.0)
     with pytest.raises(DomainError):
+        ExpPair(math.inf, 1.0)
+    with pytest.raises(DomainError):
         ruin_finite_exp(UNIT, -1.0, 1.0, 10.0)
     with pytest.raises(DomainError):
         ruin_finite_exp(UNIT, 1.0, -0.1, 10.0)
     with pytest.raises(DomainError):
         ruin_finite_exp(UNIT, 1.0, 1.0, 0.0)
+    # non-finite inputs are typed errors, not bare ValueErrors or a silent 1.0
+    for u, c, t in [(math.nan, 1.0, 10.0), (1.0, math.nan, 10.0), (1.0, 1.0, math.inf)]:
+        with pytest.raises(DomainError):
+            ruin_finite_exp(UNIT, u, c, t)
+    with pytest.raises(DomainError):
+        aggregate_cdf_exp(UNIT, 5.0, math.nan)
 
 
 def test_zero_capital_zero_horizon_limits():

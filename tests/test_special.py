@@ -1,12 +1,10 @@
 import math
 
-import numpy as np
 import pytest
 from scipy import integrate, stats
 
 from ruincapital.errors import DomainError
 from ruincapital.special import (
-    bessel_i1_scaled,
     inverse_gaussian_cdf,
     normal_pdf,
     std_normal_cdf,
@@ -35,24 +33,6 @@ def test_quantile_rejects_endpoints():
 def test_normal_pdf_integrates_to_one():
     val, _ = integrate.quad(lambda x: normal_pdf(x, 2.0, 9.0), -40, 44)
     assert val == pytest.approx(1.0, abs=1e-10)
-
-
-def test_bessel_i1_scaled_against_series():
-    # e^{-x} I_1(x) compared with the ascending series at small argument
-    for x in (1e-3, 0.1, 1.0, 5.0):
-        series = sum(
-            (x / 2.0) ** (2 * k + 1) / (math.factorial(k) * math.factorial(k + 1))
-            for k in range(40)
-        )
-        assert bessel_i1_scaled(x) == pytest.approx(math.exp(-x) * series, rel=1e-12)
-
-
-def test_bessel_i1_scaled_large_argument_finite():
-    x = np.array([1e3, 1e6])
-    out = bessel_i1_scaled(x)
-    assert np.all(np.isfinite(out))
-    # leading asymptotic term 1/sqrt(2 pi x)
-    assert out[1] == pytest.approx(1.0 / math.sqrt(2 * math.pi * 1e6), rel=1e-3)
 
 
 def test_inverse_gaussian_cdf_against_scipy():
