@@ -34,7 +34,10 @@ sim = SimConfig(n_paths=20_000, seed=7, t=t)
 
 print(f"u = {u}, t = {t}; values are P(ruin within [0, t])")
 print(f"{'c':>5} {'exact':>9} {'inv. Gauss':>11} {'normal':>9} {'simulated':>10}")
-for c in (0.8, 0.9, 1.0, 1.1, 1.2):
+cs = (0.8, 0.9, 1.0, 1.1, 1.2)
+# one simulation sweep prices every premium rate, with common random numbers
+mcs = estimate_ruin_prob(model, u, cs, sim)
+for c, mc in zip(cs, mcs):
     exact = ruin_finite_exp(pair, u, c, t)
     ig = ig_ruin_probability(model, u, c, t)
     try:
@@ -42,8 +45,7 @@ for c in (0.8, 0.9, 1.0, 1.1, 1.2):
     except ExcludedCaseError:
         # the normal approximation's constants blow up at c = c*
         cram = f"{'--':>9}"
-    mc = estimate_ruin_prob(model, u, c, sim).point
-    print(f"{c:5.2f} {exact:9.4f} {ig:11.4f} {cram} {mc:10.4f}")
+    print(f"{c:5.2f} {exact:9.4f} {ig:11.4f} {cram} {mc.point:10.4f}")
 
 print()
 print("Both approximations track the exact curve to a few hundredths at")

@@ -107,9 +107,13 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _check_horizon_premium(name: str, t: float, c: float) -> None:
+def _check_horizon(name: str, t: float) -> None:
     if not 0.0 < t < math.inf:
         raise DomainError(f"{name} requires finite t > 0")
+
+
+def _check_horizon_premium(name: str, t: float, c: float) -> None:
+    _check_horizon(name, t)
     if not 0.0 <= c < math.inf:
         raise DomainError(f"{name} requires finite c >= 0")
 
@@ -338,6 +342,9 @@ def capital_curve(
     Each bisection warm-starts its bracket from the previous grid point's
     solution (the curves are continuous and nonincreasing in c); per-point
     failures become NA cells with the reason recorded in the metadata.
+    Invalid inputs shared by every cell (alpha, the grid, a horizon t that
+    is not finite and positive when var or nonruin is asked for) raise
+    DomainError up front.
     """
     alpha = _check_alpha(alpha)
     c_grid = [float(c) for c in c_grid]
@@ -348,6 +355,8 @@ def capital_curve(
     for kind in kinds:
         if kind not in ("var", "nonruin", "ultimate"):
             raise DomainError(f"unknown capital kind {kind!r}")
+    if "var" in kinds or "nonruin" in kinds:
+        _check_horizon("capital_curve", t)
 
     columns = ["c"] + list(kinds)
     warnings_log: list[str] = []

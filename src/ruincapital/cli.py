@@ -282,10 +282,18 @@ def cmd_ruinprob(args) -> int:
     table = CurveTable(
         columns=columns, metadata={"u": u, "t": t, "warnings": warnings_log}
     )
-    sim = _sim_config(cfg, args, t) if "mc" in methods else None
-    if sim is not None:
+    mc_ests, mc_error = {}, None
+    if "mc" in methods:
+        sim = _sim_config(cfg, args, t)
         table.metadata["seed"] = sim.seed
         table.metadata["n_paths"] = sim.n_paths
+        # one sweep prices every nonnegative rate; a negative rate stays a
+        # per-cell error, raised by its own call below
+        priced = [c for c in grid if c >= 0.0]
+        try:
+            mc_ests = dict(zip(priced, montecarlo.estimate_ruin_prob(m, u, priced, sim)))
+        except (DomainError, UnsupportedDistributionError) as exc:
+            mc_error = exc
     pair = (
         ExpPair(m.t_law.rate, m.y_law.rate) if m.is_exponential_pair() else None
     )
@@ -309,7 +317,12 @@ def cmd_ruinprob(args) -> int:
                         )
                     row.append(approx.cramer_ruin_exp(pair, u, c, t))
                 elif mth == "mc":
-                    est = montecarlo.estimate_ruin_prob(m, u, c, sim)
+                    if mc_error is not None:
+                        raise mc_error
+                    if c in mc_ests:
+                        est = mc_ests[c]
+                    else:
+                        est = montecarlo.estimate_ruin_prob(m, u, c, sim)
                     row.append(est.point)
                     stderr = est.stderr
             except (

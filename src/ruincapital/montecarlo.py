@@ -1,13 +1,18 @@
 """Monte Carlo engine for the compound renewal risk process.
 
-One path sweep yields both capitals at once: for each path the engine
-records the running maximum of the claim-surplus deficit V_s - c s over
-claim epochs (the deficit only peaks at jump instants) and its terminal
-value at the horizon.  Then
+One path sweep yields both capitals at once, at every premium rate of a
+grid: for each path and rate the engine records the running maximum of the
+claim-surplus deficit V_s - c s over claim epochs (the deficit only peaks
+at jump instants) and its terminal value at the horizon.  Then
 
 * P{ruin within [0, t] at capital u} = P{sup deficit > u}, and
 * the two capitals are empirical (1 - alpha)-quantiles of the sup and
   terminal deficits, clamped at zero.
+
+The claim draws do not depend on c, so ``simulate_paths(m, c_grid, cfg)``
+prices a whole grid of premium rates from one sweep with common random
+numbers.  It returns two (len(c_grid), n_paths) arrays, 2 * n_c * n_paths
+* 8 bytes, whose row k equals the sweep at ``c_grid[k]`` alone bit for bit.
 
 Randomness comes from counter-based Philox streams keyed by (seed, block):
 paths are split into ``stream_count`` contiguous blocks, each with its own
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +36,7 @@ from .table import CurveTable
 
 __all__ = [
     "SimConfig",
-    "PathStats",
     "Estimate",
-    "simulate_path",
     "simulate_paths",
     "estimate_ruin_prob",
     "estimate_capitals",
@@ -58,20 +62,12 @@ class SimConfig:
                 RuntimeWarning,
                 stacklevel=3,
             )
-        if not self.t > 0.0:
-            raise DomainError("horizon t must be positive")
+        if not 0.0 < self.t < math.inf:
+            raise DomainError("horizon t must be finite and positive")
         if self.stream_count < 1:
             raise DomainError("stream_count must be positive")
         if not 0 <= self.seed < 2**64:
             raise DomainError("seed must be a 64-bit unsigned integer")
-
-
-@dataclass(frozen=True)
-class PathStats:
-    """Pathwise deficit statistics of one simulated trajectory."""
-
-    sup_deficit: float
-    terminal_deficit: float
 
 
 @dataclass(frozen=True)
@@ -83,6 +79,14 @@ class Estimate:
     ci95: tuple[float, float]
 
 
+def _nonnegative(name: str, value) -> np.ndarray:
+    """``value`` as a float array; DomainError unless every entry is finite and >= 0."""
+    a = np.asarray(value, dtype=float)
+    if not np.isfinite(a).all() or (a < 0.0).any():
+        raise DomainError(f"{name} must be finite and nonnegative")
+    return a
+
+
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << 64) | block))
 
@@ -92,36 +96,27 @@ def _block_sizes(n: int, k: int) -> list[int]:
     return [q + (1 if b < r else 0) for b in range(k)]
 
 
-def simulate_path(m: RiskModel, c: float, t: float, rng: np.random.Generator) -> PathStats:
-    """Simulate one trajectory up to the horizon t.
+def _sweep_block(
+    m: RiskModel,
+    rates: np.ndarray,
+    t: float,
+    rng: np.random.Generator,
+    sup: np.ndarray,
+    term: np.ndarray,
+) -> None:
+    """Simulate one block of paths into ``sup`` and ``term`` (rates x paths).
 
-    Claims arrive at the partial sums of T draws; the deficit V_s - c s is
-    evaluated at each claim epoch (it decreases between jumps).  A path
-    with no claim in [0, t] has sup_deficit 0.
+    Claims are drawn for the paths still inside [0, t] only, so the draws
+    do not depend on the rates.  Each rate's running maximum is then
+    updated over all paths: a path past the horizon keeps its claim total
+    and gains arrival time, so for c >= 0 its deficit cannot exceed its
+    running maximum, and each row equals a sweep at that rate alone.
+    ``sup`` must hold zeros on entry.
     """
-    if c < 0.0:
-        raise DomainError("premium rate must be nonnegative")
-    if not t > 0.0:
-        raise DomainError("horizon t must be positive")
-    s = 0.0
-    v = 0.0
-    sup = 0.0
-    while True:
-        s += float(dist.sample(m.t_law, rng))
-        y = float(dist.sample(m.y_law, rng))
-        if s > t:
-            break
-        v += y
-        sup = max(sup, v - c * s)
-    return PathStats(sup_deficit=sup, terminal_deficit=v - c * t)
-
-
-def _simulate_block(
-    m: RiskModel, c: float, t: float, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
+    n = sup.shape[1]
     arrival = np.zeros(n)
     total = np.zeros(n)
-    sup = np.zeros(n)
+    deficit = np.empty(n)
     active = np.ones(n, dtype=bool)
     while active.any():
         idx = np.nonzero(active)[0]
@@ -129,41 +124,61 @@ def _simulate_block(
         sizes = dist.sample(m.y_law, rng, idx.size)
         arrival[idx] += gaps
         alive = arrival[idx] <= t
-        j = idx[alive]
-        total[j] += sizes[alive]
-        sup[j] = np.maximum(sup[j], total[j] - c * arrival[j])
+        total[idx[alive]] += sizes[alive]
         active[idx[~alive]] = False
-    return sup, total - c * t
+        for c, row in zip(rates, sup):
+            np.multiply(arrival, c, out=deficit)
+            np.subtract(total, deficit, out=deficit)
+            np.maximum(row, deficit, out=row)
+    for c, row in zip(rates, term):
+        np.subtract(total, c * t, out=row)
 
 
-def simulate_paths(m: RiskModel, c: float, cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+def simulate_paths(
+    m: RiskModel, c: float | Sequence[float], cfg: SimConfig
+) -> tuple[np.ndarray, np.ndarray]:
     """Simulate all configured paths; returns (sup_deficits, terminal_deficits).
+
+    ``c`` is one premium rate or a 1-D grid of them.  For one rate both
+    arrays have shape (n_paths,); for a grid, (len(c), n_paths), and row k
+    equals the result for ``c[k]`` alone, bit for bit.  The two arrays of a
+    grid take 2 * len(c) * n_paths * 8 bytes.
 
     Deterministic for a fixed (seed, stream_count, n_paths); drawing extra
     claims for a path that has already crossed the horizon never happens,
     so the draw sequence depends only on the T law and the horizon, which
-    keeps draws common across premium rates (common random numbers).
+    keeps draws common across premium rates (common random numbers): one
+    sweep prices every rate of the grid.
     """
-    if c < 0.0:
-        raise DomainError("premium rate must be nonnegative")
-    sups = []
-    terms = []
+    rates = _nonnegative("premium rate c", c)
+    if rates.ndim > 1:
+        raise DomainError("premium rate c must be a scalar or a 1-D grid")
+    grid = rates.reshape(-1)
+    sup = np.zeros((grid.size, cfg.n_paths))
+    term = np.empty((grid.size, cfg.n_paths))
+    stop = 0
     for block, size in enumerate(_block_sizes(cfg.n_paths, cfg.stream_count)):
-        if size == 0:
-            continue
+        start, stop = stop, stop + size
         rng = _block_rng(cfg.seed, block)
-        s, d = _simulate_block(m, c, cfg.t, size, rng)
-        sups.append(s)
-        terms.append(d)
-    return np.concatenate(sups), np.concatenate(terms)
+        _sweep_block(m, grid, cfg.t, rng, sup[:, start:stop], term[:, start:stop])
+    if rates.ndim == 0:
+        return sup[0], term[0]
+    return sup, term
 
 
-def estimate_ruin_prob(m: RiskModel, u: float, c: float, cfg: SimConfig) -> Estimate:
-    """Estimate P{ruin within [0, t]} at capital u from one path sweep."""
-    if u < 0.0:
-        raise DomainError("capital u must be nonnegative")
+def estimate_ruin_prob(
+    m: RiskModel, u: float, c: float | Sequence[float], cfg: SimConfig
+) -> Estimate | list[Estimate]:
+    """Estimate P{ruin within [0, t]} at capital u from one path sweep.
+
+    For a 1-D grid of premium rates ``c`` returns a list with one
+    ``Estimate`` per rate, all from the same sweep.
+    """
+    u = float(_nonnegative("capital u", u))
     sup, _ = simulate_paths(m, c, cfg)
-    return _prob_estimate(sup, u, cfg.n_paths)
+    if sup.ndim == 1:
+        return _prob_estimate(sup, u, cfg.n_paths)
+    return [_prob_estimate(row, u, cfg.n_paths) for row in sup]
 
 
 def _prob_estimate(sup: np.ndarray, u: float, n: int) -> Estimate:
@@ -198,6 +213,8 @@ def estimate_capitals(
     """
     if not 0.0 < alpha < 0.5:
         raise DomainError("alpha must lie in (0, 1/2)")
+    if np.ndim(c) != 0:
+        raise DomainError("estimate_capitals takes one premium rate; simulate_curve prices a grid")
     if cfg.n_paths * alpha < 50.0:
         warnings.warn(
             f"only {cfg.n_paths * alpha:.0f} expected tail paths at alpha="
@@ -221,7 +238,7 @@ def simulate_curve(
 ) -> CurveTable:
     """Per-premium-rate estimates over a grid, with common random numbers.
 
-    Every grid point reuses the same seed, so the same claim scenarios are
+    One sweep prices every grid point, so the same claim scenarios are
     priced at every premium rate and the resulting curves are smooth in c.
     Columns: c, var_cap, var_lo, var_hi, nonruin_cap, nonruin_lo,
     nonruin_hi, and when ``u`` is given additionally ruin_prob and
@@ -230,8 +247,8 @@ def simulate_curve(
     c_grid = [float(c) for c in c_grid]
     if any(b <= a for a, b in zip(c_grid, c_grid[1:])):
         raise DomainError("c_grid must be strictly increasing")
-    if any(c < 0.0 for c in c_grid):
-        raise DomainError("c_grid must be nonnegative")
+    if u is not None:
+        u = float(_nonnegative("capital u", u))
     cols = ["c", "var_cap", "var_lo", "var_hi", "nonruin_cap", "nonruin_lo", "nonruin_hi"]
     if u is not None:
         cols += ["ruin_prob", "ruin_stderr"]
@@ -245,8 +262,8 @@ def simulate_curve(
             "alpha": alpha,
         },
     )
-    for c in c_grid:
-        sup, term = simulate_paths(m, c, cfg)
+    sups, terms = simulate_paths(m, c_grid, cfg)
+    for c, sup, term in zip(c_grid, sups, terms):
         var_e = _quantile_estimate(term, alpha)
         non_e = _quantile_estimate(sup, alpha)
         row = [

@@ -143,7 +143,8 @@ def _ruin_figure(with_cramer: bool, with_ig: bool, n_paths: int, seed: int):
         cols.append("ig")
     cols += ["mc", "mc_stderr"]
     tab = CurveTable(columns=cols, metadata={"u": u, "t": t, "seed": seed})
-    for c in cs:
+    ests = montecarlo.estimate_ruin_prob(_EXP_UNIT, u, cs, cfg)
+    for c, est in zip(cs, ests):
         c = float(c)
         row = [c, exact.ruin_finite_exp(p, u, c, t)]
         if with_cramer:
@@ -153,7 +154,6 @@ def _ruin_figure(with_cramer: bool, with_ig: bool, n_paths: int, seed: int):
                 row.append(None)
         if with_ig:
             row.append(approx.ig_ruin_probability(_EXP_UNIT, u, c, t, "closed"))
-        est = montecarlo.estimate_ruin_prob(_EXP_UNIT, u, c, cfg)
         row += [est.point, est.stderr]
         tab.append(row)
     achieved = exact.ruin_finite_exp(p, u, 1.0, t)
@@ -184,10 +184,10 @@ def _fig6(n_paths: int, seed: int):
         columns=["c", "ig", "mc", "mc_stderr"],
         metadata={"u": u, "t": t, "seed": seed},
     )
-    for c in cs:
+    ests = montecarlo.estimate_ruin_prob(_MIX_PARETO, u, cs, cfg)
+    for c, est in zip(cs, ests):
         c = float(c)
         ig = approx.ig_ruin_probability(_MIX_PARETO, u, c, t, "closed")
-        est = montecarlo.estimate_ruin_prob(_MIX_PARETO, u, c, cfg)
         tab.append([c, ig, est.point, est.stderr])
     k = derived_constants(_MIX_PARETO)
     sidecar = {

@@ -157,8 +157,9 @@ def test_criterion_07_monte_carlo_vs_exact():
     cfg = SimConfig(n_paths=100_000, seed=SEED, t=1000.0)
     worst_z = 0.0
     details = []
-    for c in (0.8, 1.0, 1.2):
-        sup, _ = simulate_paths(UNIT, c, cfg)
+    cs = (0.8, 1.0, 1.2)
+    sups, _ = simulate_paths(UNIT, cs, cfg)
+    for c, sup in zip(cs, sups):
         for u in (10.0, 50.0):
             phat = float(np.mean(sup > u))
             exact = ruin_finite_exp(UNIT_PAIR, u, c, 1000.0)
@@ -251,15 +252,16 @@ def test_criterion_10_heavy_tail_desk_check():
     failures = []
     details = []
 
-    def ig_vs_sim(at_u, c, c_cfg):
-        sup, _ = simulate_paths(HEAVY, c, c_cfg)
+    def ig_vs_sim(at_u, c, c_cfg, sup):
         phat = float(np.mean(sup > at_u))
         se = math.sqrt(max(phat * (1.0 - phat), 1e-12) / c_cfg.n_paths)
         ig = ig_ruin_probability(HEAVY, at_u, c, c_cfg.t)
         return ig, phat, se
 
-    for c in (0.8, 1.0):
-        ig, phat, se = ig_vs_sim(u, c, cfg)
+    # one sweep prices the three premium rates at u = 40
+    sups, _ = simulate_paths(HEAVY, (0.8, 1.0, 1.2), cfg)
+    for c, sup in zip((0.8, 1.0), sups):
+        ig, phat, se = ig_vs_sim(u, c, cfg, sup)
         tol = max(0.02, 3.0 * se)
         details.append(f"c={c:g}: ig={ig:.4f}, mc={phat:.4f}, tol={tol:.4f}")
         if abs(ig - phat) > tol:
@@ -269,10 +271,12 @@ def test_criterion_10_heavy_tail_desk_check():
     # c - c* -> (c - c*)/2 the gap must shrink by more than three combined
     # standard errors, and at u = 80 it must lie in the same band as at
     # c = 0.8 and c = 1.0.
-    ig40, phat40, se40 = ig_vs_sim(u, 1.2, cfg)
+    ig40, phat40, se40 = ig_vs_sim(u, 1.2, cfg, sups[2])
     c_star = derived_constants(HEAVY).c_star
     cfg80 = SimConfig(n_paths=40_000, seed=SEED, t=4000.0)
-    ig80, phat80, se80 = ig_vs_sim(2.0 * u, c_star + (1.2 - c_star) / 2.0, cfg80)
+    c80 = c_star + (1.2 - c_star) / 2.0
+    sup80, _ = simulate_paths(HEAVY, c80, cfg80)
+    ig80, phat80, se80 = ig_vs_sim(2.0 * u, c80, cfg80, sup80)
     gap40 = ig40 - phat40
     gap80 = ig80 - phat80
     se_diff = math.hypot(se40, se80)

@@ -154,4 +154,6 @@ def test_domain_checks():
     with pytest.raises(DomainError):
         capital_curve(UNIT, 0.05, 200.0, [0.5, math.inf], EXACT)
     with pytest.raises(DomainError):
+        capital_curve(UNIT, 0.05, math.inf, [0.5, 1.0], EXACT)
+    with pytest.raises(DomainError):
         ultimate_capital(UNIT, 0.05, math.nan)

@@ -3,20 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from ruincapital.dist import Exponential
+from ruincapital import dist
+from ruincapital.dist import Exponential, MixtureExp2, Pareto
 from ruincapital.errors import DomainError
 from ruincapital.exact import ExpPair, ruin_finite_exp
 from ruincapital.model import RiskModel
 from ruincapital.montecarlo import (
     SimConfig,
+    _block_rng,
+    _block_sizes,
     estimate_capitals,
     estimate_ruin_prob,
     simulate_curve,
-    simulate_path,
     simulate_paths,
 )
 
 UNIT = RiskModel(Exponential(1.0), Exponential(1.0))
+HEAVY = RiskModel(MixtureExp2(1.0, 2.0, 2.0 / 3.0), Pareto(4.0, 0.35))
 
 
 def test_deterministic_replay():
@@ -45,10 +48,50 @@ def test_sup_dominates_terminal_pathwise():
     assert np.all(sup >= 0.0)
 
 
-def test_scalar_path_statistics():
-    rng = np.random.Generator(np.random.Philox(key=3))
-    st = simulate_path(UNIT, 1.0, 50.0, rng)
-    assert st.sup_deficit >= max(0.0, st.terminal_deficit)
+def _per_rate_reference(m, c, cfg):
+    """One rate at a time, updating only the paths still inside [0, t]."""
+    sups, terms = [], []
+    for block, n in enumerate(_block_sizes(cfg.n_paths, cfg.stream_count)):
+        rng = _block_rng(cfg.seed, block)
+        arrival, total, sup = np.zeros(n), np.zeros(n), np.zeros(n)
+        active = np.ones(n, dtype=bool)
+        while active.any():
+            idx = np.nonzero(active)[0]
+            gaps = dist.sample(m.t_law, rng, idx.size)
+            sizes = dist.sample(m.y_law, rng, idx.size)
+            arrival[idx] += gaps
+            alive = arrival[idx] <= cfg.t
+            j = idx[alive]
+            total[j] += sizes[alive]
+            sup[j] = np.maximum(sup[j], total[j] - c * arrival[j])
+            active[idx[~alive]] = False
+        sups.append(sup)
+        terms.append(total - c * cfg.t)
+    return np.concatenate(sups), np.concatenate(terms)
+
+
+@pytest.mark.parametrize(
+    "m, cfg, cs",
+    [
+        (UNIT, SimConfig(n_paths=2000, seed=3, t=50.0), [0.0, 0.5, 1.0, 1.5]),
+        (UNIT, SimConfig(n_paths=1001, seed=4, t=50.0, stream_count=4), [0.8, 1.0, 1.2]),
+        (HEAVY, SimConfig(n_paths=1000, seed=6, t=300.0), [0.0, 0.9, 1.2, 1.6]),
+    ],
+    ids=["unit-with-zero", "four-streams", "heavy"],
+)
+def test_grid_sweep_equals_per_rate_calls(m, cfg, cs):
+    sups, terms = simulate_paths(m, cs, cfg)
+    assert sups.shape == terms.shape == (len(cs), cfg.n_paths)
+    for c, sup_row, term_row in zip(cs, sups, terms):
+        sup, term = simulate_paths(m, c, cfg)
+        assert sup.shape == term.shape == (cfg.n_paths,)
+        assert np.array_equal(sup_row, sup)
+        assert np.array_equal(term_row, term)
+        ref_sup, ref_term = _per_rate_reference(m, c, cfg)
+        assert np.array_equal(sup, ref_sup)
+        assert np.array_equal(term, ref_term)
+    ests = estimate_ruin_prob(m, 5.0, cs, cfg)
+    assert ests == [estimate_ruin_prob(m, 5.0, c, cfg) for c in cs]
 
 
 def test_ruin_probability_matches_exact():
@@ -93,6 +136,10 @@ def test_config_validation():
     with pytest.raises(DomainError):
         SimConfig(n_paths=100, seed=1, t=0.0)
     with pytest.raises(DomainError):
+        SimConfig(n_paths=100, seed=1, t=math.inf)
+    with pytest.raises(DomainError):
+        SimConfig(n_paths=100, seed=1, t=math.nan)
+    with pytest.raises(DomainError):
         SimConfig(n_paths=100, seed=2**64, t=10.0)
     with pytest.warns(RuntimeWarning):
         SimConfig(n_paths=10, seed=1, t=10.0)
@@ -102,3 +149,26 @@ def test_small_tail_sample_warns():
     cfg = SimConfig(n_paths=200, seed=1, t=10.0)
     with pytest.warns(RuntimeWarning):
         estimate_capitals(UNIT, 0.05, 1.0, cfg)
+
+
+def test_domain_checks():
+    cfg = SimConfig(n_paths=2000, seed=1, t=10.0)
+    for bad in (-0.5, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            simulate_paths(UNIT, bad, cfg)
+        with pytest.raises(DomainError):
+            simulate_paths(UNIT, [0.5, bad], cfg)
+        with pytest.raises(DomainError):
+            estimate_capitals(UNIT, 0.05, bad, cfg)
+        with pytest.raises(DomainError):
+            simulate_curve(UNIT, 0.05, [0.5, 1.0, bad], cfg)
+        with pytest.raises(DomainError):
+            estimate_ruin_prob(UNIT, 5.0, bad, cfg)
+        with pytest.raises(DomainError):
+            estimate_ruin_prob(UNIT, bad, 1.0, cfg)
+        with pytest.raises(DomainError):
+            simulate_curve(UNIT, 0.05, [0.5, 1.0], cfg, u=bad)
+    with pytest.raises(DomainError):
+        simulate_paths(UNIT, [[0.5, 1.0]], cfg)
+    with pytest.raises(DomainError):
+        estimate_capitals(UNIT, 0.05, [0.5, 1.0], cfg)
