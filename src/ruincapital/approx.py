@@ -23,7 +23,7 @@ from scipy import special as sp
 
 from .errors import DomainError, ExcludedCaseError, IntegrationError
 from .exact import ExpPair
-from .model import RiskModel, derived_constants, theorem_preconditions
+from .model import RiskModel, check_alpha, derived_constants, theorem_preconditions
 from .special import inverse_gaussian_cdf, normal_pdf, std_normal_cdf, std_normal_quantile
 
 __all__ = [
@@ -46,24 +46,17 @@ __all__ = [
 _BOUNDARY_EPS = 1e-12
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 < alpha < 0.5:
-        raise DomainError(f"alpha must lie in (0, 1/2), got {alpha}")
-    return alpha
-
-
 def var_clt(m: RiskModel, alpha: float, t: float, c: float) -> float:
     """CLT approximation of the Value-at-Risk capital.
 
     ``max{0, (M_V - c) t + z_alpha D_V sqrt(t)}`` where z_alpha is the
     upper alpha-quantile of the standard normal law.
     """
-    alpha = _check_alpha(alpha)
-    if not t > 0.0:
-        raise DomainError("var_clt requires t > 0")
-    if c < 0.0:
-        raise DomainError("var_clt requires c >= 0")
+    alpha = check_alpha(alpha)
+    if not 0.0 < t < math.inf:
+        raise DomainError("var_clt requires finite t > 0")
+    if not 0.0 <= c < math.inf:
+        raise DomainError("var_clt requires finite c >= 0")
     k = derived_constants(m)
     z = std_normal_quantile(1.0 - alpha)
     return max(0.0, (k.m_v - c) * t + z * k.d_v * math.sqrt(t))
@@ -86,11 +79,11 @@ class IGParams:
 
 def ig_params(m: RiskModel, u: float, c: float) -> IGParams:
     """Parameters (mu, lambda) of the approximating inverse Gaussian law."""
-    if not u > 0.0:
-        raise DomainError("ig_params requires u > 0")
-    if not c > 0.0:
+    if not 0.0 < u < math.inf:
+        raise DomainError("ig_params requires finite u > 0")
+    if not 0.0 < c < math.inf:
         raise DomainError(
-            "ig_params requires c > 0; at c = 0 the ruin probability "
+            "ig_params requires finite c > 0; at c = 0 the ruin probability "
             "reduces to the aggregate-claims distribution function"
         )
     k = derived_constants(m)
@@ -165,15 +158,15 @@ def ig_ruin_probability(
     to ~1e-9 away from the regime boundary cM = 1, where the closed form
     uses the zero-drift limit.
     """
-    if not u > 0.0:
-        raise DomainError("ig_ruin_probability requires u > 0")
-    if not c > 0.0:
+    if not 0.0 < u < math.inf:
+        raise DomainError("ig_ruin_probability requires finite u > 0")
+    if not 0.0 < c < math.inf:
         raise DomainError(
-            "ig_ruin_probability requires c > 0; at c = 0 use the "
+            "ig_ruin_probability requires finite c > 0; at c = 0 use the "
             "aggregate-claims distribution function instead"
         )
-    if t < 0.0:
-        raise DomainError("ig_ruin_probability requires t >= 0")
+    if not 0.0 <= t < math.inf:
+        raise DomainError("ig_ruin_probability requires finite t >= 0")
     if t == 0.0:
         return 0.0
     k = derived_constants(m)
@@ -208,8 +201,8 @@ def cramer_constants_exp(p: ExpPair, c: float) -> CramerConstants:
         ExcludedCaseError: at c = c* = delta/rho, where every displayed
             denominator vanishes.
     """
-    if not c > 0.0:
-        raise DomainError("cramer_constants_exp requires c > 0")
+    if not 0.0 < c < math.inf:
+        raise DomainError("cramer_constants_exp requires finite c > 0")
     delta, rho = p.delta, p.rho
     q = delta / (c * rho)
     # the displayed denominators vanish at c = c*; treat a relative
@@ -239,10 +232,10 @@ def cramer_ruin_exp(p: ExpPair, u: float, c: float, t: float) -> float:
     (c > c*): C exp(-kappa u) Phi((t - m u)/(D sqrt(u))).  Undefined at
     c = c*.
     """
-    if not u > 0.0:
-        raise DomainError("cramer_ruin_exp requires u > 0")
-    if not t > 0.0:
-        raise DomainError("cramer_ruin_exp requires t > 0")
+    if not 0.0 < u < math.inf:
+        raise DomainError("cramer_ruin_exp requires finite u > 0")
+    if not 0.0 < t < math.inf:
+        raise DomainError("cramer_ruin_exp requires finite t > 0")
     k = cramer_constants_exp(p, c)
     if k.m_sub is not None:
         z = (t - k.m_sub * u) / math.sqrt(k.d2_sub * u)
@@ -281,9 +274,9 @@ def capital_asymptotic_endpoints(
     ``u(c*) = (D/M^{3/2}) z_{alpha/2} sqrt(t)``.  Models violating the
     third-moment hypotheses produce a warning, not an error.
     """
-    alpha = _check_alpha(alpha)
-    if not t > 0.0:
-        raise DomainError("capital_asymptotic_endpoints requires t > 0")
+    alpha = check_alpha(alpha)
+    if not 0.0 < t < math.inf:
+        raise DomainError("capital_asymptotic_endpoints requires finite t > 0")
     _warn_if_preconditions_fail(m, "capital_asymptotic_endpoints")
     k = derived_constants(m)
     scale = k.capital_scale
@@ -304,11 +297,11 @@ def capital_asymptotic_bounds(
     lower = (c* - c) t + (D/M^{3/2}) z_alpha sqrt(t);
     upper = (c* - c) t + (D/M^{3/2}) z_{alpha/2} sqrt(t).
     """
-    alpha = _check_alpha(alpha)
-    if not t > 0.0:
-        raise DomainError("capital_asymptotic_bounds requires t > 0")
-    if c < 0.0:
-        raise DomainError("capital_asymptotic_bounds requires c >= 0")
+    alpha = check_alpha(alpha)
+    if not 0.0 < t < math.inf:
+        raise DomainError("capital_asymptotic_bounds requires finite t > 0")
+    if not 0.0 <= c < math.inf:
+        raise DomainError("capital_asymptotic_bounds requires finite c >= 0")
     k = derived_constants(m)
     if c > k.c_star:
         raise DomainError(

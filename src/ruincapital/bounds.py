@@ -69,8 +69,8 @@ def adjustment_coefficient(m: RiskModel, c: float) -> AdjustmentCoefficient:
     Raises:
         NoAdjustmentCoefficientError: heavy-tailed Y, or c <= c*.
     """
-    if not c > 0.0:
-        raise DomainError("adjustment_coefficient requires c > 0")
+    if not 0.0 < c < math.inf:
+        raise DomainError("adjustment_coefficient requires finite c > 0")
     if dist.is_heavy_tailed(m.y_law):
         raise NoAdjustmentCoefficientError(
             "adjustment coefficient does not exist for heavy-tailed claim sizes"
@@ -122,8 +122,8 @@ def capital_upper_bound_exp(p: ExpPair, alpha: float, c: float) -> float:
     """
     if not 0.0 < alpha <= 1.0:
         raise DomainError("alpha must lie in (0, 1]")
-    if c <= p.delta / p.rho:
-        raise DomainError("bound requires c > c* = delta/rho")
+    if not p.delta / p.rho < c < math.inf:
+        raise DomainError("bound requires finite c > c* = delta/rho")
     arg = alpha * c * p.rho / p.delta
     if arg >= 1.0:
         return 0.0
@@ -273,6 +273,8 @@ def ultimate_capital_exp(p: ExpPair, alpha: float, c: float) -> float:
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must lie in (0, 1)")
+    if not math.isfinite(c):
+        raise DomainError("ultimate_capital_exp requires finite c")
     if c <= p.delta / p.rho:
         raise InfiniteCapitalError(
             "ultimate capital is infinite for c <= c* = delta/rho"

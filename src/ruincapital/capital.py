@@ -7,10 +7,18 @@ initial capital u:
 * the non-ruin capital: P{ruin within [0, t]} = alpha;
 * the ultimate capital: P{ruin ever} = alpha (finite only for c > c*).
 
-Each backend probability is nonincreasing in u, so bracketed bisection on
-[0, max_bracket] converges unconditionally; when even u = 0 satisfies the
-target the capital is 0 by definition and the result carries a "clamped"
-flag.
+Every var and nonruin cell, whether from ``var_capital``,
+``nonruin_capital`` or ``capital_curve``, goes through one solve: the
+``clt`` backend evaluates its closed form, ``monte_carlo`` takes empirical
+quantiles of simulated deficits, and ``exact_exp`` and
+``inverse_gaussian`` invert their probability in u with one bracketed
+root-finder.  Each backend probability is nonincreasing in u beyond the
+lower bracket (u = 0, or the peak of a scan for the inverse Gaussian
+approximation, which vanishes at u = 0), so the root-finder converges
+unconditionally; when even the lower bracket satisfies the target the
+capital is 0 by definition and the result carries a "clamped" flag.
+``capital_curve`` warm-starts each root solve from the previous rate and
+prices a Monte Carlo grid from one path sweep.
 """
 
 from __future__ import annotations
@@ -28,10 +36,10 @@ from .errors import (
     BracketError,
     DomainError,
     InfiniteCapitalError,
-    NoAdjustmentCoefficientError,
+    RuinCapitalError,
 )
 from .exact import ExpPair
-from .model import RiskModel, derived_constants
+from .model import RiskModel, check_alpha, check_c_grid, derived_constants
 from .montecarlo import SimConfig
 from .table import CurveTable
 
@@ -100,13 +108,6 @@ def _default_bracket(m: RiskModel, alpha: float, t: float, c: float) -> float:
     return upper + 10.0 * spread
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 < alpha < 0.5:
-        raise DomainError(f"alpha must lie in (0, 1/2), got {alpha}")
-    return alpha
-
-
 def _check_horizon(name: str, t: float) -> None:
     if not 0.0 < t < math.inf:
         raise DomainError(f"{name} requires finite t > 0")
@@ -134,14 +135,29 @@ def _invert(
     max_bracket: float,
     kind: str,
     c: float,
-    warm_hi: Optional[float] = None,
+    warm_hi: Optional[float],
+    scan: bool,
 ) -> CapitalPoint:
-    """Solve prob(u) = alpha for u >= 0 by bracketed root-finding."""
-    p0 = prob(0.0)
-    if p0 < alpha:
+    """Solve prob(u) = alpha for u >= 0 by bracketed root-finding.
+
+    The lower bracket is u = 0, or with ``scan`` the argmax of an 80-point
+    geometric scan of [1e-6, 1] * max_bracket: the inverse Gaussian
+    approximation rises from 0 over the first few money units (a small-u
+    artifact of the large-u theory) and the root relevant to the capital
+    sits on its decreasing side.  ``warm_hi`` is tried as the upper bracket
+    before ``max_bracket``.
+    """
+    if scan:
+        us = np.geomspace(1e-6 * max_bracket, max_bracket, 80)
+        vals = [prob(float(u)) for u in us]
+        i = int(np.argmax(vals))
+        lo, p_lo = float(us[i]), vals[i]
+    else:
+        lo, p_lo = 0.0, prob(0.0)
+    if p_lo < alpha:
         return CapitalPoint(kind=kind, c=c, value=0.0, clamped=True)
     hi = None
-    if warm_hi is not None and 0.0 < warm_hi <= max_bracket:
+    if warm_hi is not None and lo < warm_hi <= max_bracket:
         if prob(warm_hi) < alpha:
             hi = warm_hi
     if hi is None:
@@ -151,58 +167,74 @@ def _invert(
             )
         hi = max_bracket
     u = float(
-        optimize.brentq(lambda x: prob(x) - alpha, 0.0, hi, xtol=spec.u_tolerance)
+        optimize.brentq(lambda x: prob(x) - alpha, lo, hi, xtol=spec.u_tolerance)
     )
     return CapitalPoint(
         kind=kind, c=c, value=u, residual=abs(prob(u) - alpha)
     )
 
 
-def _invert_unimodal(
-    prob: Callable[[float], float],
+def _sim_config(spec: SolveSpec, t: float) -> SimConfig:
+    if spec.sim is None:
+        raise DomainError("monte_carlo backend requires SolveSpec.sim")
+    if spec.sim.t != t:
+        return replace(spec.sim, t=t)
+    return spec.sim
+
+
+def _solve(
+    m: RiskModel,
     alpha: float,
-    spec: SolveSpec,
-    max_bracket: float,
-    kind: str,
+    t: float,
     c: float,
-    warm_hi: Optional[float] = None,
+    spec: SolveSpec,
+    kind: str,
+    prev_value: Optional[float] = None,
 ) -> CapitalPoint:
-    """Invert a backend that vanishes at u = 0 and decays for large u.
+    """One "var" or "nonruin" capital at premium rate c; inputs already checked.
 
-    The inverse Gaussian approximation rises from 0 over the first few
-    money units (a small-u artifact of the large-u theory) and is
-    decreasing beyond its peak; the root relevant to Definition-style
-    capital sits on the decreasing side, so the bracket starts at the
-    argmax of a geometric scan.
+    ``prev_value`` is the solution at the previous, smaller rate of a grid:
+    the curves are nonincreasing in c, so it (plus a safety margin) bounds
+    this solution from above and warm-starts the bracket.
     """
-    us = np.geomspace(1e-6 * max_bracket, max_bracket, 80)
-    vals = [prob(float(u)) for u in us]
-    i = int(np.argmax(vals))
-    if vals[i] < alpha:
-        return CapitalPoint(kind=kind, c=c, value=0.0, clamped=True)
-    lo = float(us[i])
-    hi = None
-    if warm_hi is not None and lo < warm_hi <= max_bracket:
-        if prob(warm_hi) < alpha:
-            hi = warm_hi
-    if hi is None:
-        if prob(max_bracket) >= alpha:
-            raise BracketError(f"no solution below max_bracket = {max_bracket:.6g}")
-        hi = max_bracket
-    u = float(
-        optimize.brentq(lambda x: prob(x) - alpha, lo, hi, xtol=spec.u_tolerance)
-    )
-    return CapitalPoint(kind=kind, c=c, value=u, residual=abs(prob(u) - alpha))
-
-
-def _terminal_prob(m: RiskModel, spec: SolveSpec, t: float, c: float):
-    """u -> P{V_t > u + c t} for the configured backend."""
-    if spec.backend == "exact_exp":
-        p = _require_exp_pair(m, spec.backend)
-        return lambda u: 1.0 - exact.aggregate_cdf_exp(p, t, u + c * t)
-    raise BackendIncompatibleError(
-        f"backend {spec.backend!r} has no terminal-probability inverter"
-    )
+    backend = spec.backend
+    if backend == "clt":
+        if kind == "nonruin":
+            raise BackendIncompatibleError(
+                "the CLT backend approximates the terminal shortfall only; "
+                "use it through var_capital"
+            )
+        v = approx.var_clt(m, alpha, t, c)
+        return CapitalPoint(kind="var", c=c, value=v, clamped=(v == 0.0))
+    if backend == "monte_carlo":
+        cfg = _sim_config(spec, t)
+        est = montecarlo.estimate_capitals(m, alpha, c, cfg)[f"{kind}_cap"]
+        return CapitalPoint(
+            kind=kind, c=c, value=est.point, clamped=(est.point == 0.0), ci95=est.ci95
+        )
+    if backend == "inverse_gaussian":
+        if kind == "var":
+            raise BackendIncompatibleError(
+                "the inverse Gaussian approximation targets the ruin "
+                "probability, not the terminal shortfall; use backend 'clt'"
+            )
+        if c == 0.0:
+            # at c = 0 ruin by t is exactly a terminal shortfall
+            redirect = "exact_exp" if m.is_exponential_pair() else "clt"
+            point = _solve(m, alpha, t, 0.0, replace(spec, backend=redirect), "var")
+            return replace(point, kind="nonruin")
+        prob = lambda u: approx.ig_ruin_probability(m, u, c, t, "closed")
+    else:
+        p = _require_exp_pair(m, backend)
+        if kind == "var":
+            prob = lambda u: 1.0 - exact.aggregate_cdf_exp(p, t, u + c * t)
+        else:
+            prob = lambda u: exact.ruin_finite_exp(p, u, c, t)
+    mb = spec.max_bracket or _default_bracket(m, alpha, t, c)
+    warm = None
+    if prev_value is not None and prev_value > 0.0:
+        warm = min(mb, prev_value * 1.01 + 1.0)
+    return _invert(prob, alpha, spec, mb, kind, c, warm, scan=backend == "inverse_gaussian")
 
 
 def var_capital(
@@ -214,49 +246,9 @@ def var_capital(
     ``exact_exp`` inverts the aggregate-claims distribution function;
     ``monte_carlo`` takes the empirical quantile of terminal deficits.
     """
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     _check_horizon_premium("var_capital", t, c)
-    if spec.backend == "clt":
-        v = approx.var_clt(m, alpha, t, c)
-        return CapitalPoint(kind="var", c=c, value=v, clamped=(v == 0.0))
-    if spec.backend == "monte_carlo":
-        cfg = _sim_config(spec, t)
-        est = montecarlo.estimate_capitals(m, alpha, c, cfg)["var_cap"]
-        return CapitalPoint(
-            kind="var",
-            c=c,
-            value=est.point,
-            clamped=(est.point == 0.0),
-            ci95=est.ci95,
-        )
-    if spec.backend == "inverse_gaussian":
-        raise BackendIncompatibleError(
-            "the inverse Gaussian approximation targets the ruin "
-            "probability, not the terminal shortfall; use backend 'clt'"
-        )
-    prob = _terminal_prob(m, spec, t, c)
-    mb = spec.max_bracket or _default_bracket(m, alpha, t, c)
-    return _invert(prob, alpha, spec, mb, "var", c)
-
-
-def _sim_config(spec: SolveSpec, t: float) -> SimConfig:
-    if spec.sim is None:
-        raise DomainError("monte_carlo backend requires SolveSpec.sim")
-    if spec.sim.t != t:
-        return replace(spec.sim, t=t)
-    return spec.sim
-
-
-def _ruin_prob(m: RiskModel, spec: SolveSpec, t: float, c: float):
-    """u -> P{ruin within [0, t]} for the configured backend."""
-    if spec.backend == "exact_exp":
-        p = _require_exp_pair(m, spec.backend)
-        return lambda u: exact.ruin_finite_exp(p, u, c, t)
-    if spec.backend == "inverse_gaussian":
-        return lambda u: approx.ig_ruin_probability(m, u, c, t, "closed")
-    raise BackendIncompatibleError(
-        f"backend {spec.backend!r} has no ruin-probability inverter"
-    )
+    return _solve(m, alpha, t, c, spec, "var")
 
 
 def nonruin_capital(
@@ -266,36 +258,12 @@ def nonruin_capital(
 
     At c = 0 ruin by t is exactly a terminal shortfall, so the inverse
     Gaussian backend (undefined there) redirects to the Value-at-Risk
-    solve with the same defining equation.
+    solve with the same defining equation: exact for an exponential pair,
+    CLT otherwise.
     """
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     _check_horizon_premium("nonruin_capital", t, c)
-    if spec.backend == "monte_carlo":
-        cfg = _sim_config(spec, t)
-        est = montecarlo.estimate_capitals(m, alpha, c, cfg)["nonruin_cap"]
-        return CapitalPoint(
-            kind="nonruin",
-            c=c,
-            value=est.point,
-            clamped=(est.point == 0.0),
-            ci95=est.ci95,
-        )
-    if spec.backend == "clt":
-        raise BackendIncompatibleError(
-            "the CLT backend approximates the terminal shortfall only; "
-            "use it through var_capital"
-        )
-    if spec.backend == "inverse_gaussian" and c == 0.0:
-        if m.is_exponential_pair():
-            point = var_capital(m, alpha, t, 0.0, replace(spec, backend="exact_exp"))
-        else:
-            point = var_capital(m, alpha, t, 0.0, replace(spec, backend="clt"))
-        return replace(point, kind="nonruin")
-    prob = _ruin_prob(m, spec, t, c)
-    mb = spec.max_bracket or _default_bracket(m, alpha, t, c)
-    if spec.backend == "inverse_gaussian":
-        return _invert_unimodal(prob, alpha, spec, mb, "nonruin", c)
-    return _invert(prob, alpha, spec, mb, "nonruin", c)
+    return _solve(m, alpha, t, c, spec, "nonruin")
 
 
 def ultimate_capital(
@@ -311,7 +279,7 @@ def ultimate_capital(
     Raises:
         InfiniteCapitalError: for c <= c*.
     """
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     if not math.isfinite(c):
         raise DomainError("ultimate_capital requires finite c")
     k = derived_constants(m)
@@ -339,23 +307,25 @@ def capital_curve(
 ) -> CurveTable:
     """Solve the requested capitals on a strictly increasing premium grid.
 
-    Each bisection warm-starts its bracket from the previous grid point's
-    solution (the curves are continuous and nonincreasing in c); per-point
-    failures become NA cells with the reason recorded in the metadata.
-    Invalid inputs shared by every cell (alpha, the grid, a horizon t that
-    is not finite and positive when var or nonruin is asked for) raise
-    DomainError up front.
+    Each root solve warm-starts its bracket from the previous grid point's
+    solution (the curves are continuous and nonincreasing in c).  Under
+    ``monte_carlo`` one ``simulate_curve`` sweep prices the var and nonruin
+    columns at every rate, each cell equal to its per-rate solve bit for
+    bit, and ``metadata["mc_stderr"]`` maps each of these kinds to the
+    standard errors of its cells.  A cell whose solve raises a
+    ``RuinCapitalError`` becomes NA and its reason is logged in
+    ``metadata["warnings"]`` as "<kind>@c=<c:g>: <reason>".  Invalid inputs
+    shared by every cell (alpha, the grid, a kind, a horizon t that is not
+    finite and positive when var or nonruin is asked for) raise DomainError
+    up front.
     """
-    alpha = _check_alpha(alpha)
-    c_grid = [float(c) for c in c_grid]
-    if any(b <= a for a, b in zip(c_grid, c_grid[1:])):
-        raise DomainError("c_grid must be strictly increasing")
-    if not all(0.0 <= c < math.inf for c in c_grid):
-        raise DomainError("c_grid must be finite and nonnegative")
+    alpha = check_alpha(alpha)
+    c_grid = check_c_grid(c_grid)
     for kind in kinds:
         if kind not in ("var", "nonruin", "ultimate"):
             raise DomainError(f"unknown capital kind {kind!r}")
-    if "var" in kinds or "nonruin" in kinds:
+    horizon_kinds = [kind for kind in kinds if kind != "ultimate"]
+    if horizon_kinds:
         _check_horizon("capital_curve", t)
 
     columns = ["c"] + list(kinds)
@@ -369,60 +339,41 @@ def capital_curve(
             "warnings": warnings_log,
         },
     )
-    solvers = {
-        "var": lambda c: var_capital(m, alpha, t, c, spec),
-        "nonruin": lambda c: nonruin_capital(m, alpha, t, c, spec),
-        "ultimate": lambda c: ultimate_capital(m, alpha, c, spec),
-    }
+    mc_values: dict[str, list] = {}
+    mc_error: Optional[RuinCapitalError] = None
+    if spec.backend == "monte_carlo" and horizon_kinds:
+        try:
+            sweep = montecarlo.simulate_curve(m, alpha, c_grid, _sim_config(spec, t))
+        except RuinCapitalError as exc:
+            mc_error = exc
+        else:
+            mc_values = {kind: sweep.column(f"{kind}_cap") for kind in horizon_kinds}
+            table.metadata["mc_stderr"] = {
+                kind: [
+                    (hi - lo) / (2.0 * 1.96)
+                    for lo, hi in zip(
+                        sweep.column(f"{kind}_lo"), sweep.column(f"{kind}_hi")
+                    )
+                ]
+                for kind in horizon_kinds
+            }
     prev: dict[str, Optional[float]] = {k: None for k in kinds}
-    for c in c_grid:
+    for i, c in enumerate(c_grid):
         row: list[Optional[float]] = [c]
         for kind in kinds:
             try:
-                if kind in ("var", "nonruin") and spec.backend in (
-                    "exact_exp",
-                    "inverse_gaussian",
-                ):
-                    point = _solve_warm(m, alpha, t, c, spec, kind, prev[kind])
+                if kind == "ultimate":
+                    value = ultimate_capital(m, alpha, c, spec).value
+                elif mc_error is not None:
+                    raise mc_error
+                elif kind in mc_values:
+                    value = mc_values[kind][i]
                 else:
-                    point = solvers[kind](c)
-                prev[kind] = point.value
-                row.append(point.value)
-            except (
-                BackendIncompatibleError,
-                BracketError,
-                DomainError,
-                InfiniteCapitalError,
-                NoAdjustmentCoefficientError,
-            ) as exc:
+                    value = _solve(m, alpha, t, c, spec, kind, prev[kind]).value
+                prev[kind] = value
+            except RuinCapitalError as exc:
                 warnings_log.append(f"{kind}@c={c:g}: {exc}")
-                row.append(None)
+                value = None
+            row.append(value)
         table.append(row)
     return table
-
-
-def _solve_warm(
-    m: RiskModel,
-    alpha: float,
-    t: float,
-    c: float,
-    spec: SolveSpec,
-    kind: str,
-    prev_value: Optional[float],
-) -> CapitalPoint:
-    """Root-solve with a warm upper bracket from the previous grid point."""
-    if kind == "var":
-        prob = _terminal_prob(m, spec, t, c)
-    else:
-        if spec.backend == "inverse_gaussian" and c == 0.0:
-            return nonruin_capital(m, alpha, t, c, spec)
-        prob = _ruin_prob(m, spec, t, c)
-    mb = spec.max_bracket or _default_bracket(m, alpha, t, c)
-    warm = None
-    if prev_value is not None and prev_value > 0.0:
-        # curves are nonincreasing in c, so the previous solution (plus a
-        # safety margin) bounds the next one from above
-        warm = min(mb, prev_value * 1.01 + 1.0)
-    if spec.backend == "inverse_gaussian" and kind == "nonruin":
-        return _invert_unimodal(prob, alpha, spec, mb, kind, c, warm_hi=warm)
-    return _invert(prob, alpha, spec, mb, kind, c, warm_hi=warm)

@@ -30,10 +30,9 @@ from .errors import (
     BracketError,
     ConstantsUnavailableError,
     DomainError,
-    ExcludedCaseError,
-    InfiniteCapitalError,
     IntegrationError,
     NoAdjustmentCoefficientError,
+    RuinCapitalError,
     UnsupportedDistributionError,
 )
 from .exact import ExpPair
@@ -223,36 +222,20 @@ def cmd_capital(args) -> int:
     if sim is not None:
         table.metadata["seed"] = sim.seed
         table.metadata["n_paths"] = sim.n_paths
-    solver = {"var": capital.var_capital, "nonruin": capital.nonruin_capital}
-    for c in grid:
-        row = [c]
-        stderr = None
-        for mth in methods:
-            spec = SolveSpec(backend=backend_map[mth], sim=sim)
-            try:
-                if kind == "ultimate":
-                    point = capital.ultimate_capital(m, alpha, c, spec)
-                else:
-                    point = solver[kind](m, alpha, t, c, spec)
-                row.append(point.value)
-                if mth == "mc" and point.ci95 is not None:
-                    stderr = (point.ci95[1] - point.ci95[0]) / (2.0 * 1.96)
-            except (
-                BackendIncompatibleError,
-                BracketError,
-                DomainError,
-                ExcludedCaseError,
-                IntegrationError,
-                NoAdjustmentCoefficientError,
-                UnsupportedDistributionError,
-                ConstantsUnavailableError,
-                InfiniteCapitalError,
-            ) as exc:
-                warnings_log.append(f"{mth}@c={c:g}: {exc}")
-                row.append(None)
-        if "mc" in methods:
-            row.append(stderr)
-        table.append(row)
+    data = []
+    stderr = [None] * len(grid)
+    for mth in methods:
+        spec = SolveSpec(backend=backend_map[mth], sim=sim)
+        curve = capital.capital_curve(m, alpha, t, grid, spec, kinds=(kind,))
+        data.append(curve.column(kind))
+        # capital_curve logs "<kind>@c=..."; NA reasons are keyed by method
+        warnings_log += [mth + w[len(kind):] for w in curve.metadata["warnings"]]
+        if mth == "mc":
+            stderr = curve.metadata.get("mc_stderr", {}).get(kind, stderr)
+    if "mc" in methods:
+        data.append(stderr)
+    for i, c in enumerate(grid):
+        table.append([c] + [col[i] for col in data])
     _echo_config(table, cfg, vars(args))
     _emit(table, args.out)
     return EXIT_OK
@@ -292,7 +275,7 @@ def cmd_ruinprob(args) -> int:
         priced = [c for c in grid if c >= 0.0]
         try:
             mc_ests = dict(zip(priced, montecarlo.estimate_ruin_prob(m, u, priced, sim)))
-        except (DomainError, UnsupportedDistributionError) as exc:
+        except RuinCapitalError as exc:
             mc_error = exc
     pair = (
         ExpPair(m.t_law.rate, m.y_law.rate) if m.is_exponential_pair() else None
@@ -325,14 +308,7 @@ def cmd_ruinprob(args) -> int:
                         est = montecarlo.estimate_ruin_prob(m, u, c, sim)
                     row.append(est.point)
                     stderr = est.stderr
-            except (
-                BackendIncompatibleError,
-                DomainError,
-                ExcludedCaseError,
-                IntegrationError,
-                UnsupportedDistributionError,
-                ConstantsUnavailableError,
-            ) as exc:
+            except RuinCapitalError as exc:
                 warnings_log.append(f"{mth}@c={c:g}: {exc}")
                 row.append(None)
         if "mc" in methods:

@@ -18,12 +18,13 @@ Two normalizations of the same model coexist and must not be conflated:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 from . import dist
 from .dist import Distribution, Exponential
-from .errors import ConstantsUnavailableError, MomentUndefinedError
+from .errors import ConstantsUnavailableError, DomainError, MomentUndefinedError
 
 __all__ = [
     "RiskModel",
@@ -159,3 +160,29 @@ def theorem_preconditions(m: RiskModel) -> PreconditionReport:
         d2_positive=d2_positive,
         light_tailed_y=not dist.is_heavy_tailed(m.y_law),
     )
+
+
+def check_alpha(alpha: float) -> float:
+    """The capital target level as a float; DomainError unless 0 < alpha < 1/2.
+
+    Shared by every entry point that solves for a capital: the capital
+    solvers, the approximations and the Monte Carlo quantile estimators.
+    """
+    alpha = float(alpha)
+    if not 0.0 < alpha < 0.5:
+        raise DomainError(f"alpha must lie in (0, 1/2), got {alpha}")
+    return alpha
+
+
+def check_c_grid(c_grid) -> list[float]:
+    """A premium-rate grid as a list of floats.
+
+    DomainError unless the grid is strictly increasing, finite and
+    nonnegative; shared by ``capital_curve`` and ``simulate_curve``.
+    """
+    cs = [float(c) for c in c_grid]
+    if not all(0.0 <= c < math.inf for c in cs) or any(
+        b <= a for a, b in zip(cs, cs[1:])
+    ):
+        raise DomainError("c_grid must be strictly increasing, finite and nonnegative")
+    return cs

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import dist
 from .errors import DomainError
-from .model import RiskModel
+from .model import RiskModel, check_alpha, check_c_grid
 from .table import CurveTable
 
 __all__ = [
@@ -202,6 +202,19 @@ def _quantile_estimate(x: np.ndarray, alpha: float) -> Estimate:
     return Estimate(point=point, stderr=(hi - lo) / (2.0 * 1.96), ci95=(lo, hi))
 
 
+def _check_quantile_alpha(alpha: float, n_paths: int) -> float:
+    """``check_alpha``, plus a warning when fewer than 50 tail paths are expected."""
+    alpha = check_alpha(alpha)
+    if n_paths * alpha < 50.0:
+        warnings.warn(
+            f"only {n_paths * alpha:.0f} expected tail paths at alpha="
+            f"{alpha}; quantile estimate noisy (want n_paths >= 50/alpha)",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return alpha
+
+
 def estimate_capitals(
     m: RiskModel, alpha: float, c: float, cfg: SimConfig
 ) -> dict[str, Estimate]:
@@ -211,17 +224,9 @@ def estimate_capitals(
     is the quantile of terminal deficits and never exceeds the non-ruin
     capital because the terminal deficit is dominated pathwise by the sup.
     """
-    if not 0.0 < alpha < 0.5:
-        raise DomainError("alpha must lie in (0, 1/2)")
+    alpha = _check_quantile_alpha(alpha, cfg.n_paths)
     if np.ndim(c) != 0:
         raise DomainError("estimate_capitals takes one premium rate; simulate_curve prices a grid")
-    if cfg.n_paths * alpha < 50.0:
-        warnings.warn(
-            f"only {cfg.n_paths * alpha:.0f} expected tail paths at alpha="
-            f"{alpha}; quantile estimate noisy (want n_paths >= 50/alpha)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     sup, term = simulate_paths(m, c, cfg)
     return {
         "var_cap": _quantile_estimate(term, alpha),
@@ -240,13 +245,13 @@ def simulate_curve(
 
     One sweep prices every grid point, so the same claim scenarios are
     priced at every premium rate and the resulting curves are smooth in c.
+    Each row equals ``estimate_capitals`` at its rate alone, bit for bit.
     Columns: c, var_cap, var_lo, var_hi, nonruin_cap, nonruin_lo,
     nonruin_hi, and when ``u`` is given additionally ruin_prob and
     ruin_stderr at that capital.
     """
-    c_grid = [float(c) for c in c_grid]
-    if any(b <= a for a, b in zip(c_grid, c_grid[1:])):
-        raise DomainError("c_grid must be strictly increasing")
+    alpha = _check_quantile_alpha(alpha, cfg.n_paths)
+    c_grid = check_c_grid(c_grid)
     if u is not None:
         u = float(_nonnegative("capital u", u))
     cols = ["c", "var_cap", "var_lo", "var_hi", "nonruin_cap", "nonruin_lo", "nonruin_hi"]

@@ -95,6 +95,17 @@ def test_ig_domain_errors():
     with pytest.raises(DomainError):
         ig_ruin_probability(UNIT, 1.0, 1.0, 1.0, "fancy")
     assert ig_ruin_probability(UNIT, 1.0, 1.0, 0.0) == 0.0
+    # non-finite inputs are typed errors, not 0.0 or NaN
+    with pytest.raises(DomainError):
+        var_clt(UNIT, 0.05, 200.0, math.nan)
+    with pytest.raises(DomainError):
+        var_clt(UNIT, 0.05, math.inf, 1.0)
+    with pytest.raises(DomainError):
+        capital_asymptotic_bounds(UNIT, 0.05, 200.0, math.nan)
+    with pytest.raises(DomainError):
+        ig_ruin_probability(UNIT, 1.0, 1.0, math.nan)
+    with pytest.raises(DomainError):
+        cramer_ruin_exp(ExpPair(1.0, 1.0), math.inf, 1.5, 10.0)
 
 
 def test_cramer_constants_printed_formulas():

@@ -56,6 +56,11 @@ def test_kappa_requires_light_tail_and_profit():
         adjustment_coefficient(m, 1.0)
     with pytest.raises(NoAdjustmentCoefficientError):
         adjustment_coefficient(m, 0.5)
+    # a NaN premium rate is a typed error, not a NaN capital
+    with pytest.raises(DomainError):
+        ultimate_capital_exp(ExpPair(1.0, 1.0), 0.05, math.nan)
+    with pytest.raises(DomainError):
+        capital_upper_bound_exp(ExpPair(1.0, 1.0), 0.05, math.nan)
 
 
 def test_exp_upper_bound_inverts_ultimate_ruin():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ruincapital import montecarlo
 from ruincapital.capital import (
     CapitalPoint,
     SolveSpec,
@@ -11,7 +12,7 @@ from ruincapital.capital import (
     ultimate_capital,
     var_capital,
 )
-from ruincapital.dist import Erlang, Exponential, MixtureExp2, Pareto
+from ruincapital.dist import Erlang, Exponential, Kummer, MixtureExp2, Pareto
 from ruincapital.errors import (
     BackendIncompatibleError,
     DomainError,
@@ -134,6 +135,35 @@ def test_curve_records_failures_as_na():
     table = capital_curve(heavy, 0.05, 200.0, [0.5, 1.0], EXACT)
     assert all(row[1] is None for row in table.rows)
     assert table.metadata.get("warnings")
+    # Kummer claims cannot be sampled: every simulated cell is NA
+    kummer = RiskModel(Exponential(0.8), Kummer(5.0, 5.0))
+    mc = SolveSpec(backend="monte_carlo", sim=SimConfig(n_paths=1000, seed=1, t=200.0))
+    table = capital_curve(kummer, 0.05, 200.0, [0.5, 1.5], mc)
+    assert [row[1:] for row in table.rows] == [[None, None], [None, None]]
+    assert len(table.metadata["warnings"]) == 4
+
+
+def test_monte_carlo_curve_equals_per_cell_solves(monkeypatch):
+    sim = SimConfig(n_paths=1000, seed=17, t=100.0)
+    spec = SolveSpec(backend="monte_carlo", sim=sim)
+    grid = [0.0, 0.6, 1.0, 1.4, 3.0]
+    sweeps = []
+    simulate_paths = montecarlo.simulate_paths
+
+    def counted(*args):
+        sweeps.append(args)
+        return simulate_paths(*args)
+
+    monkeypatch.setattr(montecarlo, "simulate_paths", counted)
+    table = capital_curve(UNIT, 0.05, 100.0, grid, spec)
+    monkeypatch.undo()
+    assert len(sweeps) == 1  # the whole grid, both kinds
+    for kind, solve in (("var", var_capital), ("nonruin", nonruin_capital)):
+        points = [solve(UNIT, 0.05, 100.0, c, spec) for c in grid]
+        assert table.column(kind) == [p.value for p in points]
+        assert table.metadata["mc_stderr"][kind] == [
+            (p.ci95[1] - p.ci95[0]) / (2.0 * 1.96) for p in points
+        ]
 
 
 def test_domain_checks():

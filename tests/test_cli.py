@@ -2,7 +2,11 @@ import json
 
 import pytest
 
+from ruincapital.capital import SolveSpec, capital_curve
 from ruincapital.cli import main
+from ruincapital.dist import Exponential
+from ruincapital.model import RiskModel
+from ruincapital.montecarlo import SimConfig, simulate_curve
 from ruincapital.table import CurveTable
 
 UNIT_CONFIG = {
@@ -11,6 +15,9 @@ UNIT_CONFIG = {
         "y_law": {"family": "exponential", "rate": 1.0},
     }
 }
+
+
+UNIT = RiskModel(Exponential(1.0), Exponential(1.0))
 
 
 @pytest.fixture
@@ -62,6 +69,34 @@ def test_capital_command_exact_and_clt(config_path, tmp_path):
     # exact and CLT Value-at-Risk capitals agree closely at c = 1, t = 200
     assert abs(got["var_exact"] - got["var_clt"]) < 1.5
     assert table.metadata["config"] == UNIT_CONFIG
+
+
+def test_capital_command_equals_library_curves(config_path, tmp_path):
+    grid = [0.0, 0.5, 1.0, 1.5]
+    sim = SimConfig(n_paths=1000, seed=5, t=100.0)
+    for kind in ("var", "nonruin"):
+        out = tmp_path / f"{kind}.csv"
+        argv = ["capital", "--config", config_path, "--kind", kind, "--t", "100",
+                "--c-start", "0", "--c-stop", "1.5", "--c-step", "0.5",
+                "--method", "exact,ig,clt,mc", "--paths", "1000", "--seed", "5",
+                "--out", str(out)]
+        assert main(argv) == 0
+        table = CurveTable.read_csv(out)
+        assert table.column("c") == grid
+        # the one incompatible method leaves every cell NA, keyed by method
+        na = "ig" if kind == "var" else "clt"
+        keys = [w.partition(": ")[0] for w in table.metadata["warnings"]]
+        assert keys == [f"{na}@c={c:g}" for c in grid]
+        for mth, backend in (("exact", "exact_exp"), ("ig", "inverse_gaussian"),
+                             ("clt", "clt"), ("mc", "monte_carlo")):
+            spec = SolveSpec(backend=backend, sim=sim)
+            curve = capital_curve(UNIT, 0.05, 100.0, grid, spec, kinds=(kind,))
+            assert table.column(f"{kind}_{mth}") == curve.column(kind), mth
+        sweep = simulate_curve(UNIT, 0.05, grid, sim)
+        lo, hi = sweep.column(f"{kind}_lo"), sweep.column(f"{kind}_hi")
+        assert table.column("mc_stderr") == [
+            (h - l) / (2.0 * 1.96) for l, h in zip(lo, hi)
+        ]
 
 
 def test_ruinprob_command_na_at_equilibrium(config_path, tmp_path):
@@ -129,6 +164,9 @@ def test_usage_errors_exit_2(config_path, tmp_path):
         == 2
     )
     assert main(["ruinprob", "--config", config_path, "--c-start", "1", "--c-stop", "1", "--c-step", "1"]) == 2  # no --u
+    # an alpha shared by every cell is checked up front, not logged per cell
+    grid = ["--c-start", "1", "--c-stop", "1.5", "--c-step", "0.5"]
+    assert main(["capital", "--config", config_path, "--alpha", "0.7", *grid]) == 2
     missing = str(tmp_path / "nope.json")
     assert main(["constants", "--config", missing]) == 2
 

@@ -168,6 +168,9 @@ def test_domain_checks():
             estimate_ruin_prob(UNIT, bad, 1.0, cfg)
         with pytest.raises(DomainError):
             simulate_curve(UNIT, 0.05, [0.5, 1.0], cfg, u=bad)
+    for bad_alpha in (1.0, 0.7, math.nan):
+        with pytest.raises(DomainError):
+            simulate_curve(UNIT, bad_alpha, [0.5, 1.0], cfg)
     with pytest.raises(DomainError):
         simulate_paths(UNIT, [[0.5, 1.0]], cfg)
     with pytest.raises(DomainError):
