@@ -10,42 +10,30 @@ cheaper routes that also work beyond the exponential world:
 * the normal approximation with explicit exponential-case constants;
 * plain Monte Carlo over simulated claim trajectories.
 
-The script evaluates all four at u = 50, t = 1000 across premium rates
-bracketing the equilibrium rate c* = 1 and prints the absolute error of
-each approximation.
+The script tabulates all four with one ``ruin_curve`` call at u = 50,
+t = 1000 across premium rates bracketing the equilibrium rate c* = 1 and
+prints them side by side.
 """
 
-from ruincapital import (
-    Exponential,
-    ExpPair,
-    RiskModel,
-    SimConfig,
-    cramer_ruin_exp,
-    estimate_ruin_prob,
-    ig_ruin_probability,
-    ruin_finite_exp,
-)
-from ruincapital.errors import ExcludedCaseError
+from ruincapital import Exponential, RiskModel, SimConfig, ruin_curve
 
-pair = ExpPair(1.0, 1.0)
 model = RiskModel(Exponential(1.0), Exponential(1.0))
 u, t = 50.0, 1000.0
 sim = SimConfig(n_paths=20_000, seed=7, t=t)
 
+# one call tabulates every route; the simulated column comes from one
+# sweep that prices every premium rate with common random numbers, and a
+# route undefined at a rate leaves an NA cell (None) with its reason
+cs = [0.8, 0.9, 1.0, 1.1, 1.2]
+curve = ruin_curve(model, u, t, cs, ("exact", "ig", "cramer", "mc"), sim)
+
 print(f"u = {u}, t = {t}; values are P(ruin within [0, t])")
 print(f"{'c':>5} {'exact':>9} {'inv. Gauss':>11} {'normal':>9} {'simulated':>10}")
-cs = (0.8, 0.9, 1.0, 1.1, 1.2)
-# one simulation sweep prices every premium rate, with common random numbers
-mcs = estimate_ruin_prob(model, u, cs, sim)
-for c, mc in zip(cs, mcs):
-    exact = ruin_finite_exp(pair, u, c, t)
-    ig = ig_ruin_probability(model, u, c, t)
-    try:
-        cram = f"{cramer_ruin_exp(pair, u, c, t):9.4f}"
-    except ExcludedCaseError:
-        # the normal approximation's constants blow up at c = c*
-        cram = f"{'--':>9}"
-    print(f"{c:5.2f} {exact:9.4f} {ig:11.4f} {cram} {mc.point:10.4f}")
+for c, exact, ig, cram, mc, _ in curve.rows:
+    # the normal approximation's constants blow up at c = c*
+    cram = f"{'--':>9}" if cram is None else f"{cram:9.4f}"
+    print(f"{c:5.2f} {exact:9.4f} {ig:11.4f} {cram} {mc:10.4f}")
+print("NA cells:", "; ".join(curve.metadata["warnings"]))
 
 print()
 print("Both approximations track the exact curve to a few hundredths at")

@@ -45,6 +45,7 @@ from .capital import (
     SolveSpec,
     capital_curve,
     nonruin_capital,
+    ruin_curve,
     ultimate_capital,
     var_capital,
 )
@@ -126,6 +127,7 @@ __all__ = [
     "ig_ruin_probability",
     "lundberg_ratio_bounds",
     "nonruin_capital",
+    "ruin_curve",
     "ruin_finite_exp",
     "ruin_ultimate_exp",
     "simulate_curve",

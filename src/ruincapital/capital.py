@@ -18,7 +18,8 @@ approximation, which vanishes at u = 0), so the root-finder converges
 unconditionally; when even the lower bracket satisfies the target the
 capital is 0 by definition and the result carries a "clamped" flag.
 ``capital_curve`` warm-starts each root solve from the previous rate and
-prices a Monte Carlo grid from one path sweep.
+prices a Monte Carlo grid from one path sweep; ``ruin_curve`` tabulates
+ruin probabilities at a fixed capital, and both fill cells through one loop.
 """
 
 from __future__ import annotations
@@ -50,9 +51,11 @@ __all__ = [
     "nonruin_capital",
     "ultimate_capital",
     "capital_curve",
+    "ruin_curve",
 ]
 
 _BACKENDS = ("exact_exp", "inverse_gaussian", "monte_carlo", "clt")
+_RUIN_METHODS = ("exact", "ig", "cramer", "mc")
 
 
 @dataclass(frozen=True)
@@ -119,11 +122,10 @@ def _check_horizon_premium(name: str, t: float, c: float) -> None:
         raise DomainError(f"{name} requires finite c >= 0")
 
 
-def _require_exp_pair(m: RiskModel, backend: str) -> ExpPair:
+def _require_exp_pair(m: RiskModel, route: str) -> ExpPair:
     if not m.is_exponential_pair():
         raise BackendIncompatibleError(
-            f"backend {backend!r} requires exponential inter-claim times "
-            "and claim sizes"
+            f"{route} requires exponential inter-claim times and claim sizes"
         )
     return ExpPair(m.t_law.rate, m.y_law.rate)
 
@@ -225,7 +227,7 @@ def _solve(
             return replace(point, kind="nonruin")
         prob = lambda u: approx.ig_ruin_probability(m, u, c, t, "closed")
     else:
-        p = _require_exp_pair(m, backend)
+        p = _require_exp_pair(m, f"backend {backend!r}")
         if kind == "var":
             prob = lambda u: 1.0 - exact.aggregate_cdf_exp(p, t, u + c * t)
         else:
@@ -297,6 +299,54 @@ def ultimate_capital(
     )
 
 
+Cell = Callable[[int, float], Optional[float]]
+
+
+def _listed(values: list) -> Cell:
+    return lambda i, c: values[i]
+
+
+def _failing(exc: RuinCapitalError) -> Cell:
+    """A cell that reports its column's grid-wide error."""
+
+    def cell(i: int, c: float) -> Optional[float]:
+        raise exc
+
+    return cell
+
+
+def _warm_cells(m: RiskModel, alpha: float, t: float, spec: SolveSpec, kind: str) -> Cell:
+    """A var or nonruin column, each solve warm-started from the last solved rate."""
+    prev: Optional[float] = None
+
+    def cell(i: int, c: float) -> float:
+        nonlocal prev
+        prev = _solve(m, alpha, t, c, spec, kind, prev).value
+        return prev
+
+    return cell
+
+
+def _cell_loop(
+    table: CurveTable, c_grid: list[float], cells: list[tuple[str, Cell]]
+) -> CurveTable:
+    """Append one row per rate: c, then each named cell's value at (index, c).
+
+    A ``RuinCapitalError`` makes the cell NA and is logged in
+    ``table.metadata["warnings"]`` as "<name>@c=<c:g>: <reason>".
+    """
+    for i, c in enumerate(c_grid):
+        row: list[Optional[float]] = [c]
+        for name, cell in cells:
+            try:
+                row.append(cell(i, c))
+            except RuinCapitalError as exc:
+                table.metadata["warnings"].append(f"{name}@c={c:g}: {exc}")
+                row.append(None)
+        table.append(row)
+    return table
+
+
 def capital_curve(
     m: RiskModel,
     alpha: float,
@@ -314,10 +364,10 @@ def capital_curve(
     bit, and ``metadata["mc_stderr"]`` maps each of these kinds to the
     standard errors of its cells.  A cell whose solve raises a
     ``RuinCapitalError`` becomes NA and its reason is logged in
-    ``metadata["warnings"]`` as "<kind>@c=<c:g>: <reason>".  Invalid inputs
-    shared by every cell (alpha, the grid, a kind, a horizon t that is not
-    finite and positive when var or nonruin is asked for) raise DomainError
-    up front.
+    ``metadata["warnings"]`` as "<kind>@c=<c:g>: <reason>"; an error of the
+    sweep is logged against every cell it prices.  Invalid inputs shared by
+    every cell (alpha, the grid, a kind, a horizon t that is not finite and
+    positive when var or nonruin is asked for) raise DomainError up front.
     """
     alpha = check_alpha(alpha)
     c_grid = check_c_grid(c_grid)
@@ -328,26 +378,20 @@ def capital_curve(
     if horizon_kinds:
         _check_horizon("capital_curve", t)
 
-    columns = ["c"] + list(kinds)
-    warnings_log: list[str] = []
     table = CurveTable(
-        columns=columns,
-        metadata={
-            "alpha": alpha,
-            "t": t,
-            "backend": spec.backend,
-            "warnings": warnings_log,
-        },
+        columns=["c", *kinds],
+        metadata={"alpha": alpha, "t": t, "backend": spec.backend, "warnings": []},
     )
-    mc_values: dict[str, list] = {}
-    mc_error: Optional[RuinCapitalError] = None
+    cells: dict[str, Cell] = {
+        "ultimate": lambda i, c: ultimate_capital(m, alpha, c, spec).value
+    }
     if spec.backend == "monte_carlo" and horizon_kinds:
         try:
             sweep = montecarlo.simulate_curve(m, alpha, c_grid, _sim_config(spec, t))
         except RuinCapitalError as exc:
-            mc_error = exc
+            cells.update(dict.fromkeys(horizon_kinds, _failing(exc)))
         else:
-            mc_values = {kind: sweep.column(f"{kind}_cap") for kind in horizon_kinds}
+            cells.update({k: _listed(sweep.column(f"{k}_cap")) for k in horizon_kinds})
             table.metadata["mc_stderr"] = {
                 kind: [
                     (hi - lo) / (2.0 * 1.96)
@@ -357,23 +401,50 @@ def capital_curve(
                 ]
                 for kind in horizon_kinds
             }
-    prev: dict[str, Optional[float]] = {k: None for k in kinds}
-    for i, c in enumerate(c_grid):
-        row: list[Optional[float]] = [c]
-        for kind in kinds:
-            try:
-                if kind == "ultimate":
-                    value = ultimate_capital(m, alpha, c, spec).value
-                elif mc_error is not None:
-                    raise mc_error
-                elif kind in mc_values:
-                    value = mc_values[kind][i]
-                else:
-                    value = _solve(m, alpha, t, c, spec, kind, prev[kind]).value
-                prev[kind] = value
-            except RuinCapitalError as exc:
-                warnings_log.append(f"{kind}@c={c:g}: {exc}")
-                value = None
-            row.append(value)
-        table.append(row)
-    return table
+    # any other var or nonruin column is solved cell by cell, warm-started
+    return _cell_loop(
+        table, c_grid, [(k, cells.get(k) or _warm_cells(m, alpha, t, spec, k)) for k in kinds]
+    )
+
+
+def ruin_curve(
+    m: RiskModel, u: float, t: float, c_grid, methods, sim: Optional[SimConfig] = None
+) -> CurveTable:
+    """Finite-horizon ruin probabilities at capital u, one column per method.
+
+    ``methods`` is a sequence drawn from ``exact`` and ``cramer``
+    (exponential pair only), ``ig`` (the inverse Gaussian closed form) and
+    ``mc``: one ``estimate_ruin_prob`` sweep of ``sim`` at horizon t prices
+    every ``mc`` cell and an added ``mc_stderr`` column.  Cells are NA and
+    logged as in ``capital_curve``; the grid, u (finite, >= 0), t (finite,
+    > 0), the methods and ``sim`` for ``mc`` are checked up front.
+    """
+    c_grid = check_c_grid(c_grid)
+    u = float(u)
+    if not 0.0 <= u < math.inf:
+        raise DomainError("ruin_curve requires finite u >= 0")
+    _check_horizon("ruin_curve", t)
+    if not set(methods) <= set(_RUIN_METHODS):
+        raise DomainError(f"ruin-probability methods are among {_RUIN_METHODS}, got {methods!r}")
+    if "mc" in methods and sim is None:
+        raise DomainError("ruin_curve method 'mc' requires sim")
+
+    table = CurveTable(columns=["c", *methods], metadata={"u": u, "t": t, "warnings": []})
+    pair = lambda name: _require_exp_pair(m, f"method {name!r}")
+    cells: dict[str, Cell] = {
+        "exact": lambda i, c: exact.ruin_finite_exp(pair("exact"), u, c, t),
+        "ig": lambda i, c: approx.ig_ruin_probability(m, u, c, t, "closed"),
+        "cramer": lambda i, c: approx.cramer_ruin_exp(pair("cramer"), u, c, t),
+    }
+    if "mc" in methods:
+        table.columns.append("mc_stderr")
+        table.metadata.update(seed=sim.seed, n_paths=sim.n_paths)
+        try:
+            ests = montecarlo.estimate_ruin_prob(m, u, c_grid, replace(sim, t=t))
+        except RuinCapitalError as exc:  # logged against the mc cells only
+            cells.update(mc=_failing(exc), mc_stderr=lambda i, c: None)
+        else:
+            cells.update(
+                mc=_listed([e.point for e in ests]), mc_stderr=_listed([e.stderr for e in ests])
+            )
+    return _cell_loop(table, c_grid, [(name, cells[name]) for name in table.columns[1:]])

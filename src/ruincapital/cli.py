@@ -7,7 +7,8 @@ Subcommands:
 * ``reproduce <preset>``: emit the CSV files and verification sidecar for
   a named reference figure or table;
 * ``capital``: capitals on a premium-rate grid for the requested methods;
-* ``ruinprob``: finite-horizon ruin probabilities on a premium-rate grid.
+* ``ruinprob``: finite-horizon ruin probabilities on a premium-rate grid,
+  one ``capital.ruin_curve``.
 
 Configuration comes from a JSON file (``--config``) and/or flags; flags
 override file values.  Output is CSV with '#'-prefixed metadata comment
@@ -22,7 +23,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import __version__, approx, capital, exact, montecarlo, presets
+from . import __version__, capital, presets
 from .capital import SolveSpec
 from .dist import distribution_from_config
 from .errors import (
@@ -32,11 +33,9 @@ from .errors import (
     DomainError,
     IntegrationError,
     NoAdjustmentCoefficientError,
-    RuinCapitalError,
     UnsupportedDistributionError,
 )
-from .exact import ExpPair
-from .model import RiskModel
+from .model import RiskModel, c_grid_range
 from .montecarlo import SimConfig
 from .table import CurveTable
 
@@ -98,17 +97,13 @@ def _c_grid(cfg: dict, args) -> list[float]:
     if args.c_step is not None:
         grid["step"] = args.c_step
     try:
-        start, stop, step = grid["start"], grid["stop"], grid["step"]
+        return c_grid_range(grid["start"], grid["stop"], grid["step"])
     except KeyError as exc:
         raise _CliError(
             "premium grid incomplete: need --c-start/--c-stop/--c-step or "
             "a c_grid config section",
             EXIT_USAGE,
         ) from exc
-    if step <= 0 or stop < start:
-        raise _CliError("bad premium grid: need step > 0 and stop >= start", EXIT_USAGE)
-    n = int(round((stop - start) / step)) + 1
-    return [round(start + i * step, 12) for i in range(n)]
 
 
 def _sim_config(cfg: dict, args, t: float) -> SimConfig:
@@ -248,72 +243,11 @@ def cmd_ruinprob(args) -> int:
     u = _merged(cfg, args, "u", args.u)
     if u is None:
         raise _CliError("ruinprob requires --u (initial capital)", EXIT_USAGE)
-    u = float(u)
     methods = _parse_methods(cfg, args, ["exact"])
     grid = _c_grid(cfg, args)
-    if "clt" in methods:
-        raise _CliError(
-            "the CLT method approximates the terminal shortfall, not the "
-            "ruin probability",
-            EXIT_USAGE,
-        )
-
-    columns = ["c"] + [f"ruin_{mth}" for mth in methods]
-    if "mc" in methods:
-        columns.append("mc_stderr")
-    warnings_log: list[str] = []
-    table = CurveTable(
-        columns=columns, metadata={"u": u, "t": t, "warnings": warnings_log}
-    )
-    mc_ests, mc_error = {}, None
-    if "mc" in methods:
-        sim = _sim_config(cfg, args, t)
-        table.metadata["seed"] = sim.seed
-        table.metadata["n_paths"] = sim.n_paths
-        # one sweep prices every nonnegative rate; a negative rate stays a
-        # per-cell error, raised by its own call below
-        priced = [c for c in grid if c >= 0.0]
-        try:
-            mc_ests = dict(zip(priced, montecarlo.estimate_ruin_prob(m, u, priced, sim)))
-        except RuinCapitalError as exc:
-            mc_error = exc
-    pair = (
-        ExpPair(m.t_law.rate, m.y_law.rate) if m.is_exponential_pair() else None
-    )
-    for c in grid:
-        row = [c]
-        stderr = None
-        for mth in methods:
-            try:
-                if mth == "exact":
-                    if pair is None:
-                        raise BackendIncompatibleError(
-                            "exact requires exponential pair"
-                        )
-                    row.append(exact.ruin_finite_exp(pair, u, c, t))
-                elif mth == "ig":
-                    row.append(approx.ig_ruin_probability(m, u, c, t, "closed"))
-                elif mth == "cramer":
-                    if pair is None:
-                        raise BackendIncompatibleError(
-                            "the normal approximation requires an exponential pair"
-                        )
-                    row.append(approx.cramer_ruin_exp(pair, u, c, t))
-                elif mth == "mc":
-                    if mc_error is not None:
-                        raise mc_error
-                    if c in mc_ests:
-                        est = mc_ests[c]
-                    else:
-                        est = montecarlo.estimate_ruin_prob(m, u, c, sim)
-                    row.append(est.point)
-                    stderr = est.stderr
-            except RuinCapitalError as exc:
-                warnings_log.append(f"{mth}@c={c:g}: {exc}")
-                row.append(None)
-        if "mc" in methods:
-            row.append(stderr)
-        table.append(row)
+    sim = _sim_config(cfg, args, t) if "mc" in methods else None
+    table = capital.ruin_curve(m, u, t, grid, methods, sim)
+    table.columns = [f"ruin_{col}" if col in methods else col for col in table.columns]
     _echo_config(table, cfg, vars(args))
     _emit(table, args.out)
     return EXIT_OK

@@ -186,3 +186,18 @@ def check_c_grid(c_grid) -> list[float]:
     ):
         raise DomainError("c_grid must be strictly increasing, finite and nonnegative")
     return cs
+
+
+def c_grid_range(start: float, stop: float, step: float) -> list[float]:
+    """The premium grid start, start + step, ..., stop of the CLI and the presets.
+
+    Rates are rounded to 12 decimals, so each equals the decimal it names
+    (0.15, not 0.15000000000000002).  DomainError unless all three are
+    finite, step > 0 and stop >= start.
+    """
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
+        raise DomainError(
+            "bad premium grid: need finite start, stop and step, step > 0 and stop >= start"
+        )
+    n = int(round((stop - start) / step)) + 1
+    return [round(start + i * step, 12) for i in range(n)]

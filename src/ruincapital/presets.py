@@ -19,9 +19,9 @@ import numpy as np
 from . import approx, bounds, capital, exact, model, montecarlo
 from .capital import SolveSpec
 from .dist import Erlang, Exponential, Kummer, MixtureExp2, Pareto
-from .errors import DomainError, ExcludedCaseError
+from .errors import DomainError
 from .exact import ExpPair
-from .model import RiskModel, derived_constants
+from .model import RiskModel, c_grid_range, derived_constants
 from .montecarlo import SimConfig
 from .table import CurveTable
 
@@ -38,11 +38,6 @@ TABLE1_MODELS = [
     ("erlang/pareto", RiskModel(Erlang(6.0, 4), Pareto(4.0, 0.4))),
     ("pareto/pareto", RiskModel(Pareto(4.0, 0.4), Pareto(4.0, 0.4))),
 ]
-
-
-def _grid(start: float, stop: float, step: float) -> np.ndarray:
-    n = int(round((stop - start) / step)) + 1
-    return start + step * np.arange(n)
 
 
 def constants_table(models: list[tuple[str, RiskModel]]) -> CurveTable:
@@ -66,7 +61,7 @@ def _mc_nonruin_column(
 
 
 def _fig1(n_paths: int, seed: int):
-    cs = _grid(0.0, 2.5, 0.05)
+    cs = c_grid_range(0.0, 2.5, 0.05)
     tab = capital.capital_curve(
         _EXP_UNIT, 0.05, 200.0, cs, SolveSpec(backend="exact_exp")
     )
@@ -82,7 +77,7 @@ def _fig1(n_paths: int, seed: int):
 
 
 def _fig2(n_paths: int, seed: int):
-    cs = _grid(0.0, 2.5, 0.05)
+    cs = c_grid_range(0.0, 2.5, 0.05)
     tab = capital.capital_curve(
         _EXP_UNIT,
         0.05,
@@ -131,32 +126,19 @@ def _fig3(n_paths: int, seed: int):
     return {"curve": tab}, sidecar
 
 
-def _ruin_figure(with_cramer: bool, with_ig: bool, n_paths: int, seed: int):
-    p = ExpPair(1.0, 1.0)
-    u, t = 50.0, 1000.0
-    cs = _grid(0.5, 1.5, 0.05)
-    cfg = SimConfig(n_paths=n_paths, seed=seed, t=t)
-    cols = ["c", "exact"]
-    if with_cramer:
-        cols.append("cramer")
-    if with_ig:
-        cols.append("ig")
-    cols += ["mc", "mc_stderr"]
-    tab = CurveTable(columns=cols, metadata={"u": u, "t": t, "seed": seed})
-    ests = montecarlo.estimate_ruin_prob(_EXP_UNIT, u, cs, cfg)
-    for c, est in zip(cs, ests):
-        c = float(c)
-        row = [c, exact.ruin_finite_exp(p, u, c, t)]
-        if with_cramer:
-            try:
-                row.append(approx.cramer_ruin_exp(p, u, c, t))
-            except ExcludedCaseError:
-                row.append(None)
-        if with_ig:
-            row.append(approx.ig_ruin_probability(_EXP_UNIT, u, c, t, "closed"))
-        row += [est.point, est.stderr]
-        tab.append(row)
-    achieved = exact.ruin_finite_exp(p, u, 1.0, t)
+def _ruin_table(m: RiskModel, u: float, cs, methods, n_paths: int, seed: int):
+    t = 1000.0
+    tab = capital.ruin_curve(
+        m, u, t, cs, methods, SimConfig(n_paths=n_paths, seed=seed, t=t)
+    )
+    tab.metadata = {"u": u, "t": t, "seed": seed}
+    return tab
+
+
+def _ruin_figure(route: str, n_paths: int, seed: int):
+    cs = c_grid_range(0.5, 1.5, 0.05)
+    tab = _ruin_table(_EXP_UNIT, 50.0, cs, ("exact", route, "mc"), n_paths, seed)
+    achieved = exact.ruin_finite_exp(ExpPair(1.0, 1.0), 50.0, 1.0, 1000.0)
     sidecar = {
         "grid_lines": {"ruin_at_cstar": 0.26},
         "achieved": {"ruin_at_cstar": achieved},
@@ -165,7 +147,7 @@ def _ruin_figure(with_cramer: bool, with_ig: bool, n_paths: int, seed: int):
 
 
 def _fig4(n_paths: int, seed: int):
-    files, sidecar = _ruin_figure(True, False, n_paths, seed)
+    files, sidecar = _ruin_figure("cramer", n_paths, seed)
     sidecar["notes"] = [
         "the normal approximation is undefined at c = c* = 1; that cell is NA"
     ]
@@ -173,22 +155,12 @@ def _fig4(n_paths: int, seed: int):
 
 
 def _fig5(n_paths: int, seed: int):
-    return _ruin_figure(False, True, n_paths, seed)
+    return _ruin_figure("ig", n_paths, seed)
 
 
 def _fig6(n_paths: int, seed: int):
-    u, t = 40.0, 1000.0
-    cs = _grid(0.6, 1.6, 0.05)
-    cfg = SimConfig(n_paths=n_paths, seed=seed, t=t)
-    tab = CurveTable(
-        columns=["c", "ig", "mc", "mc_stderr"],
-        metadata={"u": u, "t": t, "seed": seed},
-    )
-    ests = montecarlo.estimate_ruin_prob(_MIX_PARETO, u, cs, cfg)
-    for c, est in zip(cs, ests):
-        c = float(c)
-        ig = approx.ig_ruin_probability(_MIX_PARETO, u, c, t, "closed")
-        tab.append([c, ig, est.point, est.stderr])
+    cs = c_grid_range(0.6, 1.6, 0.05)
+    tab = _ruin_table(_MIX_PARETO, 40.0, cs, ("ig", "mc"), n_paths, seed)
     k = derived_constants(_MIX_PARETO)
     sidecar = {
         "grid_lines": {},
@@ -205,7 +177,6 @@ def _bounds_columns(
     c_star = derived_constants(m).c_star
     lower, upper = [], []
     for c in cs:
-        c = float(c)
         if c <= c_star:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -221,7 +192,7 @@ def _bounds_columns(
 def _fig7(n_paths: int, seed: int):
     m = _MODEL_I
     alpha, t = 0.05, 200.0
-    cs = _grid(0.0, 2.5, 0.05)
+    cs = c_grid_range(0.0, 2.5, 0.05)
     p = ExpPair(4.0 / 5.0, 3.0 / 5.0)
     lower, upper = _bounds_columns(
         m, alpha, t, cs, lambda c: bounds.capital_upper_bound_exp(p, alpha, c)
@@ -252,7 +223,7 @@ def _fig7(n_paths: int, seed: int):
 def _fig8(n_paths: int, seed: int):
     m = _MODEL_IV
     alpha, t = 0.05, 200.0
-    cs = _grid(0.0, 2.5, 0.05)
+    cs = c_grid_range(0.0, 2.5, 0.05)
     lower, upper = _bounds_columns(
         m, alpha, t, cs, lambda c: bounds.capital_upper_bound_lundberg(m, alpha, c)
     )
@@ -263,7 +234,7 @@ def _fig8(n_paths: int, seed: int):
     )
     for i, c in enumerate(cs):
         out.append([float(c), lower[i], upper[i], sim[i]])
-    i_star = int(np.argmin(np.abs(cs - 4.0 / 3.0)))
+    i_star = int(np.argmin(np.abs(np.asarray(cs) - 4.0 / 3.0)))
     ep = approx.capital_asymptotic_endpoints(m, alpha, t)
     sidecar = {
         "grid_lines": {"c_star": 4.0 / 3.0, "nonruin_at_cstar": 48.0},
@@ -281,7 +252,7 @@ def _fig8(n_paths: int, seed: int):
 
 def _fig9(n_paths: int, seed: int):
     alpha, t = 0.05, 200.0
-    cs = _grid(0.0, 2.5, 0.05)
+    cs = c_grid_range(0.0, 2.5, 0.05)
     m_dots = RiskModel(Exponential(4.0 / 5.0), Pareto(10.0, 0.05))
     m_cross = RiskModel(Exponential(4.0 / 5.0), Pareto(3.0, 0.3))
     cols = ["c"]
@@ -324,7 +295,7 @@ def _fig9(n_paths: int, seed: int):
 
 def _fig10(n_paths: int, seed: int):
     alpha, t = 0.05, 200.0
-    cs = _grid(0.0, 2.5, 0.05)
+    cs = c_grid_range(0.0, 2.5, 0.05)
     m_dots = RiskModel(Exponential(4.0 / 5.0), Kummer(5.0, 5.0))
     m_cross = RiskModel(Exponential(4.0 / 5.0), Kummer(200.0, 200.0))
     cols = ["c"]

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from ruincapital import montecarlo
+from ruincapital import montecarlo, presets
 from ruincapital.capital import (
     CapitalPoint,
     SolveSpec,
     capital_curve,
     nonruin_capital,
+    ruin_curve,
     ultimate_capital,
     var_capital,
 )
@@ -20,7 +21,7 @@ from ruincapital.errors import (
     NoAdjustmentCoefficientError,
 )
 from ruincapital.exact import ExpPair, ruin_finite_exp
-from ruincapital.model import RiskModel
+from ruincapital.model import RiskModel, c_grid_range
 from ruincapital.montecarlo import SimConfig
 
 UNIT = RiskModel(Exponential(1.0), Exponential(1.0))
@@ -187,3 +188,83 @@ def test_domain_checks():
         capital_curve(UNIT, 0.05, math.inf, [0.5, 1.0], EXACT)
     with pytest.raises(DomainError):
         ultimate_capital(UNIT, 0.05, math.nan)
+
+
+def test_ruin_curve_mc_column_equals_per_rate_estimates(monkeypatch):
+    sim = SimConfig(n_paths=1000, seed=11, t=300.0)
+    grid = [0.0, 0.8, 1.0, 1.3]
+    sweeps = []
+    simulate_paths = montecarlo.simulate_paths
+
+    def counted(*args):
+        sweeps.append(args)
+        return simulate_paths(*args)
+
+    monkeypatch.setattr(montecarlo, "simulate_paths", counted)
+    table = ruin_curve(UNIT, 20.0, 300.0, grid, ("exact", "mc"), sim)
+    monkeypatch.undo()
+    assert len(sweeps) == 1  # the whole grid
+    assert table.columns == ["c", "exact", "mc", "mc_stderr"]
+    ests = [montecarlo.estimate_ruin_prob(UNIT, 20.0, c, sim) for c in grid]
+    assert table.column("mc") == [e.point for e in ests]
+    assert table.column("mc_stderr") == [e.stderr for e in ests]
+    pair = ExpPair(1.0, 1.0)
+    assert table.column("exact") == [ruin_finite_exp(pair, 20.0, c, 300.0) for c in grid]
+    assert table.metadata["warnings"] == []
+    assert (table.metadata["seed"], table.metadata["n_paths"]) == (11, 1000)
+
+
+@pytest.mark.parametrize(
+    "preset, model, u, start, stop, methods",
+    [
+        ("fig4", UNIT, 50.0, 0.5, 1.5, ("exact", "cramer", "mc")),
+        ("fig5", UNIT, 50.0, 0.5, 1.5, ("exact", "ig", "mc")),
+        ("fig6", RiskModel(MixtureExp2(1.0, 2.0, 2.0 / 3.0), Pareto(4.0, 0.35)),
+         40.0, 0.6, 1.6, ("ig", "mc")),
+    ],
+)
+def test_ruin_figures_equal_ruin_curve(preset, model, u, start, stop, methods):
+    files, _ = presets.run_preset(preset, n_paths=300, seed=9)
+    fig = files["curve"]
+    sim = SimConfig(n_paths=300, seed=9, t=1000.0)
+    curve = ruin_curve(model, u, 1000.0, c_grid_range(start, stop, 0.05), methods, sim)
+    assert fig.columns == curve.columns
+    for col in curve.columns:
+        assert fig.column(col) == curve.column(col), col
+    assert fig.metadata == {"u": u, "t": 1000.0, "seed": 9}
+
+
+def test_ruin_curve_records_failures_as_na():
+    # Kummer claims: no exponential pair and no sampler, one reason per cell
+    kummer = RiskModel(Exponential(0.8), Kummer(5.0, 5.0))
+    sim = SimConfig(n_paths=500, seed=1, t=200.0)
+    methods = ("exact", "cramer", "ig", "mc")
+    table = ruin_curve(kummer, 40.0, 200.0, [0.5, 1.5], methods, sim)
+    assert [row[1:3] for row in table.rows] == [[None, None], [None, None]]
+    assert all(row[3] is not None for row in table.rows)
+    assert [row[4:] for row in table.rows] == [[None, None], [None, None]]
+    keys = [w.partition(": ")[0] for w in table.metadata["warnings"]]
+    assert keys == [f"{mth}@c={c}" for c in (0.5, 1.5) for mth in ("exact", "cramer", "mc")]
+    # the normal approximation is undefined at c* = 1, u = 0 leaves the
+    # inverse Gaussian form undefined: per-cell NA, not an error
+    table = ruin_curve(UNIT, 0.0, 200.0, [0.5, 1.0], ("exact", "cramer", "ig"))
+    assert 0.99 < table.column("exact")[0] <= 1.0
+    keys = [w.partition(": ")[0] for w in table.metadata["warnings"]]
+    assert keys == ["cramer@c=0.5", "ig@c=0.5", "cramer@c=1", "ig@c=1"]
+
+
+def test_ruin_curve_domain_checks():
+    grid = [0.5, 1.0]
+    sim = SimConfig(n_paths=100, seed=1, t=200.0)
+    for u in (math.nan, -5.0, math.inf):
+        with pytest.raises(DomainError):
+            ruin_curve(UNIT, u, 200.0, grid, ("exact",))
+    for t in (0.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            ruin_curve(UNIT, 10.0, t, grid, ("exact",))
+    with pytest.raises(DomainError):
+        ruin_curve(UNIT, 10.0, 200.0, [-0.1, 0.5], ("exact",))
+    with pytest.raises(DomainError):
+        ruin_curve(UNIT, 10.0, 200.0, grid, ("exact", "clt"), sim)
+    with pytest.raises(DomainError):
+        ruin_curve(UNIT, 10.0, 200.0, grid, ("mc",))

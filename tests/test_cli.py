@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ruincapital.capital import SolveSpec, capital_curve
+from ruincapital.capital import SolveSpec, capital_curve, ruin_curve
 from ruincapital.cli import main
 from ruincapital.dist import Exponential
 from ruincapital.model import RiskModel
@@ -132,6 +132,28 @@ def test_ruinprob_command_na_at_equilibrium(config_path, tmp_path):
     assert table.metadata["warnings"]
 
 
+def test_ruinprob_command_equals_library_curve(config_path, tmp_path):
+    grid = [0.5, 1.0, 1.5]
+    out = tmp_path / "rp.csv"
+    argv = ["ruinprob", "--config", config_path, "--u", "10", "--t", "100",
+            "--c-start", "0.5", "--c-stop", "1.5", "--c-step", "0.5",
+            "--method", "exact,ig,cramer,mc", "--paths", "1000", "--seed", "5",
+            "--out", str(out)]
+    assert main(argv) == 0
+    table = CurveTable.read_csv(out)
+    methods = ("exact", "ig", "cramer", "mc")
+    curve = ruin_curve(UNIT, 10.0, 100.0, grid, methods, SimConfig(1000, 5, 100.0))
+    assert table.columns == ["c"] + [f"ruin_{m}" for m in methods] + ["mc_stderr"]
+    assert table.column("c") == grid
+    for mth in methods:
+        assert table.column(f"ruin_{mth}") == curve.column(mth), mth
+    assert table.column("mc_stderr") == curve.column("mc_stderr")
+    # the normal approximation is undefined at c* = 1, and only there
+    keys = [w.partition(": ")[0] for w in table.metadata["warnings"]]
+    assert keys == ["cramer@c=1"]
+    assert table.metadata["warnings"] == curve.metadata["warnings"]
+
+
 def test_reproduce_writes_csv_and_sidecar(config_path, tmp_path):
     out = tmp_path / "repro"
     rc = main(["reproduce", "table1", "--out", str(out)])
@@ -167,6 +189,17 @@ def test_usage_errors_exit_2(config_path, tmp_path):
     # an alpha shared by every cell is checked up front, not logged per cell
     grid = ["--c-start", "1", "--c-stop", "1.5", "--c-step", "0.5"]
     assert main(["capital", "--config", config_path, "--alpha", "0.7", *grid]) == 2
+    # so are a capital, horizon or rate shared by every ruinprob cell
+    ruin = ["ruinprob", "--config", config_path]
+    for bad in (["--u", "nan"], ["--u", "-5"], ["--u", "10", "--t", "nan"],
+                ["--u", "10", "--method", "exact,clt"]):
+        assert main([*ruin, *bad, *grid]) == 2
+    assert main([*ruin, "--u", "10", "--c-start", "-0.1", "--c-stop", "0.5",
+                 "--c-step", "0.1"]) == 2
+    assert main([*ruin, "--u", "10", "--method", "mc", *grid]) == 0
+    for bad_grid in (["--c-start", "nan", "--c-stop", "1", "--c-step", "0.5"],
+                     ["--c-start", "0", "--c-stop", "1", "--c-step", "0"]):
+        assert main(["capital", "--config", config_path, *bad_grid]) == 2
     missing = str(tmp_path / "nope.json")
     assert main(["constants", "--config", missing]) == 2
 

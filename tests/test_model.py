@@ -1,8 +1,13 @@
 import pytest
 
 from ruincapital.dist import Erlang, Exponential, Kummer, MixtureExp2, Pareto
-from ruincapital.errors import ConstantsUnavailableError
-from ruincapital.model import RiskModel, derived_constants, theorem_preconditions
+from ruincapital.errors import ConstantsUnavailableError, DomainError
+from ruincapital.model import (
+    RiskModel,
+    c_grid_range,
+    derived_constants,
+    theorem_preconditions,
+)
 
 
 def test_unit_exponential_pair():
@@ -83,3 +88,14 @@ def test_kummer_constants_available():
     # moments exist for l > 4 even though the density is not implemented
     k = derived_constants(RiskModel(Exponential(0.8), Kummer(5.0, 5.0)))
     assert k.c_star > 0.0
+
+
+def test_c_grid_range_names_its_decimals():
+    grid = c_grid_range(0.0, 2.5, 0.05)
+    assert len(grid) == 51 and grid[-1] == 2.5
+    assert grid[3] == 0.15 and grid[6] == 0.3 and grid[14] == 0.7
+    assert c_grid_range(1.0, 1.0, 0.5) == [1.0]
+    for bad in ((0.0, 1.0, 0.0), (1.0, 0.5, 0.1), (float("nan"), 1.0, 0.1),
+                (0.0, float("inf"), 0.1)):
+        with pytest.raises(DomainError):
+            c_grid_range(*bad)
