@@ -73,7 +73,7 @@ from .errors import (
 )
 from .exact import ExpPair, aggregate_cdf_exp, ruin_finite_exp, ruin_ultimate_exp
 from .model import DerivedConstants, RiskModel, derived_constants, theorem_preconditions
-from .montecarlo import Estimate, SimConfig, estimate_capitals, estimate_ruin_prob, simulate_curve
+from .montecarlo import Estimate, PathSample, SimConfig, simulate_curve, simulate_paths
 from .table import CurveTable
 
 __version__ = "1.0.0"
@@ -104,6 +104,7 @@ __all__ = [
     "MomentUndefinedError",
     "NoAdjustmentCoefficientError",
     "Pareto",
+    "PathSample",
     "RatioBounds",
     "RiskModel",
     "RuinCapitalError",
@@ -121,8 +122,6 @@ __all__ = [
     "cramer_ruin_exp",
     "derived_constants",
     "distribution_from_config",
-    "estimate_capitals",
-    "estimate_ruin_prob",
     "ig_params",
     "ig_ruin_probability",
     "lundberg_ratio_bounds",
@@ -131,6 +130,7 @@ __all__ = [
     "ruin_finite_exp",
     "ruin_ultimate_exp",
     "simulate_curve",
+    "simulate_paths",
     "theorem_preconditions",
     "ultimate_capital",
     "ultimate_capital_exp",

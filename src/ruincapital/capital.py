@@ -209,8 +209,7 @@ def _solve(
         v = approx.var_clt(m, alpha, t, c)
         return CapitalPoint(kind="var", c=c, value=v, clamped=(v == 0.0))
     if backend == "monte_carlo":
-        cfg = _sim_config(spec, t)
-        est = montecarlo.estimate_capitals(m, alpha, c, cfg)[f"{kind}_cap"]
+        est = montecarlo.simulate_paths(m, [c], _sim_config(spec, t)).quantile(kind, alpha)[0]
         return CapitalPoint(
             kind=kind, c=c, value=est.point, clamped=(est.point == 0.0), ci95=est.ci95
         )
@@ -359,10 +358,10 @@ def capital_curve(
 
     Each root solve warm-starts its bracket from the previous grid point's
     solution (the curves are continuous and nonincreasing in c).  Under
-    ``monte_carlo`` one ``simulate_curve`` sweep prices the var and nonruin
-    columns at every rate, each cell equal to its per-rate solve bit for
-    bit, and ``metadata["mc_stderr"]`` maps each of these kinds to the
-    standard errors of its cells.  A cell whose solve raises a
+    ``monte_carlo`` one ``PathSample`` prices the var and nonruin columns at
+    every rate, each cell equal to its per-rate solve bit for bit, and
+    ``metadata["mc_stderr"]`` maps each of these kinds to the standard
+    errors of its cells.  A cell whose solve raises a
     ``RuinCapitalError`` becomes NA and its reason is logged in
     ``metadata["warnings"]`` as "<kind>@c=<c:g>: <reason>"; an error of the
     sweep is logged against every cell it prices.  Invalid inputs shared by
@@ -387,20 +386,13 @@ def capital_curve(
     }
     if spec.backend == "monte_carlo" and horizon_kinds:
         try:
-            sweep = montecarlo.simulate_curve(m, alpha, c_grid, _sim_config(spec, t))
+            sample = montecarlo.simulate_paths(m, c_grid, _sim_config(spec, t))
         except RuinCapitalError as exc:
             cells.update(dict.fromkeys(horizon_kinds, _failing(exc)))
         else:
-            cells.update({k: _listed(sweep.column(f"{k}_cap")) for k in horizon_kinds})
-            table.metadata["mc_stderr"] = {
-                kind: [
-                    (hi - lo) / (2.0 * 1.96)
-                    for lo, hi in zip(
-                        sweep.column(f"{kind}_lo"), sweep.column(f"{kind}_hi")
-                    )
-                ]
-                for kind in horizon_kinds
-            }
+            ests = {k: sample.quantile(k, alpha) for k in horizon_kinds}
+            cells.update({k: _listed([e.point for e in ests[k]]) for k in horizon_kinds})
+            table.metadata["mc_stderr"] = {k: [e.stderr for e in ests[k]] for k in horizon_kinds}
     # any other var or nonruin column is solved cell by cell, warm-started
     return _cell_loop(
         table, c_grid, [(k, cells.get(k) or _warm_cells(m, alpha, t, spec, k)) for k in kinds]
@@ -414,10 +406,10 @@ def ruin_curve(
 
     ``methods`` is a sequence drawn from ``exact`` and ``cramer``
     (exponential pair only), ``ig`` (the inverse Gaussian closed form) and
-    ``mc``: one ``estimate_ruin_prob`` sweep of ``sim`` at horizon t prices
-    every ``mc`` cell and an added ``mc_stderr`` column.  Cells are NA and
-    logged as in ``capital_curve``; the grid, u (finite, >= 0), t (finite,
-    > 0), the methods and ``sim`` for ``mc`` are checked up front.
+    ``mc``: the ``ruin_prob`` of one ``PathSample`` of ``sim`` at horizon t
+    prices every ``mc`` cell and an added ``mc_stderr`` column.  Cells are
+    NA and logged as in ``capital_curve``; the grid, u (finite, >= 0), t
+    (finite, > 0), the methods and ``sim`` for ``mc`` are checked up front.
     """
     c_grid = check_c_grid(c_grid)
     u = float(u)
@@ -440,7 +432,7 @@ def ruin_curve(
         table.columns.append("mc_stderr")
         table.metadata.update(seed=sim.seed, n_paths=sim.n_paths)
         try:
-            ests = montecarlo.estimate_ruin_prob(m, u, c_grid, replace(sim, t=t))
+            ests = montecarlo.simulate_paths(m, c_grid, replace(sim, t=t)).ruin_prob(u)
         except RuinCapitalError as exc:  # logged against the mc cells only
             cells.update(mc=_failing(exc), mc_stderr=lambda i, c: None)
         else:

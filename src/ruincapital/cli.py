@@ -88,6 +88,13 @@ def _merged(cfg: dict, args, key: str, flag_value, default=None):
     return default
 
 
+def _number(name: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise _CliError(f"{name} must be a number, got {value!r}", EXIT_USAGE) from None
+
+
 def _c_grid(cfg: dict, args) -> list[float]:
     grid = dict(cfg.get("c_grid", {}))
     if args.c_start is not None:
@@ -97,13 +104,14 @@ def _c_grid(cfg: dict, args) -> list[float]:
     if args.c_step is not None:
         grid["step"] = args.c_step
     try:
-        return c_grid_range(grid["start"], grid["stop"], grid["step"])
+        ends = [_number(f"c_grid {key}", grid[key]) for key in ("start", "stop", "step")]
     except KeyError as exc:
         raise _CliError(
             "premium grid incomplete: need --c-start/--c-stop/--c-step or "
             "a c_grid config section",
             EXIT_USAGE,
         ) from exc
+    return c_grid_range(*ends)
 
 
 def _sim_config(cfg: dict, args, t: float) -> SimConfig:
@@ -111,7 +119,7 @@ def _sim_config(cfg: dict, args, t: float) -> SimConfig:
     n_paths = args.paths if args.paths is not None else sim.get("n_paths", 1000)
     seed = args.seed if args.seed is not None else sim.get("seed", 20240817)
     stream_count = sim.get("stream_count", 1)
-    return SimConfig(n_paths=int(n_paths), seed=int(seed), t=t, stream_count=int(stream_count))
+    return SimConfig(n_paths=n_paths, seed=seed, t=t, stream_count=stream_count)
 
 
 def _emit(table: CurveTable, out_path) -> None:
@@ -192,8 +200,8 @@ def _parse_methods(cfg, args, default):
 def cmd_capital(args) -> int:
     cfg = _load_config(args.config)
     m = _model_from_config(cfg)
-    alpha = float(_merged(cfg, args, "alpha", args.alpha, 0.05))
-    t = float(_merged(cfg, args, "t", args.t, 200.0))
+    alpha = _number("alpha", _merged(cfg, args, "alpha", args.alpha, 0.05))
+    t = _number("t", _merged(cfg, args, "t", args.t, 200.0))
     kind = _merged(cfg, args, "kind", args.kind, "nonruin")
     if kind not in ("var", "nonruin", "ultimate"):
         raise _CliError(f"unknown capital kind {kind!r}", EXIT_USAGE)
@@ -239,10 +247,11 @@ def cmd_capital(args) -> int:
 def cmd_ruinprob(args) -> int:
     cfg = _load_config(args.config)
     m = _model_from_config(cfg)
-    t = float(_merged(cfg, args, "t", args.t, 200.0))
+    t = _number("t", _merged(cfg, args, "t", args.t, 200.0))
     u = _merged(cfg, args, "u", args.u)
     if u is None:
         raise _CliError("ruinprob requires --u (initial capital)", EXIT_USAGE)
+    u = _number("u", u)
     methods = _parse_methods(cfg, args, ["exact"])
     grid = _c_grid(cfg, args)
     sim = _sim_config(cfg, args, t) if "mc" in methods else None

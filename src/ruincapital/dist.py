@@ -362,7 +362,11 @@ _FAMILIES = {
 
 
 def distribution_from_config(cfg: dict) -> Distribution:
-    """Build a distribution from a ``{"family": name, **params}`` mapping."""
+    """Build a distribution from a ``{"family": name, **params}`` mapping.
+
+    Parameters are converted to floats (an Erlang shape to an int when it
+    is integral); DomainError for a value that is not a number.
+    """
     try:
         family = cfg["family"]
     except (KeyError, TypeError):
@@ -381,6 +385,10 @@ def distribution_from_config(cfg: dict) -> Distribution:
             f"family {family!r} takes parameters {list(keys)}; "
             f"missing {missing}, unexpected {extra}"
         )
-    if "shape" in params and cls is Erlang:
+    try:
+        params = {k: float(v) for k, v in params.items()}
+    except (TypeError, ValueError):
+        raise DomainError(f"family {family!r} parameters must be numbers, got {params}") from None
+    if cls is Erlang and params["shape"].is_integer():
         params["shape"] = int(params["shape"])
     return cls(**params)

@@ -3,16 +3,15 @@
 One path sweep yields both capitals at once, at every premium rate of a
 grid: for each path and rate the engine records the running maximum of the
 claim-surplus deficit V_s - c s over claim epochs (the deficit only peaks
-at jump instants) and its terminal value at the horizon.  Then
+at jump instants) and its terminal value at the horizon.  The claim draws
+do not depend on c, so ``simulate_paths(m, c_grid, cfg)`` prices a whole
+grid of premium rates from one sweep with common random numbers.  It
+returns one ``PathSample``, whose methods give one ``Estimate`` per rate:
 
-* P{ruin within [0, t] at capital u} = P{sup deficit > u}, and
-* the two capitals are empirical (1 - alpha)-quantiles of the sup and
-  terminal deficits, clamped at zero.
-
-The claim draws do not depend on c, so ``simulate_paths(m, c_grid, cfg)``
-prices a whole grid of premium rates from one sweep with common random
-numbers.  It returns two (len(c_grid), n_paths) arrays, 2 * n_c * n_paths
-* 8 bytes, whose row k equals the sweep at ``c_grid[k]`` alone bit for bit.
+* ``ruin_prob(u)``: P{ruin within [0, t] at capital u} = P{sup deficit > u};
+* ``quantile(kind, alpha)``: the Value-at-Risk ("var") and non-ruin
+  ("nonruin") capitals, the empirical (1 - alpha)-quantiles of the
+  terminal and sup deficits, clamped at zero.
 
 Randomness comes from counter-based Philox streams keyed by (seed, block):
 paths are split into ``stream_count`` contiguous blocks, each with its own
@@ -23,6 +22,7 @@ regardless of how blocks are scheduled.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -37,9 +37,8 @@ from .table import CurveTable
 __all__ = [
     "SimConfig",
     "Estimate",
+    "PathSample",
     "simulate_paths",
-    "estimate_ruin_prob",
-    "estimate_capitals",
     "simulate_curve",
 ]
 
@@ -54,6 +53,13 @@ class SimConfig:
     stream_count: int = 1
 
     def __post_init__(self):
+        # stored as Python ints: the stream key shifts the seed by 64 bits
+        for name in ("n_paths", "seed", "stream_count"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise DomainError(f"{name} must be an integer, got {value!r}") from None
         if self.n_paths < 1:
             raise DomainError("n_paths must be positive")
         if self.n_paths < 100:
@@ -134,15 +140,73 @@ def _sweep_block(
         np.subtract(total, c * t, out=row)
 
 
-def simulate_paths(
-    m: RiskModel, c: float | Sequence[float], cfg: SimConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate all configured paths; returns (sup_deficits, terminal_deficits).
+@dataclass(frozen=True, eq=False)
+class PathSample:
+    """Simulated deficits at a grid of premium rates, one row per rate.
 
-    ``c`` is one premium rate or a 1-D grid of them.  For one rate both
-    arrays have shape (n_paths,); for a grid, (len(c), n_paths), and row k
-    equals the result for ``c[k]`` alone, bit for bit.  The two arrays of a
-    grid take 2 * len(c) * n_paths * 8 bytes.
+    ``sup[k]`` and ``term[k]`` hold, for each of the ``cfg.n_paths`` paths,
+    the running maximum over [0, t] and the terminal value at t of the
+    deficit V_s - c s at the rate ``c[k]``; both arrays have shape
+    (len(c), n_paths).  The estimators return one ``Estimate`` per rate.
+    """
+
+    c: np.ndarray
+    sup: np.ndarray
+    term: np.ndarray
+    cfg: SimConfig
+
+    def quantile(self, kind: str, alpha: float) -> list[Estimate]:
+        """Capital estimates: the empirical (1 - alpha)-quantile of each row.
+
+        ``kind`` "var" takes the terminal deficits (the Value-at-Risk
+        capital), "nonruin" the sup deficits (the non-ruin capital).  The
+        point is the upper order statistic at ceil((1 - alpha) N), clamped
+        at zero, with a binomial-bracket 95% interval; stderr is its half
+        width over 1.96.  Warns when fewer than 50 tail paths are expected.
+        """
+        rows = {"var": self.term, "nonruin": self.sup}.get(kind)
+        if rows is None:
+            raise DomainError(f"quantile kind must be 'var' or 'nonruin', got {kind!r}")
+        alpha = check_alpha(alpha)
+        n = self.cfg.n_paths
+        if n * alpha < 50.0:
+            warnings.warn(
+                f"only {n * alpha:.0f} expected tail paths at alpha="
+                f"{alpha}; quantile estimate noisy (want n_paths >= 50/alpha)",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        q = 1.0 - alpha
+        k = math.ceil(q * n)
+        spread = 1.96 * math.sqrt(n * q * (1.0 - q))
+        k_lo = max(1, math.floor(q * n - spread))
+        k_hi = min(n, math.ceil(q * n + spread))
+        out = []
+        for row in rows:  # one sorted copy at a time
+            xs = np.sort(row)
+            lo, point, hi = (max(0.0, float(xs[j - 1])) for j in (k_lo, k, k_hi))
+            out.append(Estimate(point=point, stderr=(hi - lo) / (2.0 * 1.96), ci95=(lo, hi)))
+        return out
+
+    def ruin_prob(self, u: float) -> list[Estimate]:
+        """P{ruin within [0, t]} at capital u: the share of sup deficits above u."""
+        u = float(_nonnegative("capital u", u))
+        n = self.cfg.n_paths
+        out = []
+        for row in self.sup:
+            p = float(np.count_nonzero(row > u)) / n
+            se = math.sqrt(p * (1.0 - p) / n)
+            ci95 = (max(0.0, p - 1.96 * se), min(1.0, p + 1.96 * se))
+            out.append(Estimate(point=p, stderr=se, ci95=ci95))
+        return out
+
+
+def simulate_paths(m: RiskModel, c_grid: Sequence[float], cfg: SimConfig) -> PathSample:
+    """Simulate all configured paths at every premium rate of ``c_grid``.
+
+    ``c_grid`` is a 1-D grid of finite, nonnegative rates; row k of the
+    sample equals a sweep at ``c_grid[k]`` alone, bit for bit.  The two
+    arrays take 2 * len(c_grid) * n_paths * 8 bytes.
 
     Deterministic for a fixed (seed, stream_count, n_paths); drawing extra
     claims for a path that has already crossed the horizon never happens,
@@ -150,88 +214,17 @@ def simulate_paths(
     keeps draws common across premium rates (common random numbers): one
     sweep prices every rate of the grid.
     """
-    rates = _nonnegative("premium rate c", c)
-    if rates.ndim > 1:
-        raise DomainError("premium rate c must be a scalar or a 1-D grid")
-    grid = rates.reshape(-1)
-    sup = np.zeros((grid.size, cfg.n_paths))
-    term = np.empty((grid.size, cfg.n_paths))
+    rates = _nonnegative("premium rate c", c_grid)
+    if rates.ndim != 1:
+        raise DomainError("premium rates c must be a 1-D grid")
+    sup = np.zeros((rates.size, cfg.n_paths))
+    term = np.empty((rates.size, cfg.n_paths))
     stop = 0
     for block, size in enumerate(_block_sizes(cfg.n_paths, cfg.stream_count)):
         start, stop = stop, stop + size
         rng = _block_rng(cfg.seed, block)
-        _sweep_block(m, grid, cfg.t, rng, sup[:, start:stop], term[:, start:stop])
-    if rates.ndim == 0:
-        return sup[0], term[0]
-    return sup, term
-
-
-def estimate_ruin_prob(
-    m: RiskModel, u: float, c: float | Sequence[float], cfg: SimConfig
-) -> Estimate | list[Estimate]:
-    """Estimate P{ruin within [0, t]} at capital u from one path sweep.
-
-    For a 1-D grid of premium rates ``c`` returns a list with one
-    ``Estimate`` per rate, all from the same sweep.
-    """
-    u = float(_nonnegative("capital u", u))
-    sup, _ = simulate_paths(m, c, cfg)
-    if sup.ndim == 1:
-        return _prob_estimate(sup, u, cfg.n_paths)
-    return [_prob_estimate(row, u, cfg.n_paths) for row in sup]
-
-
-def _prob_estimate(sup: np.ndarray, u: float, n: int) -> Estimate:
-    p = float(np.count_nonzero(sup > u)) / n
-    se = math.sqrt(p * (1.0 - p) / n)
-    return Estimate(point=p, stderr=se, ci95=(max(0.0, p - 1.96 * se), min(1.0, p + 1.96 * se)))
-
-
-def _quantile_estimate(x: np.ndarray, alpha: float) -> Estimate:
-    """Upper order statistic at ceil((1-alpha) N) with a binomial-bracket CI."""
-    n = x.size
-    xs = np.sort(x)
-    q = 1.0 - alpha
-    k = math.ceil(q * n)
-    point = max(0.0, float(xs[k - 1]))
-    spread = 1.96 * math.sqrt(n * q * (1.0 - q))
-    k_lo = max(1, math.floor(q * n - spread))
-    k_hi = min(n, math.ceil(q * n + spread))
-    lo = max(0.0, float(xs[k_lo - 1]))
-    hi = max(0.0, float(xs[k_hi - 1]))
-    return Estimate(point=point, stderr=(hi - lo) / (2.0 * 1.96), ci95=(lo, hi))
-
-
-def _check_quantile_alpha(alpha: float, n_paths: int) -> float:
-    """``check_alpha``, plus a warning when fewer than 50 tail paths are expected."""
-    alpha = check_alpha(alpha)
-    if n_paths * alpha < 50.0:
-        warnings.warn(
-            f"only {n_paths * alpha:.0f} expected tail paths at alpha="
-            f"{alpha}; quantile estimate noisy (want n_paths >= 50/alpha)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return alpha
-
-
-def estimate_capitals(
-    m: RiskModel, alpha: float, c: float, cfg: SimConfig
-) -> dict[str, Estimate]:
-    """Both capitals as empirical (1 - alpha)-quantiles of pathwise deficits.
-
-    Returns {"var_cap": ..., "nonruin_cap": ...}; the Value-at-Risk capital
-    is the quantile of terminal deficits and never exceeds the non-ruin
-    capital because the terminal deficit is dominated pathwise by the sup.
-    """
-    alpha = _check_quantile_alpha(alpha, cfg.n_paths)
-    if np.ndim(c) != 0:
-        raise DomainError("estimate_capitals takes one premium rate; simulate_curve prices a grid")
-    sup, term = simulate_paths(m, c, cfg)
-    return {
-        "var_cap": _quantile_estimate(term, alpha),
-        "nonruin_cap": _quantile_estimate(sup, alpha),
-    }
+        _sweep_block(m, rates, cfg.t, rng, sup[:, start:stop], term[:, start:stop])
+    return PathSample(c=rates, sup=sup, term=term, cfg=cfg)
 
 
 def simulate_curve(
@@ -241,21 +234,21 @@ def simulate_curve(
     cfg: SimConfig,
     u: float | None = None,
 ) -> CurveTable:
-    """Per-premium-rate estimates over a grid, with common random numbers.
+    """Per-premium-rate estimates over a grid, as a table of one ``PathSample``.
 
     One sweep prices every grid point, so the same claim scenarios are
     priced at every premium rate and the resulting curves are smooth in c.
-    Each row equals ``estimate_capitals`` at its rate alone, bit for bit.
     Columns: c, var_cap, var_lo, var_hi, nonruin_cap, nonruin_lo,
-    nonruin_hi, and when ``u`` is given additionally ruin_prob and
-    ruin_stderr at that capital.
+    nonruin_hi (the points and 95% intervals of ``quantile``), and when
+    ``u`` is given additionally ruin_prob and ruin_stderr at that capital.
     """
-    alpha = _check_quantile_alpha(alpha, cfg.n_paths)
-    c_grid = check_c_grid(c_grid)
-    if u is not None:
-        u = float(_nonnegative("capital u", u))
+    alpha = check_alpha(alpha)
+    sample = simulate_paths(m, check_c_grid(c_grid), cfg)
+    var = sample.quantile("var", alpha)
+    nonruin = sample.quantile("nonruin", alpha)
+    ruin = None if u is None else sample.ruin_prob(u)
     cols = ["c", "var_cap", "var_lo", "var_hi", "nonruin_cap", "nonruin_lo", "nonruin_hi"]
-    if u is not None:
+    if ruin is not None:
         cols += ["ruin_prob", "ruin_stderr"]
     table = CurveTable(
         columns=cols,
@@ -267,21 +260,9 @@ def simulate_curve(
             "alpha": alpha,
         },
     )
-    sups, terms = simulate_paths(m, c_grid, cfg)
-    for c, sup, term in zip(c_grid, sups, terms):
-        var_e = _quantile_estimate(term, alpha)
-        non_e = _quantile_estimate(sup, alpha)
-        row = [
-            c,
-            var_e.point,
-            var_e.ci95[0],
-            var_e.ci95[1],
-            non_e.point,
-            non_e.ci95[0],
-            non_e.ci95[1],
-        ]
-        if u is not None:
-            pe = _prob_estimate(sup, u, cfg.n_paths)
-            row += [pe.point, pe.stderr]
+    for k, c in enumerate(sample.c.tolist()):
+        row = [c, var[k].point, *var[k].ci95, nonruin[k].point, *nonruin[k].ci95]
+        if ruin is not None:
+            row += [ruin[k].point, ruin[k].stderr]
         table.append(row)
     return table

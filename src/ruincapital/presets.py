@@ -55,9 +55,8 @@ def constants_table(models: list[tuple[str, RiskModel]]) -> CurveTable:
 def _mc_nonruin_column(
     m: RiskModel, alpha: float, t: float, cs, n_paths: int, seed: int
 ):
-    cfg = SimConfig(n_paths=n_paths, seed=seed, t=t)
-    tab = montecarlo.simulate_curve(m, alpha, cs, cfg)
-    return tab.column("nonruin_cap")
+    sample = montecarlo.simulate_paths(m, cs, SimConfig(n_paths=n_paths, seed=seed, t=t))
+    return [e.point for e in sample.quantile("nonruin", alpha)]
 
 
 def _fig1(n_paths: int, seed: int):

@@ -23,7 +23,7 @@ from ruincapital.capital import SolveSpec, capital_curve, nonruin_capital, ultim
 from ruincapital.dist import Erlang, Exponential, Kummer, MixtureExp2, Pareto
 from ruincapital.exact import ExpPair, ruin_finite_exp
 from ruincapital.model import RiskModel, derived_constants
-from ruincapital.montecarlo import SimConfig, _quantile_estimate, simulate_paths
+from ruincapital.montecarlo import SimConfig, simulate_paths
 from ruincapital.presets import TABLE1_MODELS, run_preset
 from ruincapital.special import std_normal_quantile
 
@@ -158,8 +158,8 @@ def test_criterion_07_monte_carlo_vs_exact():
     worst_z = 0.0
     details = []
     cs = (0.8, 1.0, 1.2)
-    sups, _ = simulate_paths(UNIT, cs, cfg)
-    for c, sup in zip(cs, sups):
+    sample = simulate_paths(UNIT, cs, cfg)
+    for c, sup in zip(cs, sample.sup):
         for u in (10.0, 50.0):
             phat = float(np.mean(sup > u))
             exact = ruin_finite_exp(UNIT_PAIR, u, c, 1000.0)
@@ -214,10 +214,9 @@ def test_criterion_09_erlang_simulation_endpoint():
     start = time.perf_counter()
     c_star = derived_constants(MODEL_IV).c_star
     cfg = SimConfig(n_paths=100_000, seed=SEED, t=200.0)
-    # one sweep serves both the estimate (the estimator estimate_capitals
-    # applies to these paths) and the batch spread below
-    sup, _ = simulate_paths(MODEL_IV, c_star, cfg)
-    est = _quantile_estimate(sup, 0.05)
+    # one sample serves both the estimate and the batch spread below
+    sample = simulate_paths(MODEL_IV, [c_star], cfg)
+    est = sample.quantile("nonruin", 0.05)[0]
     endpoint = capital_asymptotic_endpoints(MODEL_IV, 0.05, 200.0).u_at_cstar
     # the published 48 is itself a 1000-path estimate, so it is compared as
     # a second sample: its standard deviation is the spread of the same
@@ -227,7 +226,7 @@ def test_criterion_09_erlang_simulation_endpoint():
     # published value's own sampling error, not by this run.
     batch = 1000
     k = math.ceil(0.95 * batch)
-    batch_q = np.sort(sup.reshape(-1, batch), axis=1)[:, k - 1]
+    batch_q = np.sort(sample.sup[0].reshape(-1, batch), axis=1)[:, k - 1]
     sd_batch = float(np.std(batch_q, ddof=1))
     z = abs(est.point - 48.0) / math.hypot(est.stderr, sd_batch)
     z_ok = z <= 1.96
@@ -259,7 +258,7 @@ def test_criterion_10_heavy_tail_desk_check():
         return ig, phat, se
 
     # one sweep prices the three premium rates at u = 40
-    sups, _ = simulate_paths(HEAVY, (0.8, 1.0, 1.2), cfg)
+    sups = simulate_paths(HEAVY, (0.8, 1.0, 1.2), cfg).sup
     for c, sup in zip((0.8, 1.0), sups):
         ig, phat, se = ig_vs_sim(u, c, cfg, sup)
         tol = max(0.02, 3.0 * se)
@@ -275,7 +274,7 @@ def test_criterion_10_heavy_tail_desk_check():
     c_star = derived_constants(HEAVY).c_star
     cfg80 = SimConfig(n_paths=40_000, seed=SEED, t=4000.0)
     c80 = c_star + (1.2 - c_star) / 2.0
-    sup80, _ = simulate_paths(HEAVY, c80, cfg80)
+    (sup80,) = simulate_paths(HEAVY, [c80], cfg80).sup
     ig80, phat80, se80 = ig_vs_sim(2.0 * u, c80, cfg80, sup80)
     gap40 = ig40 - phat40
     gap80 = ig80 - phat80

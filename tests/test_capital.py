@@ -205,7 +205,7 @@ def test_ruin_curve_mc_column_equals_per_rate_estimates(monkeypatch):
     monkeypatch.undo()
     assert len(sweeps) == 1  # the whole grid
     assert table.columns == ["c", "exact", "mc", "mc_stderr"]
-    ests = [montecarlo.estimate_ruin_prob(UNIT, 20.0, c, sim) for c in grid]
+    ests = [montecarlo.simulate_paths(UNIT, [c], sim).ruin_prob(20.0)[0] for c in grid]
     assert table.column("mc") == [e.point for e in ests]
     assert table.column("mc_stderr") == [e.stderr for e in ests]
     pair = ExpPair(1.0, 1.0)
@@ -232,6 +232,14 @@ def test_ruin_figures_equal_ruin_curve(preset, model, u, start, stop, methods):
     for col in curve.columns:
         assert fig.column(col) == curve.column(col), col
     assert fig.metadata == {"u": u, "t": 1000.0, "seed": 9}
+
+
+def test_simulated_capital_figure_equals_simulate_curve():
+    files, _ = presets.run_preset("fig7", n_paths=1000, seed=9)
+    model_i = RiskModel(Exponential(0.8), Exponential(0.6))
+    sim = SimConfig(n_paths=1000, seed=9, t=200.0)
+    curve = montecarlo.simulate_curve(model_i, 0.05, c_grid_range(0.0, 2.5, 0.05), sim)
+    assert files["curve"].column("sim_nonruin") == curve.column("nonruin_cap")
 
 
 def test_ruin_curve_records_failures_as_na():

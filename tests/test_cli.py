@@ -202,6 +202,24 @@ def test_usage_errors_exit_2(config_path, tmp_path):
         assert main(["capital", "--config", config_path, *bad_grid]) == 2
     missing = str(tmp_path / "nope.json")
     assert main(["constants", "--config", missing]) == 2
+    # config values that are not numbers, or not integers where a count is meant
+    mc_grid = ["--method", "mc", *grid]
+    for extra, argv in (
+        ({"sim": {"n_paths": 1500.7}}, ["capital", *mc_grid]),
+        ({"sim": {"n_paths": "many"}}, ["capital", *mc_grid]),
+        ({"sim": {"seed": 1.5}}, ["ruinprob", "--u", "10", *mc_grid]),
+        ({"sim": {"stream_count": 2.0}}, ["capital", *mc_grid]),
+        ({"alpha": "x"}, ["capital", *grid]),
+        ({"t": "x"}, ["capital", *grid]),
+        ({"t": "x"}, ["ruinprob", "--u", "10", *grid]),
+        ({"u": "x"}, ["ruinprob", *grid]),
+        ({"c_grid": {"start": "x", "stop": 1, "step": 0.5}}, ["capital"]),
+        ({"model": {"t_law": {"family": "exponential", "rate": "one"},
+                    "y_law": UNIT_CONFIG["model"]["y_law"]}}, ["capital", *grid]),
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**UNIT_CONFIG, **extra}))
+        assert main([argv[0], "--config", str(path), *argv[1:]]) == 2, extra
 
 
 def test_incompatible_model_cells_are_na_not_fatal(tmp_path):

@@ -156,6 +156,11 @@ def test_config_round_trip():
         distribution_from_config({"family": "cauchy"})
     with pytest.raises(DomainError):
         distribution_from_config({"family": "exponential"})
+    for bad in ({"family": "exponential", "rate": "one"},
+                {"family": "pareto", "shape": None, "scale": 0.4},
+                {"family": "erlang", "rate": 1.6, "shape": 2.5}):
+        with pytest.raises(DomainError):
+            distribution_from_config(bad)
     with pytest.raises(DomainError):
         Exponential(math.inf)
     with pytest.raises(DomainError):

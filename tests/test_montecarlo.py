@@ -9,11 +9,10 @@ from ruincapital.errors import DomainError
 from ruincapital.exact import ExpPair, ruin_finite_exp
 from ruincapital.model import RiskModel
 from ruincapital.montecarlo import (
+    Estimate,
     SimConfig,
     _block_rng,
     _block_sizes,
-    estimate_capitals,
-    estimate_ruin_prob,
     simulate_curve,
     simulate_paths,
 )
@@ -24,17 +23,17 @@ HEAVY = RiskModel(MixtureExp2(1.0, 2.0, 2.0 / 3.0), Pareto(4.0, 0.35))
 
 def test_deterministic_replay():
     cfg = SimConfig(n_paths=2000, seed=31337, t=50.0)
-    a = simulate_paths(UNIT, 1.0, cfg)
-    b = simulate_paths(UNIT, 1.0, cfg)
-    assert np.array_equal(a[0], b[0])
-    assert np.array_equal(a[1], b[1])
+    a = simulate_paths(UNIT, [1.0], cfg)
+    b = simulate_paths(UNIT, [1.0], cfg)
+    assert np.array_equal(a.sup, b.sup)
+    assert np.array_equal(a.term, b.term)
 
 
 def test_stream_split_changes_layout_not_distribution():
     one = SimConfig(n_paths=4000, seed=5, t=50.0, stream_count=1)
     four = SimConfig(n_paths=4000, seed=5, t=50.0, stream_count=4)
-    s1, _ = simulate_paths(UNIT, 1.0, one)
-    s4, _ = simulate_paths(UNIT, 1.0, four)
+    s1 = simulate_paths(UNIT, [1.0], one).sup[0]
+    s4 = simulate_paths(UNIT, [1.0], four).sup[0]
     assert s1.shape == s4.shape
     # different stream layouts give different draws but the same law
     assert not np.array_equal(s1, s4)
@@ -43,9 +42,9 @@ def test_stream_split_changes_layout_not_distribution():
 
 def test_sup_dominates_terminal_pathwise():
     cfg = SimConfig(n_paths=5000, seed=11, t=100.0)
-    sup, term = simulate_paths(UNIT, 0.9, cfg)
-    assert np.all(sup >= term - 1e-12)
-    assert np.all(sup >= 0.0)
+    sample = simulate_paths(UNIT, [0.9], cfg)
+    assert np.all(sample.sup >= sample.term - 1e-12)
+    assert np.all(sample.sup >= 0.0)
 
 
 def _per_rate_reference(m, c, cfg):
@@ -80,24 +79,29 @@ def _per_rate_reference(m, c, cfg):
     ids=["unit-with-zero", "four-streams", "heavy"],
 )
 def test_grid_sweep_equals_per_rate_calls(m, cfg, cs):
-    sups, terms = simulate_paths(m, cs, cfg)
-    assert sups.shape == terms.shape == (len(cs), cfg.n_paths)
-    for c, sup_row, term_row in zip(cs, sups, terms):
-        sup, term = simulate_paths(m, c, cfg)
-        assert sup.shape == term.shape == (cfg.n_paths,)
-        assert np.array_equal(sup_row, sup)
-        assert np.array_equal(term_row, term)
+    sample = simulate_paths(m, cs, cfg)
+    assert sample.sup.shape == sample.term.shape == (len(cs), cfg.n_paths)
+    assert sample.c.tolist() == cs
+    singles = [simulate_paths(m, [c], cfg) for c in cs]
+    for c, sup_row, term_row, single in zip(cs, sample.sup, sample.term, singles):
+        assert single.sup.shape == single.term.shape == (1, cfg.n_paths)
+        assert np.array_equal(sup_row, single.sup[0])
+        assert np.array_equal(term_row, single.term[0])
         ref_sup, ref_term = _per_rate_reference(m, c, cfg)
-        assert np.array_equal(sup, ref_sup)
-        assert np.array_equal(term, ref_term)
-    ests = estimate_ruin_prob(m, 5.0, cs, cfg)
-    assert ests == [estimate_ruin_prob(m, 5.0, c, cfg) for c in cs]
+        assert np.array_equal(sup_row, ref_sup)
+        assert np.array_equal(term_row, ref_term)
+    for estimates in (
+        lambda s: s.quantile("var", 0.05),
+        lambda s: s.quantile("nonruin", 0.05),
+        lambda s: s.ruin_prob(5.0),
+    ):
+        assert estimates(sample) == [estimates(single)[0] for single in singles]
 
 
 def test_ruin_probability_matches_exact():
     cfg = SimConfig(n_paths=50_000, seed=2024, t=100.0)
     u, c = 10.0, 1.0
-    est = estimate_ruin_prob(UNIT, u, c, cfg)
+    (est,) = simulate_paths(UNIT, [c], cfg).ruin_prob(u)
     exact_p = ruin_finite_exp(ExpPair(1.0, 1.0), u, c, 100.0)
     se = math.sqrt(exact_p * (1.0 - exact_p) / cfg.n_paths)
     assert abs(est.point - exact_p) <= 4.0 * se
@@ -108,13 +112,22 @@ def test_capital_quantiles_bracket_exact_value():
     from ruincapital.capital import SolveSpec, nonruin_capital
 
     cfg = SimConfig(n_paths=50_000, seed=77, t=200.0)
-    ests = estimate_capitals(UNIT, 0.05, 1.0, cfg)
+    sample = simulate_paths(UNIT, [1.0, 3.0], cfg)
+    var, var_rich = sample.quantile("var", 0.05)
+    nonruin, _ = sample.quantile("nonruin", 0.05)
+    # at c = 3 every terminal deficit is negative: the capital clamps at 0
+    assert var_rich == Estimate(point=0.0, stderr=0.0, ci95=(0.0, 0.0))
     exact_u = nonruin_capital(
         UNIT, 0.05, 200.0, 1.0, SolveSpec(backend="exact_exp")
     ).value
-    lo, hi = ests["nonruin_cap"].ci95
+    lo, hi = nonruin.ci95
     assert lo <= exact_u <= hi
-    assert ests["var_cap"].point <= ests["nonruin_cap"].point
+    assert nonruin.stderr == (hi - lo) / (2.0 * 1.96)
+    # the order statistic of the sup deficits, not of the terminal ones
+    k = math.ceil(0.95 * cfg.n_paths)
+    assert nonruin.point == max(0.0, np.sort(sample.sup[0])[k - 1])
+    assert var.point == max(0.0, np.sort(sample.term[0])[k - 1])
+    assert var.point <= nonruin.point
 
 
 def test_common_random_numbers_make_curves_monotone():
@@ -143,35 +156,49 @@ def test_config_validation():
         SimConfig(n_paths=100, seed=2**64, t=10.0)
     with pytest.warns(RuntimeWarning):
         SimConfig(n_paths=10, seed=1, t=10.0)
+    for bad in ({"n_paths": 1e4}, {"n_paths": 1500.7}, {"n_paths": "many"},
+                {"seed": 1.5}, {"stream_count": 2.0}):
+        with pytest.raises(DomainError):
+            SimConfig(**{"n_paths": 100, "seed": 1, "t": 10.0, **bad})
+    # a NumPy integer seed keys the same stream as the equal Python int
+    numpy_cfg = SimConfig(n_paths=np.int64(200), seed=np.uint64(5), t=10.0)
+    int_cfg = SimConfig(n_paths=200, seed=5, t=10.0)
+    assert np.array_equal(
+        simulate_paths(UNIT, [1.0], numpy_cfg).sup, simulate_paths(UNIT, [1.0], int_cfg).sup
+    )
 
 
 def test_small_tail_sample_warns():
     cfg = SimConfig(n_paths=200, seed=1, t=10.0)
-    with pytest.warns(RuntimeWarning):
-        estimate_capitals(UNIT, 0.05, 1.0, cfg)
+    sample = simulate_paths(UNIT, [1.0], cfg)
+    for kind in ("var", "nonruin"):
+        with pytest.warns(RuntimeWarning):
+            sample.quantile(kind, 0.05)
 
 
 def test_domain_checks():
     cfg = SimConfig(n_paths=2000, seed=1, t=10.0)
+    sample = simulate_paths(UNIT, [0.5, 1.0], cfg)
     for bad in (-0.5, math.nan, math.inf):
         with pytest.raises(DomainError):
-            simulate_paths(UNIT, bad, cfg)
+            simulate_paths(UNIT, [bad], cfg)
         with pytest.raises(DomainError):
             simulate_paths(UNIT, [0.5, bad], cfg)
         with pytest.raises(DomainError):
-            estimate_capitals(UNIT, 0.05, bad, cfg)
-        with pytest.raises(DomainError):
             simulate_curve(UNIT, 0.05, [0.5, 1.0, bad], cfg)
         with pytest.raises(DomainError):
-            estimate_ruin_prob(UNIT, 5.0, bad, cfg)
-        with pytest.raises(DomainError):
-            estimate_ruin_prob(UNIT, bad, 1.0, cfg)
+            sample.ruin_prob(bad)
         with pytest.raises(DomainError):
             simulate_curve(UNIT, 0.05, [0.5, 1.0], cfg, u=bad)
     for bad_alpha in (1.0, 0.7, math.nan):
         with pytest.raises(DomainError):
             simulate_curve(UNIT, bad_alpha, [0.5, 1.0], cfg)
-    with pytest.raises(DomainError):
-        simulate_paths(UNIT, [[0.5, 1.0]], cfg)
-    with pytest.raises(DomainError):
-        estimate_capitals(UNIT, 0.05, [0.5, 1.0], cfg)
+        with pytest.raises(DomainError):
+            sample.quantile("nonruin", bad_alpha)
+    # one shape: a 1-D grid of rates, not a scalar and not a 2-D array
+    for bad_c in (1.0, [[0.5, 1.0]]):
+        with pytest.raises(DomainError):
+            simulate_paths(UNIT, bad_c, cfg)
+    for bad_kind in ("sup", "ultimate", None):
+        with pytest.raises(DomainError):
+            sample.quantile(bad_kind, 0.05)
