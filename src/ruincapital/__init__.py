@@ -34,7 +34,6 @@ from .bounds import (
     AdjustmentCoefficient,
     RatioBounds,
     adjustment_coefficient,
-    capital_upper_bound_exp,
     capital_upper_bound_lundberg,
     lundberg_ratio_bounds,
     ultimate_capital_exp,
@@ -116,7 +115,6 @@ __all__ = [
     "capital_asymptotic_bounds",
     "capital_asymptotic_endpoints",
     "capital_curve",
-    "capital_upper_bound_exp",
     "capital_upper_bound_lundberg",
     "cramer_constants_exp",
     "cramer_ruin_exp",

@@ -30,7 +30,6 @@ __all__ = [
     "AdjustmentCoefficient",
     "RatioBounds",
     "adjustment_coefficient",
-    "capital_upper_bound_exp",
     "capital_upper_bound_lundberg",
     "lundberg_ratio_bounds",
     "ultimate_capital_exp",
@@ -112,22 +111,6 @@ def adjustment_coefficient(m: RiskModel, c: float) -> AdjustmentCoefficient:
             f"Lundberg root residual {residual:.2e} exceeds {_RESIDUAL_TOL}"
         )
     return AdjustmentCoefficient(kappa, "root_find", (lo, hi))
-
-
-def capital_upper_bound_exp(p: ExpPair, alpha: float, c: float) -> float:
-    """Capital making the ultimate ruin probability at most alpha, M(i) form.
-
-    ``max{0, -ln(alpha c rho / delta) / (rho - delta/c)}``; exact for the
-    exponential pair because it inverts the closed ultimate-ruin formula.
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError("alpha must lie in (0, 1]")
-    if not p.delta / p.rho < c < math.inf:
-        raise DomainError("bound requires finite c > c* = delta/rho")
-    arg = alpha * c * p.rho / p.delta
-    if arg >= 1.0:
-        return 0.0
-    return -math.log(arg) / (p.rho - p.delta / c)
 
 
 def capital_upper_bound_lundberg(m: RiskModel, alpha: float, c: float) -> float:

@@ -56,21 +56,20 @@ __all__ = [
 
 _BACKENDS = ("exact_exp", "inverse_gaussian", "monte_carlo", "clt")
 _RUIN_METHODS = ("exact", "ig", "cramer", "mc")
+# bracket width at which a root solve stops, in money units
+_U_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
 class SolveSpec:
-    """How to invert the probability backend.
+    """Which probability backend answers a var or nonruin cell.
 
-    ``max_bracket`` of None means "derive from the asymptotic upper bound
-    plus ten capital-scale units"; ``sim`` is required only by the
-    monte_carlo backend.
+    ``sim`` is required only by the monte_carlo backend.  Root solves stop
+    at a bracket width of 1e-6 money units, with an upper bracket derived
+    from the asymptotic capital scale.
     """
 
     backend: str = "exact_exp"
-    u_tolerance: float = 1e-6
-    p_tolerance: float = 1e-6
-    max_bracket: Optional[float] = None
     sim: Optional[SimConfig] = None
 
     def __post_init__(self):
@@ -78,10 +77,6 @@ class SolveSpec:
             raise DomainError(
                 f"unknown backend {self.backend!r}; expected one of {_BACKENDS}"
             )
-        if not self.u_tolerance > 0.0 or not self.p_tolerance > 0.0:
-            raise DomainError("tolerances must be positive")
-        if self.max_bracket is not None and not self.max_bracket > 0.0:
-            raise DomainError("max_bracket must be positive")
 
 
 @dataclass(frozen=True)
@@ -133,7 +128,6 @@ def _require_exp_pair(m: RiskModel, route: str) -> ExpPair:
 def _invert(
     prob: Callable[[float], float],
     alpha: float,
-    spec: SolveSpec,
     max_bracket: float,
     kind: str,
     c: float,
@@ -169,7 +163,7 @@ def _invert(
             )
         hi = max_bracket
     u = float(
-        optimize.brentq(lambda x: prob(x) - alpha, lo, hi, xtol=spec.u_tolerance)
+        optimize.brentq(lambda x: prob(x) - alpha, lo, hi, xtol=_U_TOLERANCE)
     )
     return CapitalPoint(
         kind=kind, c=c, value=u, residual=abs(prob(u) - alpha)
@@ -231,11 +225,11 @@ def _solve(
             prob = lambda u: 1.0 - exact.aggregate_cdf_exp(p, t, u + c * t)
         else:
             prob = lambda u: exact.ruin_finite_exp(p, u, c, t)
-    mb = spec.max_bracket or _default_bracket(m, alpha, t, c)
+    mb = _default_bracket(m, alpha, t, c)
     warm = None
     if prev_value is not None and prev_value > 0.0:
         warm = min(mb, prev_value * 1.01 + 1.0)
-    return _invert(prob, alpha, spec, mb, kind, c, warm, scan=backend == "inverse_gaussian")
+    return _invert(prob, alpha, mb, kind, c, warm, scan=backend == "inverse_gaussian")
 
 
 def var_capital(
@@ -267,9 +261,7 @@ def nonruin_capital(
     return _solve(m, alpha, t, c, spec, "nonruin")
 
 
-def ultimate_capital(
-    m: RiskModel, alpha: float, c: float, spec: SolveSpec = SolveSpec()
-) -> CapitalPoint:
+def ultimate_capital(m: RiskModel, alpha: float, c: float) -> CapitalPoint:
     """Smallest capital with ultimate ruin probability at most alpha.
 
     Exponential pair: exact closed-form inversion.  Other light-tailed
@@ -382,7 +374,7 @@ def capital_curve(
         metadata={"alpha": alpha, "t": t, "backend": spec.backend, "warnings": []},
     )
     cells: dict[str, Cell] = {
-        "ultimate": lambda i, c: ultimate_capital(m, alpha, c, spec).value
+        "ultimate": lambda i, c: ultimate_capital(m, alpha, c).value
     }
     if spec.backend == "monte_carlo" and horizon_kinds:
         try:
@@ -416,7 +408,7 @@ def ruin_curve(
     if not 0.0 <= u < math.inf:
         raise DomainError("ruin_curve requires finite u >= 0")
     _check_horizon("ruin_curve", t)
-    if not set(methods) <= set(_RUIN_METHODS):
+    if any(mth not in _RUIN_METHODS for mth in methods):
         raise DomainError(f"ruin-probability methods are among {_RUIN_METHODS}, got {methods!r}")
     if "mc" in methods and sim is None:
         raise DomainError("ruin_curve method 'mc' requires sim")

@@ -10,6 +10,9 @@ Subcommands:
 * ``ruinprob``: finite-horizon ruin probabilities on a premium-rate grid,
   one ``capital.ruin_curve``.
 
+Each subcommand takes only the flags it reads (``_FLAGS`` holds their
+help text); any other flag is a usage error.  ``capital --kind ultimate``
+has one route, so it takes no method but the default ``exact``.
 Configuration comes from a JSON file (``--config``) and/or flags; flags
 override file values.  Output is CSV with '#'-prefixed metadata comment
 lines.  Exit codes: 0 success, 2 usage error, 3 numeric failure, 4 model
@@ -44,7 +47,8 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_INCOMPATIBLE = 4
 
-_METHODS = ("exact", "ig", "clt", "mc", "cramer")
+# capital method -> SolveSpec backend
+_BACKENDS = {"exact": "exact_exp", "ig": "inverse_gaussian", "clt": "clt", "mc": "monte_carlo"}
 
 
 class _CliError(Exception):
@@ -68,9 +72,17 @@ def _load_config(path):
     return cfg
 
 
+def _section(name: str, value, kind=dict):
+    """``value`` of config entry ``name``; a usage error unless it has the JSON type ``kind``."""
+    if not isinstance(value, kind):
+        noun = "an object" if kind is dict else "a list"
+        raise _CliError(f"config {name!r} must be {noun}, got {value!r}", EXIT_USAGE)
+    return value
+
+
 def _model_from_config(cfg: dict) -> RiskModel:
     try:
-        spec = cfg["model"]
+        spec = _section("model", cfg["model"])
         t_law = distribution_from_config(spec["t_law"])
         y_law = distribution_from_config(spec["y_law"])
     except KeyError as exc:
@@ -80,7 +92,7 @@ def _model_from_config(cfg: dict) -> RiskModel:
     return RiskModel(t_law, y_law)
 
 
-def _merged(cfg: dict, args, key: str, flag_value, default=None):
+def _merged(cfg: dict, key: str, flag_value, default=None):
     if flag_value is not None:
         return flag_value
     if key in cfg:
@@ -96,7 +108,7 @@ def _number(name: str, value) -> float:
 
 
 def _c_grid(cfg: dict, args) -> list[float]:
-    grid = dict(cfg.get("c_grid", {}))
+    grid = dict(_section("c_grid", cfg.get("c_grid", {})))
     if args.c_start is not None:
         grid["start"] = args.c_start
     if args.c_stop is not None:
@@ -115,7 +127,7 @@ def _c_grid(cfg: dict, args) -> list[float]:
 
 
 def _sim_config(cfg: dict, args, t: float) -> SimConfig:
-    sim = dict(cfg.get("sim", {}))
+    sim = _section("sim", cfg.get("sim", {}))
     n_paths = args.paths if args.paths is not None else sim.get("n_paths", 1000)
     seed = args.seed if args.seed is not None else sim.get("seed", 20240817)
     stream_count = sim.get("stream_count", 1)
@@ -140,7 +152,7 @@ def _echo_config(table: CurveTable, cfg: dict, args_dict: dict) -> None:
 def cmd_constants(args) -> int:
     cfg = _load_config(args.config)
     if "models" in cfg:
-        entries = cfg["models"]
+        entries = _section("models", cfg["models"], list)
     elif "model" in cfg:
         entries = [cfg["model"]]
     else:
@@ -185,32 +197,27 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK
 
 
-def _parse_methods(cfg, args, default):
-    raw = _merged(cfg, args, "methods", args.method, default)
+def _parse_methods(cfg, args) -> list:
+    raw = _merged(cfg, "methods", args.method, "exact")
     if isinstance(raw, str):
         raw = [s.strip() for s in raw.split(",") if s.strip()]
-    for mth in raw:
-        if mth not in _METHODS:
-            raise _CliError(
-                f"unknown method {mth!r}; expected subset of {_METHODS}", EXIT_USAGE
-            )
-    return list(raw)
+    return _section("methods", raw, list)
 
 
 def cmd_capital(args) -> int:
     cfg = _load_config(args.config)
     m = _model_from_config(cfg)
-    alpha = _number("alpha", _merged(cfg, args, "alpha", args.alpha, 0.05))
-    t = _number("t", _merged(cfg, args, "t", args.t, 200.0))
-    kind = _merged(cfg, args, "kind", args.kind, "nonruin")
+    alpha = _number("alpha", _merged(cfg, "alpha", args.alpha, 0.05))
+    t = _number("t", _merged(cfg, "t", args.t, 200.0))
+    kind = _merged(cfg, "kind", args.kind, "nonruin")
     if kind not in ("var", "nonruin", "ultimate"):
         raise _CliError(f"unknown capital kind {kind!r}", EXIT_USAGE)
-    methods = _parse_methods(cfg, args, ["exact"])
+    methods = _parse_methods(cfg, args)
+    # the ultimate capital has one route: a closed form or an enclosure
+    allowed = ["exact"] if kind == "ultimate" else list(_BACKENDS)
+    if any(mth not in allowed for mth in methods):
+        raise _CliError(f"{kind} capital methods are among {allowed}, got {methods}", EXIT_USAGE)
     grid = _c_grid(cfg, args)
-    if "cramer" in methods:
-        raise _CliError(
-            "the normal ruin approximation is not a capital backend", EXIT_USAGE
-        )
 
     columns = ["c"] + [f"{kind}_{mth}" for mth in methods]
     if "mc" in methods:
@@ -220,7 +227,6 @@ def cmd_capital(args) -> int:
         columns=columns,
         metadata={"alpha": alpha, "t": t, "kind": kind, "warnings": warnings_log},
     )
-    backend_map = {"exact": "exact_exp", "ig": "inverse_gaussian", "clt": "clt", "mc": "monte_carlo"}
     sim = _sim_config(cfg, args, t) if "mc" in methods else None
     if sim is not None:
         table.metadata["seed"] = sim.seed
@@ -228,7 +234,7 @@ def cmd_capital(args) -> int:
     data = []
     stderr = [None] * len(grid)
     for mth in methods:
-        spec = SolveSpec(backend=backend_map[mth], sim=sim)
+        spec = SolveSpec(backend=_BACKENDS[mth], sim=sim)
         curve = capital.capital_curve(m, alpha, t, grid, spec, kinds=(kind,))
         data.append(curve.column(kind))
         # capital_curve logs "<kind>@c=..."; NA reasons are keyed by method
@@ -247,12 +253,12 @@ def cmd_capital(args) -> int:
 def cmd_ruinprob(args) -> int:
     cfg = _load_config(args.config)
     m = _model_from_config(cfg)
-    t = _number("t", _merged(cfg, args, "t", args.t, 200.0))
-    u = _merged(cfg, args, "u", args.u)
+    t = _number("t", _merged(cfg, "t", args.t, 200.0))
+    u = _merged(cfg, "u", args.u)
     if u is None:
         raise _CliError("ruinprob requires --u (initial capital)", EXIT_USAGE)
     u = _number("u", u)
-    methods = _parse_methods(cfg, args, ["exact"])
+    methods = _parse_methods(cfg, args)
     grid = _c_grid(cfg, args)
     sim = _sim_config(cfg, args, t) if "mc" in methods else None
     table = capital.ruin_curve(m, u, t, grid, methods, sim)
@@ -262,19 +268,26 @@ def cmd_ruinprob(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON configuration file")
-    p.add_argument("--alpha", type=float, help="target probability level")
-    p.add_argument("--t", type=float, help="time horizon")
-    p.add_argument("--c-start", type=float, dest="c_start", help="grid start")
-    p.add_argument("--c-stop", type=float, dest="c_stop", help="grid stop")
-    p.add_argument("--c-step", type=float, dest="c_step", help="grid step")
-    p.add_argument(
-        "--method", help="comma-separated methods: exact, ig, clt, mc, cramer"
-    )
-    p.add_argument("--paths", type=int, help="Monte Carlo path count")
-    p.add_argument("--seed", type=int, help="Monte Carlo seed")
-    p.add_argument("--out", help="output file ('-' for stdout) or directory")
+_FLAGS = {
+    "--config": dict(help="JSON configuration file"),
+    "--alpha": dict(type=float, help="target probability level"),
+    "--t": dict(type=float, help="time horizon"),
+    "--kind": dict(help="var, nonruin or ultimate (default nonruin)"),
+    "--u": dict(type=float, help="initial capital"),
+    "--c-start": dict(type=float, help="grid start"),
+    "--c-stop": dict(type=float, help="grid stop"),
+    "--c-step": dict(type=float, help="grid step"),
+    "--method": dict(help="comma-separated: exact, ig, mc and clt (capital) or cramer (ruinprob)"),
+    "--paths": dict(type=int, help="Monte Carlo path count"),
+    "--seed": dict(type=int, help="Monte Carlo seed"),
+    "--out": dict(help="output file ('-' for stdout) or directory"),
+}
+_CURVE_FLAGS = ("--c-start", "--c-stop", "--c-step", "--method", "--paths", "--seed", "--out")
+
+
+def _add_flags(p, *names):
+    for name in names:
+        p.add_argument(name, **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,22 +300,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("constants", help="derived model constants")
-    _add_common(p)
+    _add_flags(p, "--config", "--out")
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("reproduce", help="reference figure/table presets")
     p.add_argument("preset", help=f"one of: {', '.join(presets.PRESET_IDS)}")
-    _add_common(p)
+    _add_flags(p, "--paths", "--seed", "--out")
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("capital", help="capital curves on a premium grid")
-    _add_common(p)
-    p.add_argument("--kind", help="var, nonruin or ultimate (default nonruin)")
+    _add_flags(p, "--config", "--alpha", "--t", "--kind", *_CURVE_FLAGS)
     p.set_defaults(func=cmd_capital)
 
     p = sub.add_parser("ruinprob", help="ruin probabilities on a premium grid")
-    _add_common(p)
-    p.add_argument("--u", type=float, help="initial capital")
+    _add_flags(p, "--config", "--t", "--u", *_CURVE_FLAGS)
     p.set_defaults(func=cmd_ruinprob)
     return parser
 

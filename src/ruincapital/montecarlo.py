@@ -22,6 +22,7 @@ regardless of how blocks are scheduled.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import warnings
 from collections.abc import Sequence
@@ -68,8 +69,9 @@ class SimConfig:
                 RuntimeWarning,
                 stacklevel=3,
             )
-        if not 0.0 < self.t < math.inf:
-            raise DomainError("horizon t must be finite and positive")
+        # t is stored as given: simulate_curve echoes it into its metadata
+        if not isinstance(self.t, numbers.Real) or not 0.0 < self.t < math.inf:
+            raise DomainError(f"horizon t must be a finite positive number, got {self.t!r}")
         if self.stream_count < 1:
             raise DomainError("stream_count must be positive")
         if not 0 <= self.seed < 2**64:
@@ -87,7 +89,10 @@ class Estimate:
 
 def _nonnegative(name: str, value) -> np.ndarray:
     """``value`` as a float array; DomainError unless every entry is finite and >= 0."""
-    a = np.asarray(value, dtype=float)
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be numeric, got {value!r}") from None
     if not np.isfinite(a).all() or (a < 0.0).any():
         raise DomainError(f"{name} must be finite and nonnegative")
     return a

@@ -104,14 +104,15 @@ def _fig3(n_paths: int, seed: int):
     # x = rho (c* - c) sqrt(t) / sqrt(2 delta)
     t = 200.0
     scale = math.sqrt(2.0)  # sqrt(2 delta)/rho at delta = rho = 1
-    spec = SolveSpec(backend="exact_exp")
-    xs = np.linspace(0.0, 8.0, 81)
-    rows = []
-    for x in xs:
-        c = 1.0 - x * scale / math.sqrt(t)
-        u = capital.nonruin_capital(_EXP_UNIT, 0.05, t, float(c), spec).value
-        prof = (u - (1.0 - c) * t) / (scale * math.sqrt(t))
-        rows.append([float(x), prof])
+    xs = np.linspace(0.0, 8.0, 81)[::-1]  # the curve needs increasing c
+    cs = [float(1.0 - x * scale / math.sqrt(t)) for x in xs]
+    curve = capital.capital_curve(
+        _EXP_UNIT, 0.05, t, cs, SolveSpec(backend="exact_exp"), kinds=("nonruin",)
+    )
+    rows = [
+        [float(x), (u - (1.0 - c) * t) / (scale * math.sqrt(t))]
+        for x, c, u in zip(xs, cs, curve.column("nonruin"))
+    ][::-1]
     tab = CurveTable(columns=["x", "profile"], rows=rows, metadata={"t": t})
     sidecar = {
         "grid_lines": {"z_alpha": 1.645, "z_half_alpha": 1.960},
@@ -193,8 +194,9 @@ def _fig7(n_paths: int, seed: int):
     alpha, t = 0.05, 200.0
     cs = c_grid_range(0.0, 2.5, 0.05)
     p = ExpPair(4.0 / 5.0, 3.0 / 5.0)
+    # the non-ruin capital never exceeds the ultimate capital
     lower, upper = _bounds_columns(
-        m, alpha, t, cs, lambda c: bounds.capital_upper_bound_exp(p, alpha, c)
+        m, alpha, t, cs, lambda c: bounds.ultimate_capital_exp(p, alpha, c)
     )
     spec = SolveSpec(backend="exact_exp")
     tab = capital.capital_curve(m, alpha, t, cs, spec, kinds=("nonruin",))

@@ -18,7 +18,7 @@ from ruincapital.approx import (
     capital_asymptotic_endpoints,
     ig_ruin_probability,
 )
-from ruincapital.bounds import capital_upper_bound_exp
+from ruincapital.bounds import ultimate_capital_exp
 from ruincapital.capital import SolveSpec, capital_curve, nonruin_capital, ultimate_capital
 from ruincapital.dist import Erlang, Exponential, Kummer, MixtureExp2, Pareto
 from ruincapital.exact import ExpPair, ruin_finite_exp
@@ -194,12 +194,12 @@ def test_criterion_08_ordering_properties():
             ult = ultimate_capital(UNIT, 0.05, row[0]).value
             if not row[inr] <= ult + slack:
                 violations += 1
-    # (c) the closed-form upper bound dominates the exact capital above c*
+    # (c) the closed-form ultimate capital dominates the exact capital above c*
     pair_i = ExpPair(0.8, 0.6)
     for c in cs:
         if c <= 4.0 / 3.0 + 1e-9:
             continue
-        bound = capital_upper_bound_exp(pair_i, 0.05, c)
+        bound = ultimate_capital_exp(pair_i, 0.05, c)
         exact_u = nonruin_capital(
             MODEL_I, 0.05, 200.0, c, SolveSpec(backend="exact_exp")
         ).value

@@ -4,7 +4,6 @@ import pytest
 
 from ruincapital.bounds import (
     adjustment_coefficient,
-    capital_upper_bound_exp,
     capital_upper_bound_lundberg,
     lundberg_ratio_bounds,
     ultimate_capital_exp,
@@ -59,18 +58,15 @@ def test_kappa_requires_light_tail_and_profit():
     # a NaN premium rate is a typed error, not a NaN capital
     with pytest.raises(DomainError):
         ultimate_capital_exp(ExpPair(1.0, 1.0), 0.05, math.nan)
-    with pytest.raises(DomainError):
-        capital_upper_bound_exp(ExpPair(1.0, 1.0), 0.05, math.nan)
 
 
 def test_exp_upper_bound_inverts_ultimate_ruin():
     p = ExpPair(1.0, 1.0)
     alpha, c = 0.05, 1.25
-    u = capital_upper_bound_exp(p, alpha, c)
+    u = ultimate_capital_exp(p, alpha, c)
     assert ruin_ultimate_exp(p, u, c) == pytest.approx(alpha, rel=1e-12)
-    assert u == pytest.approx(ultimate_capital_exp(p, alpha, c), rel=1e-12)
     # generous alpha clamps at zero
-    assert capital_upper_bound_exp(p, 0.9, 2.0) == 0.0
+    assert ultimate_capital_exp(p, 0.9, 2.0) == 0.0
 
 
 def test_markov_bound_dominates_exact_capital():
@@ -137,5 +133,5 @@ def test_ultimate_capital_interval_mixture_model():
 def test_infinite_capital_below_equilibrium():
     with pytest.raises(InfiniteCapitalError):
         ultimate_capital_exp(ExpPair(1.0, 1.0), 0.05, 1.0)
-    with pytest.raises(DomainError):
-        capital_upper_bound_exp(ExpPair(1.0, 1.0), 0.05, 0.9)
+    with pytest.raises(InfiniteCapitalError):
+        ultimate_capital_exp(ExpPair(1.0, 1.0), 0.05, 0.9)

@@ -1,4 +1,6 @@
+import inspect
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -188,6 +190,10 @@ def test_domain_checks():
         capital_curve(UNIT, 0.05, math.inf, [0.5, 1.0], EXACT)
     with pytest.raises(DomainError):
         ultimate_capital(UNIT, 0.05, math.nan)
+    # every setting is read: SolveSpec has no tolerance or bracket field,
+    # and ultimate_capital, which no backend answers, takes no spec
+    assert [f.name for f in fields(SolveSpec)] == ["backend", "sim"]
+    assert list(inspect.signature(ultimate_capital).parameters) == ["m", "alpha", "c"]
 
 
 def test_ruin_curve_mc_column_equals_per_rate_estimates(monkeypatch):
@@ -240,6 +246,12 @@ def test_simulated_capital_figure_equals_simulate_curve():
     sim = SimConfig(n_paths=1000, seed=9, t=200.0)
     curve = montecarlo.simulate_curve(model_i, 0.05, c_grid_range(0.0, 2.5, 0.05), sim)
     assert files["curve"].column("sim_nonruin") == curve.column("nonruin_cap")
+    # above c* = 4/3 the upper band is the ultimate capital, which bounds
+    # the non-ruin capital from above
+    table = files["curve"]
+    for c, upper in zip(table.column("c"), table.column("upper_bound")):
+        if c > 4.0 / 3.0:
+            assert upper == ultimate_capital(model_i, 0.05, c).value
 
 
 def test_ruin_curve_records_failures_as_na():

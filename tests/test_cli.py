@@ -3,7 +3,7 @@ import json
 import pytest
 
 from ruincapital.capital import SolveSpec, capital_curve, ruin_curve
-from ruincapital.cli import main
+from ruincapital.cli import build_parser, main
 from ruincapital.dist import Exponential
 from ruincapital.model import RiskModel
 from ruincapital.montecarlo import SimConfig, simulate_curve
@@ -202,6 +202,16 @@ def test_usage_errors_exit_2(config_path, tmp_path):
         assert main(["capital", "--config", config_path, *bad_grid]) == 2
     missing = str(tmp_path / "nope.json")
     assert main(["constants", "--config", missing]) == 2
+    # a flag the subcommand does not read is rejected, not echoed into # flags
+    assert main(["constants", "--config", config_path, "--t", "5"]) == 2
+    assert main(["reproduce", "table1", "--alpha", "0.01"]) == 2
+    assert main(["reproduce", "table1", "--config", config_path]) == 2
+    assert main([*ruin, "--u", "10", "--alpha", "0.1", *grid]) == 2
+    # the ultimate capital has one route, whatever the method list says
+    ultimate = ["capital", "--config", config_path, "--kind", "ultimate", *grid]
+    assert main([*ultimate, "--method", "ig"]) == 2
+    assert main([*ultimate, "--method", "exact,ig,clt,mc"]) == 2
+    assert main([*ultimate, "--method", "exact", "--out", str(tmp_path / "u.csv")]) == 0
     # config values that are not numbers, or not integers where a count is meant
     mc_grid = ["--method", "mc", *grid]
     for extra, argv in (
@@ -216,10 +226,36 @@ def test_usage_errors_exit_2(config_path, tmp_path):
         ({"c_grid": {"start": "x", "stop": 1, "step": 0.5}}, ["capital"]),
         ({"model": {"t_law": {"family": "exponential", "rate": "one"},
                     "y_law": UNIT_CONFIG["model"]["y_law"]}}, ["capital", *grid]),
+        ({"methods": "ig", "kind": "ultimate"}, ["capital", *grid]),
+        ({"methods": 5}, ["capital", *grid]),
+        ({"methods": "exact,cramer"}, ["capital", *grid]),
+        ({"methods": [["exact"]]}, ["ruinprob", "--u", "10", *grid]),
+        # config sections that are not JSON objects
+        ({"sim": 5}, ["capital", *mc_grid]),
+        ({"c_grid": 5}, ["capital"]),
+        ({"model": 3}, ["ruinprob", "--u", "10", *grid]),
+        ({"models": 3}, ["constants"]),
+        ({"models": [3]}, ["constants"]),
     ):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**UNIT_CONFIG, **extra}))
         assert main([argv[0], "--config", str(path), *argv[1:]]) == 2, extra
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    grid = {"--c-start", "--c-stop", "--c-step", "--method", "--paths", "--seed", "--out"}
+    expected = {
+        "constants": {"--config", "--out"},
+        "reproduce": {"--paths", "--seed", "--out"},
+        "capital": {"--config", "--alpha", "--t", "--kind", *grid},
+        "ruinprob": {"--config", "--t", "--u", *grid},
+    }
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    got = {
+        name: {opt for a in p._actions for opt in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert got == expected
 
 
 def test_incompatible_model_cells_are_na_not_fatal(tmp_path):

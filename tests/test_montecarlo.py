@@ -153,6 +153,15 @@ def test_config_validation():
     with pytest.raises(DomainError):
         SimConfig(n_paths=100, seed=1, t=math.nan)
     with pytest.raises(DomainError):
+        SimConfig(n_paths=200, seed=1, t="x")
+    # a NumPy integer horizon is kept as given and simulates the same paths
+    int_t = SimConfig(n_paths=200, seed=1, t=np.int64(10))
+    assert type(int_t.t) is np.int64
+    assert np.array_equal(
+        simulate_paths(UNIT, [1.0], int_t).sup,
+        simulate_paths(UNIT, [1.0], SimConfig(n_paths=200, seed=1, t=10.0)).sup,
+    )
+    with pytest.raises(DomainError):
         SimConfig(n_paths=100, seed=2**64, t=10.0)
     with pytest.warns(RuntimeWarning):
         SimConfig(n_paths=10, seed=1, t=10.0)
@@ -199,6 +208,11 @@ def test_domain_checks():
     for bad_c in (1.0, [[0.5, 1.0]]):
         with pytest.raises(DomainError):
             simulate_paths(UNIT, bad_c, cfg)
+    # rates and capitals that are not numbers
+    with pytest.raises(DomainError):
+        simulate_paths(UNIT, ["x"], cfg)
+    with pytest.raises(DomainError):
+        sample.ruin_prob("x")
     for bad_kind in ("sup", "ultimate", None):
         with pytest.raises(DomainError):
             sample.quantile(bad_kind, 0.05)
