@@ -6,7 +6,7 @@ One sweep of paths yields everything at once: each trajectory records the
 running maximum and the terminal value of the claim-surplus deficit, and
 the two capitals drop out as empirical quantiles.
 
-Randomness comes from counter-based streams keyed by (seed, block), so a
+Randomness comes from one counter-based stream keyed by the seed, so a
 run is bit-reproducible for a fixed seed, and the same claim scenarios
 are re-priced at every premium rate (common random numbers), which keeps
 the estimated curves smooth in c.

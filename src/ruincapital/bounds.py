@@ -24,7 +24,7 @@ from .errors import (
     NoAdjustmentCoefficientError,
 )
 from .exact import ExpPair
-from .model import RiskModel, derived_constants
+from .model import RiskModel, check_alpha, derived_constants
 
 __all__ = [
     "AdjustmentCoefficient",
@@ -115,8 +115,7 @@ def adjustment_coefficient(m: RiskModel, c: float) -> AdjustmentCoefficient:
 
 def capital_upper_bound_lundberg(m: RiskModel, alpha: float, c: float) -> float:
     """Markov-bound capital -ln(alpha)/kappa (no prefactor refinement)."""
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError("alpha must lie in (0, 1]")
+    alpha = check_alpha(alpha)
     kappa = adjustment_coefficient(m, c).kappa
     return -math.log(alpha) / kappa
 
@@ -172,50 +171,22 @@ def _tail_quantile(d: Distribution, eps: float) -> float:
     return float(optimize.brentq(lambda x: float(dist.cdf(d, x)) - (1.0 - eps), 0.0, hi))
 
 
-def _ratio_y_based(m: RiskModel, kappa: float, x: float) -> float:
+def _tilted_tail_ratio(m: RiskModel, kappa: float, x: float) -> float:
+    """e^{kappa x} P{Y > x} / E[e^{kappa Y}; Y > x] for the claim size Y."""
     tail = 1.0 - float(dist.cdf(m.y_law, x))
     if tail <= 0.0:
         return 1.0
     return math.exp(kappa * x) * tail / _exp_moment_tail(m.y_law, kappa, x)
 
 
-def _ratio_x_based(m: RiskModel, c: float, kappa: float, x: float) -> float:
-    # X = Y - cT; both tail and exponential moment integrate the T density
-    # against the corresponding claim-size functionals
-    def tail_igrand(s):
-        return dist.pdf(m.t_law, s) * (1.0 - float(dist.cdf(m.y_law, x + c * s)))
+def lundberg_ratio_bounds(m: RiskModel, c: float) -> RatioBounds:
+    """Inf/sup over x >= 0 of the claim-size law's exponentially tilted tail ratio.
 
-    def mom_igrand(s):
-        return (
-            dist.pdf(m.t_law, s)
-            * math.exp(-kappa * c * s)
-            * _exp_moment_tail(m.y_law, kappa, x + c * s)
-        )
-
-    tail, _ = integrate.quad(tail_igrand, 0.0, np.inf, limit=200)
-    mom, _ = integrate.quad(mom_igrand, 0.0, np.inf, limit=200)
-    if tail <= 0.0 or mom <= 0.0:
-        return 1.0
-    return math.exp(kappa * x) * tail / mom
-
-
-def lundberg_ratio_bounds(
-    m: RiskModel, c: float, variant: str = "y_based"
-) -> RatioBounds:
-    """Inf/sup of the exponentially tilted tail ratio over x >= 0.
-
-    ``y_based`` uses the claim-size law directly (constant ratio 1 -
-    kappa/rho for exponential claims); ``x_based`` uses the law of the
-    per-claim surplus decrement X = Y - cT via numeric convolution.
+    The ratio is e^{kappa x} P{Y > x} / E[e^{kappa Y}; Y > x], the constant
+    1 - kappa/rho for exponential claims; b_plus is capped at 1.
     """
-    if variant not in ("y_based", "x_based"):
-        raise DomainError(f"unknown variant {variant!r}")
     kappa = adjustment_coefficient(m, c).kappa
-
-    if variant == "y_based":
-        ratio = lambda x: _ratio_y_based(m, kappa, x)
-    else:
-        ratio = lambda x: _ratio_x_based(m, c, kappa, x)
+    ratio = lambda x: _tilted_tail_ratio(m, kappa, x)
 
     # coarse log-spaced scan up to the 1 - 1e-10 quantile (beyond it the
     # tail 1 - F loses all precision), then golden-section refinement
@@ -237,10 +208,8 @@ def lundberg_ratio_bounds(
         return sign * res.fun
 
     b_minus = min(float(vals[lo_i]), float(refine(lo_i, 1.0)))
-    b_plus = max(float(vals[hi_i]), float(refine(hi_i, -1.0)))
-    if variant == "y_based":
-        b_plus = min(b_plus, 1.0)
-        b_minus = min(b_minus, b_plus)
+    b_plus = min(max(float(vals[hi_i]), float(refine(hi_i, -1.0))), 1.0)
+    b_minus = min(b_minus, b_plus)
     return RatioBounds(b_minus=max(b_minus, 0.0), b_plus=b_plus)
 
 
@@ -254,8 +223,7 @@ def ultimate_capital_exp(p: ExpPair, alpha: float, c: float) -> float:
         InfiniteCapitalError: for c <= c*, where ultimate ruin is certain
             at every capital level.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError("alpha must lie in (0, 1)")
+    alpha = check_alpha(alpha)
     if not math.isfinite(c):
         raise DomainError("ultimate_capital_exp requires finite c")
     if c <= p.delta / p.rho:
@@ -268,19 +236,16 @@ def ultimate_capital_exp(p: ExpPair, alpha: float, c: float) -> float:
     return -math.log(arg) * c / (c * p.rho - p.delta)
 
 
-def ultimate_capital_interval(
-    m: RiskModel, alpha: float, c: float, variant: str = "y_based"
-) -> tuple[float, float]:
+def ultimate_capital_interval(m: RiskModel, alpha: float, c: float) -> tuple[float, float]:
     """Two-sided enclosure of the ultimate capital for light-tailed models.
 
     From ``b_minus e^{-kappa u} <= P <= b_plus e^{-kappa u}`` the capital
     solving P = alpha lies in ``[ln(b_minus/alpha)/kappa,
     ln(b_plus/alpha)/kappa]``, each endpoint clamped at 0.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError("alpha must lie in (0, 1)")
+    alpha = check_alpha(alpha)
     ac = adjustment_coefficient(m, c)
-    rb = lundberg_ratio_bounds(m, c, variant)
+    rb = lundberg_ratio_bounds(m, c)
     lo = max(0.0, math.log(rb.b_minus / alpha) / ac.kappa) if rb.b_minus > 0 else 0.0
     hi = max(0.0, math.log(rb.b_plus / alpha) / ac.kappa)
     return lo, hi

@@ -11,8 +11,11 @@ Subcommands:
   one ``capital.ruin_curve``.
 
 Each subcommand takes only the flags it reads (``_FLAGS`` holds their
-help text); any other flag is a usage error.  ``capital --kind ultimate``
-has one route, so it takes no method but the default ``exact``.
+help text) and only the config keys it reads (``_CONFIG_KEYS``, and
+``_SECTION_KEYS`` inside the ``c_grid`` and ``sim`` sections); any other
+flag or key is a usage error, and so are ``--paths`` and ``--seed``
+without the ``mc`` method.  ``capital --kind ultimate`` has one route, so
+it takes no method but the default ``exact``.
 Configuration comes from a JSON file (``--config``) and/or flags; flags
 override file values.  Output is CSV with '#'-prefixed metadata comment
 lines.  Exit codes: 0 success, 2 usage error, 3 numeric failure, 4 model
@@ -49,6 +52,13 @@ EXIT_INCOMPATIBLE = 4
 
 # capital method -> SolveSpec backend
 _BACKENDS = {"exact": "exact_exp", "ig": "inverse_gaussian", "clt": "clt", "mc": "monte_carlo"}
+# the config keys each subcommand reads, and the keys read inside a section
+_CONFIG_KEYS = {
+    "constants": ("model", "models"),
+    "capital": ("model", "alpha", "t", "kind", "methods", "c_grid", "sim"),
+    "ruinprob": ("model", "t", "u", "methods", "c_grid", "sim"),
+}
+_SECTION_KEYS = {"c_grid": ("start", "stop", "step"), "sim": ("n_paths", "seed")}
 
 
 class _CliError(Exception):
@@ -57,7 +67,9 @@ class _CliError(Exception):
         self.code = code
 
 
-def _load_config(path):
+def _load_config(args) -> dict:
+    """The ``--config`` object; a usage error for a key that ``args.command`` never reads."""
+    path = args.config
     if path is None:
         return {}
     try:
@@ -69,6 +81,16 @@ def _load_config(path):
         raise _CliError(f"config is not valid JSON: {exc}", EXIT_USAGE) from exc
     if not isinstance(cfg, dict):
         raise _CliError("config root must be an object", EXIT_USAGE)
+    for name, allowed in [(None, _CONFIG_KEYS[args.command]), *_SECTION_KEYS.items()]:
+        entry = cfg if name is None else _section(name, cfg.get(name, {}))
+        unread = [key for key in entry if key not in allowed]
+        if unread:
+            where = "config" if name is None else f"config {name!r}"
+            raise _CliError(
+                f"{where} has keys {unread} that {args.command} never reads; "
+                f"it reads {list(allowed)}",
+                EXIT_USAGE,
+            )
     return cfg
 
 
@@ -126,12 +148,19 @@ def _c_grid(cfg: dict, args) -> list[float]:
     return c_grid_range(*ends)
 
 
-def _sim_config(cfg: dict, args, t: float) -> SimConfig:
+def _sim_config(cfg: dict, args, t: float, methods: list):
+    """The Monte Carlo settings when ``mc`` is among the methods, else None.
+
+    ``--paths`` and ``--seed`` are a usage error without ``mc``.
+    """
+    if "mc" not in methods:
+        if args.paths is not None or args.seed is not None:
+            raise _CliError("--paths and --seed are read only with method mc", EXIT_USAGE)
+        return None
     sim = _section("sim", cfg.get("sim", {}))
     n_paths = args.paths if args.paths is not None else sim.get("n_paths", 1000)
     seed = args.seed if args.seed is not None else sim.get("seed", 20240817)
-    stream_count = sim.get("stream_count", 1)
-    return SimConfig(n_paths=n_paths, seed=seed, t=t, stream_count=stream_count)
+    return SimConfig(n_paths=n_paths, seed=seed, t=t)
 
 
 def _emit(table: CurveTable, out_path) -> None:
@@ -150,7 +179,9 @@ def _echo_config(table: CurveTable, cfg: dict, args_dict: dict) -> None:
 
 
 def cmd_constants(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
+    if "models" in cfg and "model" in cfg:
+        raise _CliError("config has both 'model' and 'models'; constants reads one", EXIT_USAGE)
     if "models" in cfg:
         entries = _section("models", cfg["models"], list)
     elif "model" in cfg:
@@ -205,7 +236,7 @@ def _parse_methods(cfg, args) -> list:
 
 
 def cmd_capital(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     m = _model_from_config(cfg)
     alpha = _number("alpha", _merged(cfg, "alpha", args.alpha, 0.05))
     t = _number("t", _merged(cfg, "t", args.t, 200.0))
@@ -227,7 +258,7 @@ def cmd_capital(args) -> int:
         columns=columns,
         metadata={"alpha": alpha, "t": t, "kind": kind, "warnings": warnings_log},
     )
-    sim = _sim_config(cfg, args, t) if "mc" in methods else None
+    sim = _sim_config(cfg, args, t, methods)
     if sim is not None:
         table.metadata["seed"] = sim.seed
         table.metadata["n_paths"] = sim.n_paths
@@ -251,7 +282,7 @@ def cmd_capital(args) -> int:
 
 
 def cmd_ruinprob(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     m = _model_from_config(cfg)
     t = _number("t", _merged(cfg, "t", args.t, 200.0))
     u = _merged(cfg, "u", args.u)
@@ -260,7 +291,7 @@ def cmd_ruinprob(args) -> int:
     u = _number("u", u)
     methods = _parse_methods(cfg, args)
     grid = _c_grid(cfg, args)
-    sim = _sim_config(cfg, args, t) if "mc" in methods else None
+    sim = _sim_config(cfg, args, t, methods)
     table = capital.ruin_curve(m, u, t, grid, methods, sim)
     table.columns = [f"ruin_{col}" if col in methods else col for col in table.columns]
     _echo_config(table, cfg, vars(args))

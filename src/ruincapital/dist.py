@@ -308,8 +308,11 @@ def mgf(d: Distribution, r: float) -> float:
     Returns ``math.inf`` at and above the abscissa of convergence.  For the
     Pareto family with r <= 0 the value is obtained by quadrature.  The
     Kummer family supports only r >= 0 (densityless; r > 0 diverges).
+    DomainError unless r is finite.
     """
     r = float(r)
+    if not math.isfinite(r):
+        raise DomainError(f"mgf requires a finite r, got {r}")
     if r == 0.0:
         return 1.0
     if isinstance(d, Exponential):

@@ -133,8 +133,8 @@ def aggregate_pdf_exp(p: ExpPair, t, x):
 
 def ruin_ultimate_exp(p: ExpPair, u: float, c: float) -> float:
     """Ultimate ruin probability P{ruin ever} for initial capital u, price c."""
-    if u < 0.0 or c < 0.0:
-        raise DomainError("ruin_ultimate_exp requires u >= 0 and c >= 0")
+    if not (0.0 <= u < math.inf and 0.0 <= c < math.inf):
+        raise DomainError("ruin_ultimate_exp requires finite u >= 0 and c >= 0")
     if c == 0.0:
         return 1.0
     q = p.delta / (c * p.rho)

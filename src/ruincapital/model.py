@@ -83,11 +83,10 @@ class PreconditionReport:
     third_moment_t_finite: bool
     third_moment_y_finite: bool
     d2_positive: bool
-    light_tailed_y: bool
 
     @property
-    def inverse_gaussian_ok(self) -> bool:
-        """Hypotheses of the uniform inverse-Gaussian approximation."""
+    def capital_asymptotics_ok(self) -> bool:
+        """Hypotheses of the inverse Gaussian approximation and the capital asymptotics."""
         return (
             self.bounded_density_t
             and self.bounded_density_y
@@ -95,14 +94,6 @@ class PreconditionReport:
             and self.third_moment_y_finite
             and self.d2_positive
         )
-
-    # the capital asymptotics share the same hypotheses
-    capital_asymptotics_ok = inverse_gaussian_ok
-
-    @property
-    def cramer_ok(self) -> bool:
-        """Light-tailed-claims requirement of the normal approximation."""
-        return self.light_tailed_y and self.bounded_density_t and self.bounded_density_y
 
 
 def derived_constants(m: RiskModel) -> DerivedConstants:
@@ -158,7 +149,6 @@ def theorem_preconditions(m: RiskModel) -> PreconditionReport:
         third_moment_t_finite=bool(_third_finite(m.t_law)),
         third_moment_y_finite=bool(_third_finite(m.y_law)),
         d2_positive=d2_positive,
-        light_tailed_y=not dist.is_heavy_tailed(m.y_law),
     )
 
 
@@ -166,7 +156,8 @@ def check_alpha(alpha: float) -> float:
     """The capital target level as a float; DomainError unless 0 < alpha < 1/2.
 
     Shared by every entry point that solves for a capital: the capital
-    solvers, the approximations and the Monte Carlo quantile estimators.
+    solvers, the bounds, the approximations and the Monte Carlo quantile
+    estimators.
     """
     alpha = float(alpha)
     if not 0.0 < alpha < 0.5:

@@ -13,10 +13,8 @@ returns one ``PathSample``, whose methods give one ``Estimate`` per rate:
   ("nonruin") capitals, the empirical (1 - alpha)-quantiles of the
   terminal and sup deficits, clamped at zero.
 
-Randomness comes from counter-based Philox streams keyed by (seed, block):
-paths are split into ``stream_count`` contiguous blocks, each with its own
-stream, and results are merged in block order, so output is deterministic
-regardless of how blocks are scheduled.
+Randomness comes from one counter-based Philox stream keyed by the seed,
+so a fixed (seed, n_paths) reproduces every path bit for bit.
 """
 
 from __future__ import annotations
@@ -46,16 +44,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation size, horizon and random-stream layout."""
+    """Simulation size, random-stream seed and horizon."""
 
     n_paths: int
     seed: int
     t: float
-    stream_count: int = 1
 
     def __post_init__(self):
         # stored as Python ints: the stream key shifts the seed by 64 bits
-        for name in ("n_paths", "seed", "stream_count"):
+        for name in ("n_paths", "seed"):
             value = getattr(self, name)
             try:
                 object.__setattr__(self, name, operator.index(value))
@@ -72,8 +69,6 @@ class SimConfig:
         # t is stored as given: simulate_curve echoes it into its metadata
         if not isinstance(self.t, numbers.Real) or not 0.0 < self.t < math.inf:
             raise DomainError(f"horizon t must be a finite positive number, got {self.t!r}")
-        if self.stream_count < 1:
-            raise DomainError("stream_count must be positive")
         if not 0 <= self.seed < 2**64:
             raise DomainError("seed must be a 64-bit unsigned integer")
 
@@ -96,53 +91,6 @@ def _nonnegative(name: str, value) -> np.ndarray:
     if not np.isfinite(a).all() or (a < 0.0).any():
         raise DomainError(f"{name} must be finite and nonnegative")
     return a
-
-
-def _block_rng(seed: int, block: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=(seed << 64) | block))
-
-
-def _block_sizes(n: int, k: int) -> list[int]:
-    q, r = divmod(n, k)
-    return [q + (1 if b < r else 0) for b in range(k)]
-
-
-def _sweep_block(
-    m: RiskModel,
-    rates: np.ndarray,
-    t: float,
-    rng: np.random.Generator,
-    sup: np.ndarray,
-    term: np.ndarray,
-) -> None:
-    """Simulate one block of paths into ``sup`` and ``term`` (rates x paths).
-
-    Claims are drawn for the paths still inside [0, t] only, so the draws
-    do not depend on the rates.  Each rate's running maximum is then
-    updated over all paths: a path past the horizon keeps its claim total
-    and gains arrival time, so for c >= 0 its deficit cannot exceed its
-    running maximum, and each row equals a sweep at that rate alone.
-    ``sup`` must hold zeros on entry.
-    """
-    n = sup.shape[1]
-    arrival = np.zeros(n)
-    total = np.zeros(n)
-    deficit = np.empty(n)
-    active = np.ones(n, dtype=bool)
-    while active.any():
-        idx = np.nonzero(active)[0]
-        gaps = dist.sample(m.t_law, rng, idx.size)
-        sizes = dist.sample(m.y_law, rng, idx.size)
-        arrival[idx] += gaps
-        alive = arrival[idx] <= t
-        total[idx[alive]] += sizes[alive]
-        active[idx[~alive]] = False
-        for c, row in zip(rates, sup):
-            np.multiply(arrival, c, out=deficit)
-            np.subtract(total, deficit, out=deficit)
-            np.maximum(row, deficit, out=row)
-    for c, row in zip(rates, term):
-        np.subtract(total, c * t, out=row)
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,22 +161,39 @@ def simulate_paths(m: RiskModel, c_grid: Sequence[float], cfg: SimConfig) -> Pat
     sample equals a sweep at ``c_grid[k]`` alone, bit for bit.  The two
     arrays take 2 * len(c_grid) * n_paths * 8 bytes.
 
-    Deterministic for a fixed (seed, stream_count, n_paths); drawing extra
-    claims for a path that has already crossed the horizon never happens,
-    so the draw sequence depends only on the T law and the horizon, which
-    keeps draws common across premium rates (common random numbers): one
-    sweep prices every rate of the grid.
+    Deterministic for a fixed (seed, n_paths).  Claims are drawn for the
+    paths still inside [0, t] only, so the draw sequence depends only on
+    the T law and the horizon, which keeps draws common across premium
+    rates (common random numbers): one sweep prices every rate of the
+    grid.  Each rate's running maximum is updated over all paths: a path
+    past the horizon keeps its claim total and gains arrival time, so for
+    c >= 0 its deficit cannot exceed its running maximum.
     """
     rates = _nonnegative("premium rate c", c_grid)
     if rates.ndim != 1:
         raise DomainError("premium rates c must be a 1-D grid")
-    sup = np.zeros((rates.size, cfg.n_paths))
-    term = np.empty((rates.size, cfg.n_paths))
-    stop = 0
-    for block, size in enumerate(_block_sizes(cfg.n_paths, cfg.stream_count)):
-        start, stop = stop, stop + size
-        rng = _block_rng(cfg.seed, block)
-        _sweep_block(m, rates, cfg.t, rng, sup[:, start:stop], term[:, start:stop])
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed << 64))
+    n, t = cfg.n_paths, cfg.t
+    sup = np.zeros((rates.size, n))
+    term = np.empty((rates.size, n))
+    arrival = np.zeros(n)
+    total = np.zeros(n)
+    deficit = np.empty(n)
+    active = np.ones(n, dtype=bool)
+    while active.any():
+        idx = np.nonzero(active)[0]
+        gaps = dist.sample(m.t_law, rng, idx.size)
+        sizes = dist.sample(m.y_law, rng, idx.size)
+        arrival[idx] += gaps
+        alive = arrival[idx] <= t
+        total[idx[alive]] += sizes[alive]
+        active[idx[~alive]] = False
+        for c, row in zip(rates, sup):
+            np.multiply(arrival, c, out=deficit)
+            np.subtract(total, deficit, out=deficit)
+            np.maximum(row, deficit, out=row)
+    for c, row in zip(rates, term):
+        np.subtract(total, c * t, out=row)
     return PathSample(c=rates, sup=sup, term=term, cfg=cfg)
 
 
@@ -260,7 +225,6 @@ def simulate_curve(
         metadata={
             "seed": cfg.seed,
             "n_paths": cfg.n_paths,
-            "stream_count": cfg.stream_count,
             "t": cfg.t,
             "alpha": alpha,
         },

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import approx, bounds, capital, exact, model, montecarlo
+from . import approx, bounds, capital, exact, model
 from .capital import SolveSpec
 from .dist import Erlang, Exponential, Kummer, MixtureExp2, Pareto
 from .errors import DomainError
@@ -50,13 +50,6 @@ def constants_table(models: list[tuple[str, RiskModel]]) -> CurveTable:
         k = derived_constants(m)
         table.append([round(getattr(k, c), 4) for c in cols])
     return table
-
-
-def _mc_nonruin_column(
-    m: RiskModel, alpha: float, t: float, cs, n_paths: int, seed: int
-):
-    sample = montecarlo.simulate_paths(m, cs, SimConfig(n_paths=n_paths, seed=seed, t=t))
-    return [e.point for e in sample.quantile("nonruin", alpha)]
 
 
 def _fig1(n_paths: int, seed: int):
@@ -200,7 +193,8 @@ def _fig7(n_paths: int, seed: int):
     )
     spec = SolveSpec(backend="exact_exp")
     tab = capital.capital_curve(m, alpha, t, cs, spec, kinds=("nonruin",))
-    sim = _mc_nonruin_column(m, alpha, t, cs, n_paths, seed)
+    mc = SolveSpec(backend="monte_carlo", sim=SimConfig(n_paths=n_paths, seed=seed, t=t))
+    sim = capital.capital_curve(m, alpha, t, cs, mc, kinds=("nonruin",)).column("nonruin")
     out = CurveTable(
         columns=["c", "lower_bound", "upper_bound", "nonruin_exact", "sim_nonruin"],
         metadata={"alpha": alpha, "t": t, "seed": seed},
@@ -228,7 +222,8 @@ def _fig8(n_paths: int, seed: int):
     lower, upper = _bounds_columns(
         m, alpha, t, cs, lambda c: bounds.capital_upper_bound_lundberg(m, alpha, c)
     )
-    sim = _mc_nonruin_column(m, alpha, t, cs, n_paths, seed)
+    mc = SolveSpec(backend="monte_carlo", sim=SimConfig(n_paths=n_paths, seed=seed, t=t))
+    sim = capital.capital_curve(m, alpha, t, cs, mc, kinds=("nonruin",)).column("nonruin")
     out = CurveTable(
         columns=["c", "lower_bound", "upper_bound", "sim_nonruin"],
         metadata={"alpha": alpha, "t": t, "seed": seed},
@@ -256,12 +251,13 @@ def _fig9(n_paths: int, seed: int):
     cs = c_grid_range(0.0, 2.5, 0.05)
     m_dots = RiskModel(Exponential(4.0 / 5.0), Pareto(10.0, 0.05))
     m_cross = RiskModel(Exponential(4.0 / 5.0), Pareto(3.0, 0.3))
+    mc = SolveSpec(backend="monte_carlo", sim=SimConfig(n_paths=n_paths, seed=seed, t=t))
     cols = ["c"]
     data = []
     notes = []
     for label, m in (("dots", m_dots), ("crosses", m_cross)):
         lower, upper = _bounds_columns(m, alpha, t, cs, None)
-        sim = _mc_nonruin_column(m, alpha, t, cs, n_paths, seed)
+        sim = capital.capital_curve(m, alpha, t, cs, mc, kinds=("nonruin",)).column("nonruin")
         data += [lower, upper, sim]
         cols += [f"{label}_lower", f"{label}_upper", f"{label}_sim"]
         rep = model.theorem_preconditions(m)

@@ -1,7 +1,9 @@
+import inspect
 import math
 
 import pytest
 
+from ruincapital import bounds
 from ruincapital.bounds import (
     adjustment_coefficient,
     capital_upper_bound_lundberg,
@@ -65,8 +67,8 @@ def test_exp_upper_bound_inverts_ultimate_ruin():
     alpha, c = 0.05, 1.25
     u = ultimate_capital_exp(p, alpha, c)
     assert ruin_ultimate_exp(p, u, c) == pytest.approx(alpha, rel=1e-12)
-    # generous alpha clamps at zero
-    assert ultimate_capital_exp(p, 0.9, 2.0) == 0.0
+    # generous alpha clamps at zero: alpha c rho / delta = 1.125 >= 1
+    assert ultimate_capital_exp(p, 0.45, 2.5) == 0.0
 
 
 def test_markov_bound_dominates_exact_capital():
@@ -83,7 +85,7 @@ def test_ratio_bounds_exponential_constant():
     m = RiskModel(Exponential(1.0), Exponential(1.0))
     c = 2.0
     kappa = adjustment_coefficient(m, c).kappa
-    rb = lundberg_ratio_bounds(m, c, "y_based")
+    rb = lundberg_ratio_bounds(m, c)
     # the scan caps at the 1e-10 tail quantile, where 1 - F retains only
     # ~6 significant digits; the constant is recovered to that accuracy
     assert rb.b_minus == pytest.approx(1.0 - kappa, rel=1e-6)
@@ -95,19 +97,26 @@ def test_ratio_bounds_bracket_true_prefactor():
     # bounds must contain it
     m = RiskModel(Exponential(0.8), Exponential(0.6))
     c = 2.0
-    rb = lundberg_ratio_bounds(m, c, "y_based")
+    rb = lundberg_ratio_bounds(m, c)
     prefactor = 0.8 / (c * 0.6)
     assert rb.b_minus <= prefactor + 1e-9
     assert prefactor <= rb.b_plus + 1e-9
 
 
-def test_ratio_bounds_x_based_ordering():
+def test_ratio_bounds_ordering_and_clamp(monkeypatch):
     m = RiskModel(Erlang(1.6, 2), Exponential(0.6))
     c = 2.0
-    y = lundberg_ratio_bounds(m, c, "y_based")
-    x = lundberg_ratio_bounds(m, c, "x_based")
+    y = lundberg_ratio_bounds(m, c)
     assert 0.0 < y.b_minus <= y.b_plus <= 1.0 + 1e-12
-    assert 0.0 < x.b_minus <= x.b_plus
+    # one tail-ratio rule: the signatures take no variant
+    assert list(inspect.signature(lundberg_ratio_bounds).parameters) == ["m", "c"]
+    assert list(inspect.signature(ultimate_capital_interval).parameters) == ["m", "alpha", "c"]
+    # the ratio is at most 1 in exact arithmetic; a numerical excess is
+    # clamped for every model, and b_minus follows b_plus down
+    monkeypatch.setattr(bounds, "_tilted_tail_ratio", lambda m, kappa, x: 1.5 + x)
+    for model, rate in ((m, c), (RiskModel(Exponential(0.8), MixtureExp2(1.0, 2.0, 0.5)), 2.5),
+                        (RiskModel(Exponential(1.0), Exponential(1.0)), 1.5)):
+        assert lundberg_ratio_bounds(model, rate) == bounds.RatioBounds(1.0, 1.0)
 
 
 def test_ultimate_capital_interval_contains_truth_exponential():
@@ -128,6 +137,21 @@ def test_ultimate_capital_interval_mixture_model():
     m = RiskModel(Exponential(0.8), MixtureExp2(1.0, 2.0, 0.5))
     lo, hi = ultimate_capital_interval(m, 0.05, 2.5)
     assert 0.0 < lo < hi
+
+
+def test_every_capital_takes_alpha_below_one_half():
+    # one alpha rule, model.check_alpha, for every capital in this module
+    p = ExpPair(1.0, 1.0)
+    unit = RiskModel(Exponential(1.0), Exponential(1.0))
+    mixture = RiskModel(Exponential(0.8), MixtureExp2(1.0, 2.0, 0.5))
+    for alpha in (0.5, 0.7, 1.0, 0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            ultimate_capital_exp(p, alpha, 2.0)
+        with pytest.raises(DomainError):
+            ultimate_capital_interval(mixture, alpha, 2.5)
+        with pytest.raises(DomainError):
+            capital_upper_bound_lundberg(unit, alpha, 2.0)
+    assert capital_upper_bound_lundberg(unit, 0.49, 2.0) == pytest.approx(-math.log(0.49) / 0.5)
 
 
 def test_infinite_capital_below_equilibrium():

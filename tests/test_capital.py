@@ -246,6 +246,16 @@ def test_simulated_capital_figure_equals_simulate_curve():
     sim = SimConfig(n_paths=1000, seed=9, t=200.0)
     curve = montecarlo.simulate_curve(model_i, 0.05, c_grid_range(0.0, 2.5, 0.05), sim)
     assert files["curve"].column("sim_nonruin") == curve.column("nonruin_cap")
+    # fig8 and fig9 read their simulated columns off the same kind of sweep
+    fig9 = presets.run_preset("fig9", n_paths=1000, seed=9)[0]["curve"]
+    for table, column, m in (
+        (presets.run_preset("fig8", n_paths=1000, seed=9)[0]["curve"], "sim_nonruin",
+         RiskModel(Erlang(1.6, 2), Exponential(0.6))),
+        (fig9, "dots_sim", RiskModel(Exponential(0.8), Pareto(10.0, 0.05))),
+        (fig9, "crosses_sim", RiskModel(Exponential(0.8), Pareto(3.0, 0.3))),
+    ):
+        expected = montecarlo.simulate_curve(m, 0.05, table.column("c"), sim)
+        assert table.column(column) == expected.column("nonruin_cap")
     # above c* = 4/3 the upper band is the ultimate capital, which bounds
     # the non-ruin capital from above
     table = files["curve"]

@@ -212,13 +212,33 @@ def test_usage_errors_exit_2(config_path, tmp_path):
     assert main([*ultimate, "--method", "ig"]) == 2
     assert main([*ultimate, "--method", "exact,ig,clt,mc"]) == 2
     assert main([*ultimate, "--method", "exact", "--out", str(tmp_path / "u.csv")]) == 0
+    # --paths and --seed are read only by the mc method
+    for command in (["capital", "--config", config_path], ultimate, [*ruin, "--u", "10"]):
+        for extra in (["--paths", "500"], ["--seed", "3"]):
+            assert main([*command, *extra, *grid]) == 2
+            assert main([*command, *extra, "--method", "exact,ig", *grid]) == 2
+    assert main(["capital", "--config", config_path, "--paths", "1000", "--method", "ig,mc",
+                 *grid, "--out", str(tmp_path / "mc.csv")]) == 0
     # config values that are not numbers, or not integers where a count is meant
     mc_grid = ["--method", "mc", *grid]
     for extra, argv in (
         ({"sim": {"n_paths": 1500.7}}, ["capital", *mc_grid]),
         ({"sim": {"n_paths": "many"}}, ["capital", *mc_grid]),
         ({"sim": {"seed": 1.5}}, ["ruinprob", "--u", "10", *mc_grid]),
+        # one random stream: stream_count is no longer a setting
         ({"sim": {"stream_count": 2.0}}, ["capital", *mc_grid]),
+        # keys a subcommand never reads, at the top level and in its sections
+        ({"alpah": 0.01}, ["capital", *grid]),
+        ({"alpha": 0.01}, ["ruinprob", "--u", "10", *grid]),
+        ({"u": 10}, ["capital", *grid]),
+        ({"kind": "var"}, ["ruinprob", "--u", "10", *grid]),
+        ({"sim": {"n_path": 50}}, ["capital", *mc_grid]),
+        ({"sim": {"n_paths": 50, "seeds": 1}}, ["ruinprob", "--u", "10", *mc_grid]),
+        ({"c_grid": {"start": 1, "stop": 1.5, "step": 0.5, "end": 2}}, ["capital"]),
+        ({"c_grid": {"start": 1, "stop": 1.5, "step": 0.5}}, ["constants"]),
+        ({"sim": {"n_paths": 50}}, ["constants"]),
+        ({"t": 200}, ["constants"]),
+        ({"models": [UNIT_CONFIG["model"]]}, ["constants"]),
         ({"alpha": "x"}, ["capital", *grid]),
         ({"t": "x"}, ["capital", *grid]),
         ({"t": "x"}, ["ruinprob", "--u", "10", *grid]),
@@ -240,6 +260,11 @@ def test_usage_errors_exit_2(config_path, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**UNIT_CONFIG, **extra}))
         assert main([argv[0], "--config", str(path), *argv[1:]]) == 2, extra
+    # a config file may carry a sim section for the runs that use mc
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps({**UNIT_CONFIG, "sim": {"n_paths": 1000, "seed": 3}}))
+    for argv in (["capital", *grid], ["ruinprob", "--u", "10", *mc_grid]):
+        assert main([argv[0], "--config", str(path), *argv[1:], "--out", str(tmp_path / "s.csv")]) == 0
 
 
 def test_each_subcommand_takes_only_the_flags_it_reads():

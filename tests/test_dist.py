@@ -102,6 +102,11 @@ def test_mgf_light_tailed():
     mix = MixtureExp2(1.0, 2.0, 0.25)
     assert mgf_abscissa(mix) == pytest.approx(1.0)
     assert mgf(mix, 0.5) == pytest.approx(0.25 * 2.0 + 0.75 * (2.0 / 1.5))
+    # a non-finite argument is a typed error, not an infinite or zero mgf
+    for law in (d, e, mix):
+        for r in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                mgf(law, r)
 
 
 def test_heavy_tail_flags():
@@ -116,6 +121,8 @@ def test_heavy_tail_mgf_diverges():
     assert mgf(Pareto(4.0, 0.4), 0.1) == math.inf
     assert mgf(Kummer(5.0, 5.0), 0.1) == math.inf
     assert mgf(Exponential(1.0), 1.5) == math.inf
+    with pytest.raises(DomainError):
+        mgf(Pareto(4.0, 0.4), math.nan)
 
 
 def test_kummer_is_moments_only():

@@ -166,6 +166,11 @@ def test_domain_errors():
             ruin_finite_exp(UNIT, u, c, t)
     with pytest.raises(DomainError):
         aggregate_cdf_exp(UNIT, 5.0, math.nan)
+    # the ultimate ruin probability takes the same finite u >= 0 and c >= 0
+    for u, c in [(1.0, math.nan), (1.0, math.inf), (math.nan, 2.0), (math.inf, 2.0),
+                 (-1.0, 2.0), (1.0, -0.1)]:
+        with pytest.raises(DomainError):
+            ruin_ultimate_exp(UNIT, u, c)
 
 
 def test_zero_capital_zero_horizon_limits():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from ruincapital.dist import Erlang, Exponential, Kummer, MixtureExp2, Pareto
@@ -59,24 +61,30 @@ def test_missing_variance_raises():
 
 def test_preconditions_light_tailed():
     rep = theorem_preconditions(RiskModel(Exponential(1.0), Exponential(1.0)))
-    assert rep.inverse_gaussian_ok
-    assert rep.cramer_ok
+    assert rep.capital_asymptotics_ok
+    # one name per fact: five flags and the one property approx and presets read
+    assert [f.name for f in dataclasses.fields(rep)] == [
+        "bounded_density_t", "bounded_density_y", "third_moment_t_finite",
+        "third_moment_y_finite", "d2_positive",
+    ]
+    for gone in ("inverse_gaussian_ok", "cramer_ok", "light_tailed_y"):
+        assert not hasattr(rep, gone)
 
 
 def test_preconditions_heavy_tailed():
     rep = theorem_preconditions(
         RiskModel(MixtureExp2(1.0, 2.0, 2.0 / 3.0), Pareto(4.0, 0.35))
     )
-    # third Y moment exists (shape 4 > 3), but the claim law is heavy tailed
+    # heavy-tailed claims, but the third Y moment exists (shape 4 > 3), so
+    # the hypotheses of the capital asymptotics hold
     assert rep.third_moment_y_finite
-    assert rep.inverse_gaussian_ok
-    assert not rep.cramer_ok
+    assert rep.capital_asymptotics_ok
 
 
 def test_preconditions_missing_third_moment():
     rep = theorem_preconditions(RiskModel(Exponential(0.8), Pareto(3.0, 0.3)))
     assert not rep.third_moment_y_finite
-    assert not rep.inverse_gaussian_ok
+    assert not rep.capital_asymptotics_ok
 
 
 def test_exponential_pair_flag():
