@@ -10,16 +10,14 @@ Subcommands:
 * ``ruinprob``: finite-horizon ruin probabilities on a premium-rate grid,
   one ``capital.ruin_curve``.
 
-Each subcommand takes only the flags it reads (``_FLAGS`` holds their
-help text) and only the config keys it reads (``_CONFIG_KEYS``, and
-``_SECTION_KEYS`` inside the ``c_grid`` and ``sim`` sections); any other
-flag or key is a usage error, and so are ``--paths`` and ``--seed``
-without the ``mc`` method.  ``capital --kind ultimate`` has one route, so
-it takes no method but the default ``exact``.
-Configuration comes from a JSON file (``--config``) and/or flags; flags
-override file values.  Output is CSV with '#'-prefixed metadata comment
-lines.  Exit codes: 0 success, 2 usage error, 3 numeric failure, 4 model
-incompatibility.
+The JSON file of ``--config`` holds the ``model`` (``models`` for
+``constants``), and every run setting is a flag.  Each subcommand takes
+only the flags it reads (``_FLAGS`` holds their help text); any other flag,
+config key or ``model`` key is a usage error, and so are ``--paths`` and
+``--seed`` without the ``mc`` method.  ``capital --kind ultimate`` has one
+route, so it takes no method but the default ``exact``.  Output is CSV
+with '#'-prefixed metadata comment lines.  Exit codes: 0 success, 2 usage
+error, 3 numeric failure, 4 model incompatibility.
 """
 
 from __future__ import annotations
@@ -52,13 +50,6 @@ EXIT_INCOMPATIBLE = 4
 
 # capital method -> SolveSpec backend
 _BACKENDS = {"exact": "exact_exp", "ig": "inverse_gaussian", "clt": "clt", "mc": "monte_carlo"}
-# the config keys each subcommand reads, and the keys read inside a section
-_CONFIG_KEYS = {
-    "constants": ("model", "models"),
-    "capital": ("model", "alpha", "t", "kind", "methods", "c_grid", "sim"),
-    "ruinprob": ("model", "t", "u", "methods", "c_grid", "sim"),
-}
-_SECTION_KEYS = {"c_grid": ("start", "stop", "step"), "sim": ("n_paths", "seed")}
 
 
 class _CliError(Exception):
@@ -68,7 +59,7 @@ class _CliError(Exception):
 
 
 def _load_config(args) -> dict:
-    """The ``--config`` object; a usage error for a key that ``args.command`` never reads."""
+    """The ``--config`` object; a usage error for any key but the model's."""
     path = args.config
     if path is None:
         return {}
@@ -81,16 +72,14 @@ def _load_config(args) -> dict:
         raise _CliError(f"config is not valid JSON: {exc}", EXIT_USAGE) from exc
     if not isinstance(cfg, dict):
         raise _CliError("config root must be an object", EXIT_USAGE)
-    for name, allowed in [(None, _CONFIG_KEYS[args.command]), *_SECTION_KEYS.items()]:
-        entry = cfg if name is None else _section(name, cfg.get(name, {}))
-        unread = [key for key in entry if key not in allowed]
-        if unread:
-            where = "config" if name is None else f"config {name!r}"
-            raise _CliError(
-                f"{where} has keys {unread} that {args.command} never reads; "
-                f"it reads {list(allowed)}",
-                EXIT_USAGE,
-            )
+    allowed = ["model", "models"] if args.command == "constants" else ["model"]
+    unread = [key for key in cfg if key not in allowed]
+    if unread:
+        raise _CliError(
+            f"config has keys {unread}; it holds only {allowed}, "
+            "and every run setting is a flag",
+            EXIT_USAGE,
+        )
     return cfg
 
 
@@ -102,9 +91,13 @@ def _section(name: str, value, kind=dict):
     return value
 
 
-def _model_from_config(cfg: dict) -> RiskModel:
+def _model_from_config(cfg: dict, keys=("t_law", "y_law")) -> RiskModel:
+    """The model of ``cfg["model"]``; a usage error for a key there outside ``keys``."""
     try:
         spec = _section("model", cfg["model"])
+        unread = [key for key in spec if key not in keys]
+        if unread:
+            raise _CliError(f"config 'model' has keys {unread}; it reads {list(keys)}", EXIT_USAGE)
         t_law = distribution_from_config(spec["t_law"])
         y_law = distribution_from_config(spec["y_law"])
     except KeyError as exc:
@@ -114,41 +107,14 @@ def _model_from_config(cfg: dict) -> RiskModel:
     return RiskModel(t_law, y_law)
 
 
-def _merged(cfg: dict, key: str, flag_value, default=None):
-    if flag_value is not None:
-        return flag_value
-    if key in cfg:
-        return cfg[key]
-    return default
-
-
-def _number(name: str, value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise _CliError(f"{name} must be a number, got {value!r}", EXIT_USAGE) from None
-
-
-def _c_grid(cfg: dict, args) -> list[float]:
-    grid = dict(_section("c_grid", cfg.get("c_grid", {})))
-    if args.c_start is not None:
-        grid["start"] = args.c_start
-    if args.c_stop is not None:
-        grid["stop"] = args.c_stop
-    if args.c_step is not None:
-        grid["step"] = args.c_step
-    try:
-        ends = [_number(f"c_grid {key}", grid[key]) for key in ("start", "stop", "step")]
-    except KeyError as exc:
-        raise _CliError(
-            "premium grid incomplete: need --c-start/--c-stop/--c-step or "
-            "a c_grid config section",
-            EXIT_USAGE,
-        ) from exc
+def _c_grid(args) -> list[float]:
+    ends = (args.c_start, args.c_stop, args.c_step)
+    if None in ends:
+        raise _CliError("premium grid incomplete: need --c-start, --c-stop and --c-step", EXIT_USAGE)
     return c_grid_range(*ends)
 
 
-def _sim_config(cfg: dict, args, t: float, methods: list):
+def _sim_config(args, t: float, methods: list):
     """The Monte Carlo settings when ``mc`` is among the methods, else None.
 
     ``--paths`` and ``--seed`` are a usage error without ``mc``.
@@ -157,9 +123,8 @@ def _sim_config(cfg: dict, args, t: float, methods: list):
         if args.paths is not None or args.seed is not None:
             raise _CliError("--paths and --seed are read only with method mc", EXIT_USAGE)
         return None
-    sim = _section("sim", cfg.get("sim", {}))
-    n_paths = args.paths if args.paths is not None else sim.get("n_paths", 1000)
-    seed = args.seed if args.seed is not None else sim.get("seed", 20240817)
+    n_paths = 1000 if args.paths is None else args.paths
+    seed = 20240817 if args.seed is None else args.seed
     return SimConfig(n_paths=n_paths, seed=seed, t=t)
 
 
@@ -190,7 +155,7 @@ def cmd_constants(args) -> int:
         raise _CliError("config must contain 'model' or 'models'", EXIT_USAGE)
     named = []
     for i, spec in enumerate(entries):
-        m = _model_from_config({"model": spec})
+        m = _model_from_config({"model": spec}, keys=("t_law", "y_law", "name"))
         label = spec.get("name", f"model{i + 1}")
         named.append((label, m))
     try:
@@ -228,27 +193,25 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK
 
 
-def _parse_methods(cfg, args) -> list:
-    raw = _merged(cfg, "methods", args.method, "exact")
-    if isinstance(raw, str):
-        raw = [s.strip() for s in raw.split(",") if s.strip()]
-    return _section("methods", raw, list)
+def _parse_methods(args) -> list:
+    raw = "exact" if args.method is None else args.method
+    return [s.strip() for s in raw.split(",") if s.strip()]
 
 
 def cmd_capital(args) -> int:
     cfg = _load_config(args)
     m = _model_from_config(cfg)
-    alpha = _number("alpha", _merged(cfg, "alpha", args.alpha, 0.05))
-    t = _number("t", _merged(cfg, "t", args.t, 200.0))
-    kind = _merged(cfg, "kind", args.kind, "nonruin")
+    alpha = 0.05 if args.alpha is None else args.alpha
+    t = 200.0 if args.t is None else args.t
+    kind = "nonruin" if args.kind is None else args.kind
     if kind not in ("var", "nonruin", "ultimate"):
         raise _CliError(f"unknown capital kind {kind!r}", EXIT_USAGE)
-    methods = _parse_methods(cfg, args)
+    methods = _parse_methods(args)
     # the ultimate capital has one route: a closed form or an enclosure
     allowed = ["exact"] if kind == "ultimate" else list(_BACKENDS)
     if any(mth not in allowed for mth in methods):
         raise _CliError(f"{kind} capital methods are among {allowed}, got {methods}", EXIT_USAGE)
-    grid = _c_grid(cfg, args)
+    grid = _c_grid(args)
 
     columns = ["c"] + [f"{kind}_{mth}" for mth in methods]
     if "mc" in methods:
@@ -258,7 +221,7 @@ def cmd_capital(args) -> int:
         columns=columns,
         metadata={"alpha": alpha, "t": t, "kind": kind, "warnings": warnings_log},
     )
-    sim = _sim_config(cfg, args, t, methods)
+    sim = _sim_config(args, t, methods)
     if sim is not None:
         table.metadata["seed"] = sim.seed
         table.metadata["n_paths"] = sim.n_paths
@@ -284,15 +247,13 @@ def cmd_capital(args) -> int:
 def cmd_ruinprob(args) -> int:
     cfg = _load_config(args)
     m = _model_from_config(cfg)
-    t = _number("t", _merged(cfg, "t", args.t, 200.0))
-    u = _merged(cfg, "u", args.u)
-    if u is None:
+    t = 200.0 if args.t is None else args.t
+    if args.u is None:
         raise _CliError("ruinprob requires --u (initial capital)", EXIT_USAGE)
-    u = _number("u", u)
-    methods = _parse_methods(cfg, args)
-    grid = _c_grid(cfg, args)
-    sim = _sim_config(cfg, args, t, methods)
-    table = capital.ruin_curve(m, u, t, grid, methods, sim)
+    methods = _parse_methods(args)
+    grid = _c_grid(args)
+    sim = _sim_config(args, t, methods)
+    table = capital.ruin_curve(m, args.u, t, grid, methods, sim)
     table.columns = [f"ruin_{col}" if col in methods else col for col in table.columns]
     _echo_config(table, cfg, vars(args))
     _emit(table, args.out)

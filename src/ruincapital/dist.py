@@ -308,9 +308,12 @@ def mgf(d: Distribution, r: float) -> float:
     Returns ``math.inf`` at and above the abscissa of convergence.  For the
     Pareto family with r <= 0 the value is obtained by quadrature.  The
     Kummer family supports only r >= 0 (densityless; r > 0 diverges).
-    DomainError unless r is finite.
+    DomainError unless r is a finite number.
     """
-    r = float(r)
+    try:
+        r = float(r)
+    except (TypeError, ValueError):
+        raise DomainError(f"mgf requires a numeric r, got {r!r}") from None
     if not math.isfinite(r):
         raise DomainError(f"mgf requires a finite r, got {r}")
     if r == 0.0:

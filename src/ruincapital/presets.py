@@ -121,11 +121,9 @@ def _fig3(n_paths: int, seed: int):
 
 def _ruin_table(m: RiskModel, u: float, cs, methods, n_paths: int, seed: int):
     t = 1000.0
-    tab = capital.ruin_curve(
+    return capital.ruin_curve(
         m, u, t, cs, methods, SimConfig(n_paths=n_paths, seed=seed, t=t)
     )
-    tab.metadata = {"u": u, "t": t, "seed": seed}
-    return tab
 
 
 def _ruin_figure(route: str, n_paths: int, seed: int):

@@ -237,7 +237,10 @@ def test_ruin_figures_equal_ruin_curve(preset, model, u, start, stop, methods):
     assert fig.columns == curve.columns
     for col in curve.columns:
         assert fig.column(col) == curve.column(col), col
-    assert fig.metadata == {"u": u, "t": 1000.0, "seed": 9}
+    # the figure keeps the curve's metadata: u, t, seed, n_paths and NA reasons
+    assert fig.metadata == curve.metadata
+    keys = [w.partition(": ")[0] for w in fig.metadata["warnings"]]
+    assert keys == (["cramer@c=1"] if preset == "fig4" else [])
 
 
 def test_simulated_capital_figure_equals_simulate_curve():

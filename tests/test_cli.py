@@ -219,52 +219,40 @@ def test_usage_errors_exit_2(config_path, tmp_path):
             assert main([*command, *extra, "--method", "exact,ig", *grid]) == 2
     assert main(["capital", "--config", config_path, "--paths", "1000", "--method", "ig,mc",
                  *grid, "--out", str(tmp_path / "mc.csv")]) == 0
-    # config values that are not numbers, or not integers where a count is meant
+    # the config file holds the model; every run setting is a flag, so a
+    # config with any other key is exit 2, whatever the key's value
     mc_grid = ["--method", "mc", *grid]
-    for extra, argv in (
-        ({"sim": {"n_paths": 1500.7}}, ["capital", *mc_grid]),
-        ({"sim": {"n_paths": "many"}}, ["capital", *mc_grid]),
-        ({"sim": {"seed": 1.5}}, ["ruinprob", "--u", "10", *mc_grid]),
-        # one random stream: stream_count is no longer a setting
-        ({"sim": {"stream_count": 2.0}}, ["capital", *mc_grid]),
-        # keys a subcommand never reads, at the top level and in its sections
-        ({"alpah": 0.01}, ["capital", *grid]),
-        ({"alpha": 0.01}, ["ruinprob", "--u", "10", *grid]),
-        ({"u": 10}, ["capital", *grid]),
-        ({"kind": "var"}, ["ruinprob", "--u", "10", *grid]),
-        ({"sim": {"n_path": 50}}, ["capital", *mc_grid]),
-        ({"sim": {"n_paths": 50, "seeds": 1}}, ["ruinprob", "--u", "10", *mc_grid]),
-        ({"c_grid": {"start": 1, "stop": 1.5, "step": 0.5, "end": 2}}, ["capital"]),
-        ({"c_grid": {"start": 1, "stop": 1.5, "step": 0.5}}, ["constants"]),
-        ({"sim": {"n_paths": 50}}, ["constants"]),
-        ({"t": 200}, ["constants"]),
-        ({"models": [UNIT_CONFIG["model"]]}, ["constants"]),
-        ({"alpha": "x"}, ["capital", *grid]),
-        ({"t": "x"}, ["capital", *grid]),
-        ({"t": "x"}, ["ruinprob", "--u", "10", *grid]),
-        ({"u": "x"}, ["ruinprob", *grid]),
-        ({"c_grid": {"start": "x", "stop": 1, "step": 0.5}}, ["capital"]),
+    model = UNIT_CONFIG["model"]
+    settings = {"alpha": 0.01, "alpah": 0.01, "t": 200, "u": 10, "kind": "var",
+                "methods": "exact", "c_grid": {"start": 1, "stop": 1.5, "step": 0.5},
+                "sim": {"n_paths": 1000, "seed": 3}, "models": [model]}
+    path = tmp_path / "bad.json"
+    for argv in (["capital", *grid], ["capital", *mc_grid],
+                 ["ruinprob", "--u", "10", *mc_grid], ["constants"]):
+        path.write_text(json.dumps(UNIT_CONFIG))
+        assert main([argv[0], "--config", str(path), *argv[1:],
+                     "--out", str(tmp_path / "ok.csv")]) == 0, argv
+        for key, value in settings.items():
+            path.write_text(json.dumps({**UNIT_CONFIG, key: value}))
+            assert main([argv[0], "--config", str(path), *argv[1:]]) == 2, (argv, key)
+    # a model or models entry of the wrong JSON type, or with a key nothing reads
+    for cfg, argv in (
         ({"model": {"t_law": {"family": "exponential", "rate": "one"},
-                    "y_law": UNIT_CONFIG["model"]["y_law"]}}, ["capital", *grid]),
-        ({"methods": "ig", "kind": "ultimate"}, ["capital", *grid]),
-        ({"methods": 5}, ["capital", *grid]),
-        ({"methods": "exact,cramer"}, ["capital", *grid]),
-        ({"methods": [["exact"]]}, ["ruinprob", "--u", "10", *grid]),
-        # config sections that are not JSON objects
-        ({"sim": 5}, ["capital", *mc_grid]),
-        ({"c_grid": 5}, ["capital"]),
+                    "y_law": model["y_law"]}}, ["capital", *grid]),
         ({"model": 3}, ["ruinprob", "--u", "10", *grid]),
         ({"models": 3}, ["constants"]),
         ({"models": [3]}, ["constants"]),
+        ({"model": {**model, "nmae": "unit"}}, ["capital", *grid]),
+        ({"model": {**model, "name": "unit"}}, ["ruinprob", "--u", "10", *grid]),
+        ({"model": {**model, "seed": 3}}, ["constants"]),
+        ({"models": [model, {**model, "nmae": "unit"}]}, ["constants"]),
     ):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({**UNIT_CONFIG, **extra}))
-        assert main([argv[0], "--config", str(path), *argv[1:]]) == 2, extra
-    # a config file may carry a sim section for the runs that use mc
-    path = tmp_path / "sim.json"
-    path.write_text(json.dumps({**UNIT_CONFIG, "sim": {"n_paths": 1000, "seed": 3}}))
-    for argv in (["capital", *grid], ["ruinprob", "--u", "10", *mc_grid]):
-        assert main([argv[0], "--config", str(path), *argv[1:], "--out", str(tmp_path / "s.csv")]) == 0
+        path.write_text(json.dumps(cfg))
+        assert main([argv[0], "--config", str(path), *argv[1:]]) == 2, cfg
+    # constants also reads a name in each model
+    path.write_text(json.dumps({"models": [{**model, "name": "unit"}]}))
+    assert main(["constants", "--config", str(path), "--out", str(tmp_path / "k.csv")]) == 0
+    assert CurveTable.read_csv(tmp_path / "k.csv").metadata["models"] == ["unit"]
 
 
 def test_each_subcommand_takes_only_the_flags_it_reads():

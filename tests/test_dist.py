@@ -102,9 +102,9 @@ def test_mgf_light_tailed():
     mix = MixtureExp2(1.0, 2.0, 0.25)
     assert mgf_abscissa(mix) == pytest.approx(1.0)
     assert mgf(mix, 0.5) == pytest.approx(0.25 * 2.0 + 0.75 * (2.0 / 1.5))
-    # a non-finite argument is a typed error, not an infinite or zero mgf
+    # a non-finite or non-numeric argument is a typed error, not an infinite or zero mgf
     for law in (d, e, mix):
-        for r in (math.nan, math.inf, -math.inf):
+        for r in (math.nan, math.inf, -math.inf, "x", None):
             with pytest.raises(DomainError):
                 mgf(law, r)
 
