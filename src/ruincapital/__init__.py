@@ -21,12 +21,10 @@ the path simulator; :mod:`ruincapital.presets` canned reference figures.
 from .approx import (
     AsymptoticEndpoints,
     CramerConstants,
-    IGParams,
     capital_asymptotic_bounds,
     capital_asymptotic_endpoints,
     cramer_constants_exp,
     cramer_ruin_exp,
-    ig_params,
     ig_ruin_probability,
     var_clt,
 )
@@ -94,7 +92,6 @@ __all__ = [
     "ExcludedCaseError",
     "ExpPair",
     "Exponential",
-    "IGParams",
     "InfiniteCapitalError",
     "IntegrationError",
     "Kummer",
@@ -120,7 +117,6 @@ __all__ = [
     "cramer_ruin_exp",
     "derived_constants",
     "distribution_from_config",
-    "ig_params",
     "ig_ruin_probability",
     "lundberg_ratio_bounds",
     "nonruin_capital",

@@ -27,11 +27,9 @@ from .model import RiskModel, check_alpha, derived_constants, theorem_preconditi
 from .special import inverse_gaussian_cdf, normal_pdf, std_normal_cdf, std_normal_quantile
 
 __all__ = [
-    "IGParams",
     "CramerConstants",
     "AsymptoticEndpoints",
     "var_clt",
-    "ig_params",
     "ig_ruin_probability",
     "cramer_constants_exp",
     "cramer_ruin_exp",
@@ -60,39 +58,6 @@ def var_clt(m: RiskModel, alpha: float, t: float, c: float) -> float:
     k = derived_constants(m)
     z = std_normal_quantile(1.0 - alpha)
     return max(0.0, (k.m_v - c) * t + z * k.d_v * math.sqrt(t))
-
-
-@dataclass(frozen=True)
-class IGParams:
-    """Inverse Gaussian parameters for the closed-form ruin approximation.
-
-    ``regime`` is "subcritical" for cM <= 1 (mu = 1/(1-cM), infinite at the
-    boundary) and "supercritical" for cM > 1 (mu is the reflected mean
-    1/(cM-1) and the distribution function carries an exp(-2 lambda/mu)
-    prefactor on its Phi(a) term).
-    """
-
-    mu: float
-    lam: float
-    regime: str
-
-
-def ig_params(m: RiskModel, u: float, c: float) -> IGParams:
-    """Parameters (mu, lambda) of the approximating inverse Gaussian law."""
-    if not 0.0 < u < math.inf:
-        raise DomainError("ig_params requires finite u > 0")
-    if not 0.0 < c < math.inf:
-        raise DomainError(
-            "ig_params requires finite c > 0; at c = 0 the ruin probability "
-            "reduces to the aggregate-claims distribution function"
-        )
-    k = derived_constants(m)
-    lam = u / (c * c * k.d2_big)
-    cm = c * k.m_big
-    if cm <= 1.0 + _BOUNDARY_EPS:
-        mu = math.inf if cm >= 1.0 - _BOUNDARY_EPS else 1.0 / (1.0 - cm)
-        return IGParams(mu=mu, lam=lam, regime="subcritical")
-    return IGParams(mu=1.0 / (cm - 1.0), lam=lam, regime="supercritical")
 
 
 def _ig_integral(u: float, c: float, t: float, m_big: float, d2_big: float) -> float:

@@ -70,7 +70,7 @@ def adjustment_coefficient(m: RiskModel, c: float) -> AdjustmentCoefficient:
     """
     if not 0.0 < c < math.inf:
         raise DomainError("adjustment_coefficient requires finite c > 0")
-    if dist.is_heavy_tailed(m.y_law):
+    if m.y_law.mgf_abscissa == 0.0:
         raise NoAdjustmentCoefficientError(
             "adjustment coefficient does not exist for heavy-tailed claim sizes"
         )
@@ -85,7 +85,7 @@ def adjustment_coefficient(m: RiskModel, c: float) -> AdjustmentCoefficient:
         kappa = rho - delta / c
         return AdjustmentCoefficient(kappa, "closed_form", (0.0, rho))
 
-    abscissa = dist.mgf_abscissa(m.y_law)
+    abscissa = m.y_law.mgf_abscissa
     lo = 1e-12
     hi = 0.999999 * abscissa
 
@@ -146,7 +146,7 @@ def _exp_moment_tail(d: Distribution, kappa: float, z: float) -> float:
     # the tilted integrand decays like exp(-(abscissa - kappa) y); truncate
     # where it is below 1e-35 of its scale and compose exp(.) in log space
     # so intermediate exp(kappa y) never overflows
-    gap = dist.mgf_abscissa(d) - kappa
+    gap = d.mgf_abscissa - kappa
     if not gap > 0.0:
         raise DomainError("exponential moment diverges at this kappa")
     hi = lo + 85.0 / gap

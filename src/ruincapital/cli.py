@@ -157,6 +157,8 @@ def cmd_constants(args) -> int:
     for i, spec in enumerate(entries):
         m = _model_from_config({"model": spec}, keys=("t_law", "y_law", "name"))
         label = spec.get("name", f"model{i + 1}")
+        if not isinstance(label, str):
+            raise _CliError(f"model name must be a string, got {label!r}", EXIT_USAGE)
         named.append((label, m))
     try:
         table = presets.constants_table(named)
@@ -194,8 +196,12 @@ def cmd_reproduce(args) -> int:
 
 
 def _parse_methods(args) -> list:
+    """The ``--method`` list; a usage error when it is empty or names a method twice."""
     raw = "exact" if args.method is None else args.method
-    return [s.strip() for s in raw.split(",") if s.strip()]
+    methods = [s.strip() for s in raw.split(",") if s.strip()]
+    if not methods or len(set(methods)) < len(methods):
+        raise _CliError(f"--method needs one or more distinct methods, got {raw!r}", EXIT_USAGE)
+    return methods
 
 
 def cmd_capital(args) -> int:

@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
-from . import dist
 from .dist import Distribution, Exponential
 from .errors import ConstantsUnavailableError, DomainError, MomentUndefinedError
 
@@ -41,6 +39,10 @@ class RiskModel:
 
     t_law: Distribution
     y_law: Distribution
+
+    def __post_init__(self):
+        if not all(isinstance(law, Distribution) for law in (self.t_law, self.y_law)):
+            raise DomainError(f"a risk model's laws must be Distribution instances, got {self}")
 
     def is_exponential_pair(self) -> bool:
         return isinstance(self.t_law, Exponential) and isinstance(
@@ -107,11 +109,11 @@ def derived_constants(m: RiskModel) -> DerivedConstants:
             naming the offending law.
     """
     try:
-        mt = dist.moments(m.t_law)
+        mt = m.t_law.moments()
     except MomentUndefinedError as exc:
         raise ConstantsUnavailableError(f"T law: {exc}") from exc
     try:
-        my = dist.moments(m.y_law)
+        my = m.y_law.moments()
     except MomentUndefinedError as exc:
         raise ConstantsUnavailableError(f"Y law: {exc}") from exc
 
@@ -129,9 +131,9 @@ def derived_constants(m: RiskModel) -> DerivedConstants:
     )
 
 
-def _third_finite(d: Distribution) -> Optional[bool]:
+def _third_finite(d: Distribution) -> bool:
     try:
-        return dist.moments(d).third_moment is not None
+        return d.moments().third_moment is not None
     except MomentUndefinedError:
         return False
 
@@ -144,10 +146,10 @@ def theorem_preconditions(m: RiskModel) -> PreconditionReport:
     except ConstantsUnavailableError:
         d2_positive = False
     return PreconditionReport(
-        bounded_density_t=dist.has_bounded_density(m.t_law),
-        bounded_density_y=dist.has_bounded_density(m.y_law),
-        third_moment_t_finite=bool(_third_finite(m.t_law)),
-        third_moment_y_finite=bool(_third_finite(m.y_law)),
+        bounded_density_t=m.t_law.bounded_density,
+        bounded_density_y=m.y_law.bounded_density,
+        third_moment_t_finite=_third_finite(m.t_law),
+        third_moment_y_finite=_third_finite(m.y_law),
         d2_positive=d2_positive,
     )
 

@@ -9,7 +9,6 @@ from ruincapital.approx import (
     capital_asymptotic_endpoints,
     cramer_constants_exp,
     cramer_ruin_exp,
-    ig_params,
     ig_ruin_probability,
     var_clt,
 )
@@ -33,19 +32,6 @@ def test_var_clt_reference_values():
     assert var_clt(UNIT, 0.05, 200.0, 2.5) == 0.0
 
 
-def test_ig_params_regimes():
-    p = ig_params(UNIT, 10.0, 0.5)
-    assert p.regime == "subcritical"
-    assert p.mu == pytest.approx(2.0)
-    assert p.lam == pytest.approx(10.0 / (0.25 * 2.0))
-    p = ig_params(UNIT, 10.0, 1.0)
-    assert p.regime == "subcritical"
-    assert math.isinf(p.mu)
-    p = ig_params(UNIT, 10.0, 2.0)
-    assert p.regime == "supercritical"
-    assert p.mu == pytest.approx(1.0)
-
-
 def test_ig_closed_equals_integral():
     for u, c, t in [
         (10.0, 0.5, 50.0),
@@ -64,12 +50,14 @@ def test_ig_supercritical_defective_limit():
     # above the equilibrium rate the approximating first-passage law is
     # defective: the t -> inf limit stabilizes strictly below the total
     # mass exp(-2 lam / mu) because the passage window starts at x = 1
+    # (unit model: M = 1 and D^2 = 2, so lam = u/(c^2 D^2) and the
+    # reflected mean is 1/(cM - 1))
     u, c = 30.0, 1.5
-    k = ig_params(UNIT, u, c)
+    lam, mu = u / (c * c * 2.0), 1.0 / (c - 1.0)
     v9 = ig_ruin_probability(UNIT, u, c, 1e9, "closed")
     v12 = ig_ruin_probability(UNIT, u, c, 1e12, "closed")
     assert v12 == pytest.approx(v9, rel=1e-9)
-    assert 0.0 < v12 < math.exp(-2.0 * k.lam / k.mu)
+    assert 0.0 < v12 < math.exp(-2.0 * lam / mu)
 
 
 def test_ig_close_to_exact_probability():

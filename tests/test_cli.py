@@ -219,6 +219,10 @@ def test_usage_errors_exit_2(config_path, tmp_path):
             assert main([*command, *extra, "--method", "exact,ig", *grid]) == 2
     assert main(["capital", "--config", config_path, "--paths", "1000", "--method", "ig,mc",
                  *grid, "--out", str(tmp_path / "mc.csv")]) == 0
+    # a method list is nonempty and names each method once
+    for command in (["capital", "--config", config_path], [*ruin, "--u", "10"]):
+        for methods in ("", ",", "exact,exact", "exact, ig,exact"):
+            assert main([*command, "--method", methods, *grid]) == 2, (command[0], methods)
     # the config file holds the model; every run setting is a flag, so a
     # config with any other key is exit 2, whatever the key's value
     mc_grid = ["--method", "mc", *grid]
@@ -246,6 +250,7 @@ def test_usage_errors_exit_2(config_path, tmp_path):
         ({"model": {**model, "name": "unit"}}, ["ruinprob", "--u", "10", *grid]),
         ({"model": {**model, "seed": 3}}, ["constants"]),
         ({"models": [model, {**model, "nmae": "unit"}]}, ["constants"]),
+        ({"models": [{**model, "name": 5}]}, ["constants"]),
     ):
         path.write_text(json.dumps(cfg))
         assert main([argv[0], "--config", str(path), *argv[1:]]) == 2, cfg

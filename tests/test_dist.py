@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from scipy import integrate
 
 from ruincapital.dist import (
+    Distribution,
     Erlang,
     Exponential,
     Kummer,
@@ -12,11 +14,7 @@ from ruincapital.dist import (
     Pareto,
     cdf,
     distribution_from_config,
-    has_bounded_density,
-    is_heavy_tailed,
     mgf,
-    mgf_abscissa,
-    moments,
     pdf,
     sample,
 )
@@ -29,6 +27,8 @@ DENSITY_LAWS = [
     MixtureExp2(1.0, 2.0, 2.0 / 3.0),
     Pareto(4.0, 0.35),
 ]
+# one law of each family
+LAWS = DENSITY_LAWS + [Kummer(5.0, 7.0)]
 
 
 @pytest.mark.parametrize("d", DENSITY_LAWS, ids=lambda d: type(d).__name__)
@@ -46,7 +46,7 @@ def test_cdf_is_integral_of_pdf(d):
 
 @pytest.mark.parametrize("d", DENSITY_LAWS, ids=lambda d: type(d).__name__)
 def test_moments_match_quadrature(d):
-    m = moments(d)
+    m = d.moments()
     m1, _ = integrate.quad(lambda x: x * pdf(d, x), 0.0, np.inf, limit=400)
     m2, _ = integrate.quad(lambda x: x * x * pdf(d, x), 0.0, np.inf, limit=400)
     assert m.mean == pytest.approx(m1, rel=1e-7)
@@ -54,25 +54,25 @@ def test_moments_match_quadrature(d):
 
 
 def test_third_moment_flags():
-    assert moments(Pareto(3.0, 0.3)).third_moment is None
-    assert moments(Pareto(2.5, 0.35)).third_moment is None
-    assert moments(Pareto(4.0, 0.35)).third_moment is not None
-    assert moments(Kummer(5.0, 7.0)).third_moment is not None
-    assert moments(Kummer(5.0, 5.0)).third_moment is None
+    assert Pareto(3.0, 0.3).moments().third_moment is None
+    assert Pareto(2.5, 0.35).moments().third_moment is None
+    assert Pareto(4.0, 0.35).moments().third_moment is not None
+    assert Kummer(5.0, 7.0).moments().third_moment is not None
+    assert Kummer(5.0, 5.0).moments().third_moment is None
 
 
 def test_undefined_low_moments_raise():
     with pytest.raises(MomentUndefinedError):
-        moments(Pareto(1.5, 1.0))
+        Pareto(1.5, 1.0).moments()
     with pytest.raises(MomentUndefinedError):
-        moments(Kummer(5.0, 3.0))
+        Kummer(5.0, 3.0).moments()
 
 
 @pytest.mark.parametrize("d", DENSITY_LAWS, ids=lambda d: type(d).__name__)
 def test_sample_mean_and_variance(d):
     rng = np.random.Generator(np.random.Philox(key=42))
     x = sample(d, rng, 200_000)
-    m = moments(d)
+    m = d.moments()
     assert np.all(x > 0.0)
     assert float(np.mean(x)) == pytest.approx(m.mean, abs=5.0 * math.sqrt(m.variance / x.size))
     assert float(np.var(x)) == pytest.approx(m.variance, rel=0.05)
@@ -82,6 +82,14 @@ def test_sample_scalar_form():
     rng = np.random.Generator(np.random.Philox(key=0))
     v = sample(Exponential(1.0), rng)
     assert np.isscalar(v) or np.ndim(v) == 0
+
+
+def test_erlang_float_shape_samples_as_int():
+    # an integral float shape is stored as an int, so it draws the same stream
+    draws = [sample(law, np.random.Generator(np.random.Philox(key=3)), 100)
+             for law in (Erlang(1.6, 2.0), Erlang(1.6, 2))]
+    assert type(Erlang(1.6, 2.0).shape) is int
+    assert np.array_equal(draws[0], draws[1])
 
 
 def test_mixture_sample_matches_cdf():
@@ -95,12 +103,12 @@ def test_mixture_sample_matches_cdf():
 
 def test_mgf_light_tailed():
     d = Exponential(2.0)
-    assert mgf_abscissa(d) == pytest.approx(2.0)
+    assert d.mgf_abscissa == pytest.approx(2.0)
     assert mgf(d, 1.0) == pytest.approx(2.0)
     e = Erlang(3.0, 2)
     assert mgf(e, 1.0) == pytest.approx((3.0 / 2.0) ** 2)
     mix = MixtureExp2(1.0, 2.0, 0.25)
-    assert mgf_abscissa(mix) == pytest.approx(1.0)
+    assert mix.mgf_abscissa == pytest.approx(1.0)
     assert mgf(mix, 0.5) == pytest.approx(0.25 * 2.0 + 0.75 * (2.0 / 1.5))
     # a non-finite or non-numeric argument is a typed error, not an infinite or zero mgf
     for law in (d, e, mix):
@@ -110,11 +118,11 @@ def test_mgf_light_tailed():
 
 
 def test_heavy_tail_flags():
-    assert is_heavy_tailed(Pareto(4.0, 0.4))
-    assert is_heavy_tailed(Kummer(5.0, 5.0))
-    assert not is_heavy_tailed(Exponential(1.0))
-    assert not is_heavy_tailed(Erlang(1.0, 3))
-    assert not is_heavy_tailed(MixtureExp2(1.0, 2.0, 0.5))
+    assert Pareto(4.0, 0.4).mgf_abscissa == 0.0
+    assert Kummer(5.0, 5.0).mgf_abscissa == 0.0
+    assert Exponential(1.0).mgf_abscissa > 0.0
+    assert Erlang(1.0, 3).mgf_abscissa > 0.0
+    assert MixtureExp2(1.0, 2.0, 0.5).mgf_abscissa > 0.0
 
 
 def test_heavy_tail_mgf_diverges():
@@ -123,6 +131,8 @@ def test_heavy_tail_mgf_diverges():
     assert mgf(Exponential(1.0), 1.5) == math.inf
     with pytest.raises(DomainError):
         mgf(Pareto(4.0, 0.4), math.nan)
+    # below the abscissa the heavy-tailed Pareto mgf is a finite quadrature
+    assert 0.0 < mgf(Pareto(4.0, 0.4), -0.5) < 1.0
 
 
 def test_kummer_is_moments_only():
@@ -134,9 +144,11 @@ def test_kummer_is_moments_only():
         cdf(d, 1.0)
     with pytest.raises(UnsupportedDistributionError):
         sample(d, rng, 10)
+    with pytest.raises(UnsupportedDistributionError):
+        mgf(d, -0.5)
     # gamma-ratio moments: E X^j = (l/k)^j Gamma(k/2+j) Gamma(l/2-j) /
     # (Gamma(k/2) Gamma(l/2)), here k=5, l=7
-    m = moments(d)
+    m = d.moments()
     assert m.mean == pytest.approx(7.0 / 5.0, rel=1e-12)
     assert m.variance == pytest.approx(
         (7.0 / 5.0) ** 2 * (3.5 / 1.5) - m.mean**2, rel=1e-12
@@ -144,23 +156,21 @@ def test_kummer_is_moments_only():
 
 
 def test_bounded_density_flags():
-    assert has_bounded_density(Exponential(1.0))
-    assert has_bounded_density(Pareto(4.0, 0.4))
+    assert Exponential(1.0).bounded_density
+    assert Pareto(4.0, 0.4).bounded_density
+    # the Kummer density behaves like x^{k/2-1} near 0
+    assert Kummer(2.0, 5.0).bounded_density
+    assert not Kummer(1.9, 5.0).bounded_density
 
 
 def test_config_round_trip():
-    d = distribution_from_config({"family": "erlang", "rate": 1.6, "shape": 2})
-    assert d == Erlang(1.6, 2)
-    d = distribution_from_config(
-        {"family": "mixture2", "rate1": 1.0, "rate2": 2.0, "weight": 0.5}
-    )
-    assert d == MixtureExp2(1.0, 2.0, 0.5)
-    d = distribution_from_config({"family": "pareto", "shape": 4.0, "scale": 0.4})
-    assert d == Pareto(4.0, 0.4)
-    d = distribution_from_config({"family": "kummer", "k": 5.0, "l": 5.0})
-    assert d == Kummer(5.0, 5.0)
-    with pytest.raises(DomainError):
-        distribution_from_config({"family": "cauchy"})
+    # every family is built from its name and its fields
+    assert {type(law) for law in LAWS} == set(Distribution.__subclasses__())
+    for law in LAWS:
+        assert distribution_from_config({"family": law.family, **dataclasses.asdict(law)}) == law
+    for family in ("cauchy", ["exponential"]):
+        with pytest.raises(DomainError):
+            distribution_from_config({"family": family})
     with pytest.raises(DomainError):
         distribution_from_config({"family": "exponential"})
     for bad in ({"family": "exponential", "rate": "one"},

@@ -92,6 +92,12 @@ def test_exponential_pair_flag():
     assert not RiskModel(Erlang(1.0, 2), Exponential(2.0)).is_exponential_pair()
 
 
+def test_laws_must_be_distributions():
+    for t_law, y_law in (("x", Exponential(1.0)), (Exponential(1.0), {"family": "exponential"})):
+        with pytest.raises(DomainError):
+            RiskModel(t_law, y_law)
+
+
 def test_kummer_constants_available():
     # moments exist for l > 4 even though the density is not implemented
     k = derived_constants(RiskModel(Exponential(0.8), Kummer(5.0, 5.0)))
