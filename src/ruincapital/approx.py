@@ -18,8 +18,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
 from scipy import integrate
-from scipy import special as sp
 
 from .errors import DomainError, ExcludedCaseError, IntegrationError
 from .exact import ExpPair
@@ -89,41 +89,31 @@ def _ig_integral(u: float, c: float, t: float, m_big: float, d2_big: float) -> f
     return float(min(1.0, max(0.0, val)))
 
 
-def _ig_closed(u: float, c: float, t: float, m_big: float, d2_big: float) -> float:
+def _ig_closed(u, c: float, t: float, m_big: float, d2_big: float):
+    # difference of IG(mu, lam) distribution functions with mu = 1/|1 - cM|;
+    # supercritical rates reflect the drift and scale the mass to exp(-2 lam/mu)
     cm = c * m_big
     lam = u / (c * c * d2_big)
-    hi = c * t / u + 1.0
-    if cm <= 1.0 + _BOUNDARY_EPS:
-        mu = math.inf if cm >= 1.0 - _BOUNDARY_EPS else 1.0 / (1.0 - cm)
-        val = inverse_gaussian_cdf(hi, mu, lam) - inverse_gaussian_cdf(1.0, mu, lam)
-    else:
-        # supercritical: reflected drift with a defective total mass
-        muh = 1.0 / (cm - 1.0)
-
-        def term(x):
-            s = math.sqrt(lam / x)
-            a = s * (x / muh - 1.0)
-            b = s * (x / muh + 1.0)
-            return math.exp(-2.0 * lam / muh + float(sp.log_ndtr(a))) + float(
-                std_normal_cdf(-b)
-            )
-
-        val = term(hi) - term(1.0)
-    return float(min(1.0, max(0.0, val)))
+    mu = math.inf if 1.0 - _BOUNDARY_EPS <= cm <= 1.0 + _BOUNDARY_EPS else 1.0 / abs(1.0 - cm)
+    scale = np.exp(-2.0 * lam / mu) if cm > 1.0 else 1.0
+    cdf = lambda x: inverse_gaussian_cdf(x, mu, lam)
+    return np.clip(scale * (cdf(c * t / u + 1.0) - cdf(1.0)), 0.0, 1.0)
 
 
-def ig_ruin_probability(
-    m: RiskModel, u: float, c: float, t: float, form: str = "closed"
-) -> float:
+def ig_ruin_probability(m: RiskModel, u, c: float, t: float, form: str = "closed"):
     """Inverse Gaussian approximation of P{ruin within [0, t]}.
 
     ``form="integral"`` evaluates the defining integral over [0, ct/u] by
     adaptive quadrature; ``form="closed"`` evaluates the equivalent
-    difference of inverse Gaussian distribution functions.  The two agree
-    to ~1e-9 away from the regime boundary cM = 1, where the closed form
-    uses the zero-drift limit.
+    ``scale * [F(ct/u + 1) - F(1)]``, F the IG(mu, u/(c^2 D^2)) distribution
+    function with mu = 1/|1 - cM|, scale 1 for cM <= 1 and exp(-2 lam/mu)
+    above.  The two agree to ~1e-9 away from the regime boundary cM = 1,
+    where the closed form uses the zero-drift limit mu = inf.  The closed
+    form takes u as a float or a 1-D array and returns the same; every
+    entry is checked, and the array values equal the scalar calls.
     """
-    if not 0.0 < u < math.inf:
+    ua = np.asarray(u, dtype=float)
+    if not ((0.0 < ua) & (ua < math.inf)).all():
         raise DomainError("ig_ruin_probability requires finite u > 0")
     if not 0.0 < c < math.inf:
         raise DomainError(
@@ -132,14 +122,17 @@ def ig_ruin_probability(
         )
     if not 0.0 <= t < math.inf:
         raise DomainError("ig_ruin_probability requires finite t >= 0")
+    if form not in ("integral", "closed"):
+        raise DomainError(f"unknown form {form!r}; expected 'integral' or 'closed'")
+    if form == "integral" and ua.ndim:
+        raise DomainError("ig_ruin_probability with form='integral' requires a scalar u")
     if t == 0.0:
-        return 0.0
+        return 0.0 if ua.ndim == 0 else np.zeros_like(ua)
     k = derived_constants(m)
     if form == "integral":
-        return _ig_integral(u, c, t, k.m_big, k.d2_big)
-    if form == "closed":
-        return _ig_closed(u, c, t, k.m_big, k.d2_big)
-    raise DomainError(f"unknown form {form!r}; expected 'integral' or 'closed'")
+        return _ig_integral(float(ua), c, t, k.m_big, k.d2_big)
+    val = _ig_closed(ua, c, t, k.m_big, k.d2_big)
+    return float(val) if ua.ndim == 0 else val
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,16 @@ Every var and nonruin cell, whether from ``var_capital``,
 quantiles of simulated deficits, and ``exact_exp`` and
 ``inverse_gaussian`` invert their probability in u with one bracketed
 root-finder.  Each backend probability is nonincreasing in u beyond the
-lower bracket (u = 0, or the peak of a scan for the inverse Gaussian
-approximation, which vanishes at u = 0), so the root-finder converges
-unconditionally; when even the lower bracket satisfies the target the
-capital is 0 by definition and the result carries a "clamped" flag.
-``capital_curve`` warm-starts each root solve from the previous rate and
-prices a Monte Carlo grid from one path sweep; ``ruin_curve`` tabulates
-ruin probabilities at a fixed capital, and both fill cells through one loop.
+lower bracket, so the root-finder converges unconditionally.  For
+``exact_exp`` the lower bracket is u = 0.  The inverse Gaussian
+approximation vanishes at u = 0, so one array evaluation of an 80-point
+scan in u finds its peak and brackets the root between two neighbouring
+scan points beyond it.  When even the lower bracket satisfies the target
+the capital is 0 by definition and the result carries a "clamped" flag.
+``capital_curve`` warm-starts each exact root solve from the previous rate
+(inverse Gaussian cells take no warm start) and prices a Monte Carlo grid
+from one path sweep; ``ruin_curve`` tabulates ruin probabilities at a fixed
+capital, and both fill cells through one loop.
 """
 
 from __future__ import annotations
@@ -126,7 +129,7 @@ def _require_exp_pair(m: RiskModel, route: str) -> ExpPair:
 
 
 def _invert(
-    prob: Callable[[float], float],
+    prob: Callable,
     alpha: float,
     max_bracket: float,
     kind: str,
@@ -136,32 +139,35 @@ def _invert(
 ) -> CapitalPoint:
     """Solve prob(u) = alpha for u >= 0 by bracketed root-finding.
 
-    The lower bracket is u = 0, or with ``scan`` the argmax of an 80-point
-    geometric scan of [1e-6, 1] * max_bracket: the inverse Gaussian
-    approximation rises from 0 over the first few money units (a small-u
-    artifact of the large-u theory) and the root relevant to the capital
-    sits on its decreasing side.  ``warm_hi`` is tried as the upper bracket
-    before ``max_bracket``.
+    Without ``scan`` the lower bracket is u = 0, and ``warm_hi`` is tried as
+    the upper bracket before ``max_bracket``, each evaluated only when needed.
+    With ``scan`` one array call ``prob(us)`` evaluates an 80-point geometric
+    scan of [1e-6, 1] * max_bracket: the inverse Gaussian approximation rises
+    from 0 over the first few money units (a small-u artifact of the large-u
+    theory) and the root relevant to the capital sits on its decreasing side,
+    so the bracket is the first scan point beyond the peak where prob < alpha
+    and the point before it.  The capital is 0 ("clamped") when prob is below
+    alpha at u = 0 or at the peak.
     """
     if scan:
         us = np.geomspace(1e-6 * max_bracket, max_bracket, 80)
-        vals = [prob(float(u)) for u in us]
-        i = int(np.argmax(vals))
-        lo, p_lo = float(us[i]), vals[i]
+        vals = prob(us)
+        peak = int(np.argmax(vals))
+        p_lo, below = vals[peak], peak + np.flatnonzero(vals[peak:] < alpha)
     else:
         lo, p_lo = 0.0, prob(0.0)
     if p_lo < alpha:
         return CapitalPoint(kind=kind, c=c, value=0.0, clamped=True)
     hi = None
-    if warm_hi is not None and lo < warm_hi <= max_bracket:
-        if prob(warm_hi) < alpha:
-            hi = warm_hi
-    if hi is None:
-        if prob(max_bracket) >= alpha:
-            raise BracketError(
-                f"no solution below max_bracket = {max_bracket:.6g}"
-            )
+    if scan:
+        if below.size:
+            lo, hi = float(us[below[0] - 1]), float(us[below[0]])
+    elif warm_hi is not None and lo < warm_hi <= max_bracket and prob(warm_hi) < alpha:
+        hi = warm_hi
+    elif prob(max_bracket) < alpha:
         hi = max_bracket
+    if hi is None:
+        raise BracketError(f"no solution below max_bracket = {max_bracket:.6g}")
     u = float(
         optimize.brentq(lambda x: prob(x) - alpha, lo, hi, xtol=_U_TOLERANCE)
     )
@@ -191,7 +197,9 @@ def _solve(
 
     ``prev_value`` is the solution at the previous, smaller rate of a grid:
     the curves are nonincreasing in c, so it (plus a safety margin) bounds
-    this solution from above and warm-starts the bracket.
+    this solution from above and warm-starts an ``exact_exp`` bracket.  The
+    inverse Gaussian solve takes no warm start: one array scan brackets its
+    root.
     """
     backend = spec.backend
     if backend == "clt":
@@ -226,10 +234,11 @@ def _solve(
         else:
             prob = lambda u: exact.ruin_finite_exp(p, u, c, t)
     mb = _default_bracket(m, alpha, t, c)
+    scan = backend == "inverse_gaussian"
     warm = None
-    if prev_value is not None and prev_value > 0.0:
+    if prev_value is not None and prev_value > 0.0 and not scan:
         warm = min(mb, prev_value * 1.01 + 1.0)
-    return _invert(prob, alpha, mb, kind, c, warm, scan=backend == "inverse_gaussian")
+    return _invert(prob, alpha, mb, kind, c, warm, scan)
 
 
 def var_capital(
@@ -307,7 +316,7 @@ def _failing(exc: RuinCapitalError) -> Cell:
 
 
 def _warm_cells(m: RiskModel, alpha: float, t: float, spec: SolveSpec, kind: str) -> Cell:
-    """A var or nonruin column, each solve warm-started from the last solved rate."""
+    """A var or nonruin column, each solve given the last solved rate's capital."""
     prev: Optional[float] = None
 
     def cell(i: int, c: float) -> float:
@@ -348,8 +357,9 @@ def capital_curve(
 ) -> CurveTable:
     """Solve the requested capitals on a strictly increasing premium grid.
 
-    Each root solve warm-starts its bracket from the previous grid point's
-    solution (the curves are continuous and nonincreasing in c).  Under
+    Each ``exact_exp`` root solve warm-starts its bracket from the previous
+    grid point's solution (the curves are continuous and nonincreasing in
+    c); an ``inverse_gaussian`` cell is the per-rate solve.  Under
     ``monte_carlo`` one ``PathSample`` prices the var and nonruin columns at
     every rate, each cell equal to its per-rate solve bit for bit, and
     ``metadata["mc_stderr"]`` maps each of these kinds to the standard
@@ -385,7 +395,7 @@ def capital_curve(
             ests = {k: sample.quantile(k, alpha) for k in horizon_kinds}
             cells.update({k: _listed([e.point for e in ests[k]]) for k in horizon_kinds})
             table.metadata["mc_stderr"] = {k: [e.stderr for e in ests[k]] for k in horizon_kinds}
-    # any other var or nonruin column is solved cell by cell, warm-started
+    # any other var or nonruin column is solved cell by cell
     return _cell_loop(
         table, c_grid, [(k, cells.get(k) or _warm_cells(m, alpha, t, spec, k)) for k in kinds]
     )

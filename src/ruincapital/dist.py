@@ -15,6 +15,7 @@ diverges, at and above a law's ``mgf_abscissa``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -65,12 +66,20 @@ class Distribution:
     x >= 0) and ``mgf`` takes a nonzero r below the abscissa; call them
     through the module functions of the same name.  A family without a
     formula inherits the method here, which raises
-    UnsupportedDistributionError.
+    UnsupportedDistributionError.  Every parameter of every family is a
+    finite positive real number, checked by ``__post_init__`` here;
+    a family with further constraints extends it.
     """
 
     family = ""
     mgf_abscissa = 0.0
     bounded_density = True
+
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not (isinstance(v, numbers.Real) and 0.0 < v < math.inf):
+                raise DomainError(f"{self.family} {f.name} must be finite and positive, got {v!r}")
 
     def moments(self) -> MomentSet:
         """Exact closed-form mean, variance and raw third moment.
@@ -101,10 +110,6 @@ class Exponential(Distribution):
 
     family = "exponential"
     rate: float
-
-    def __post_init__(self):
-        if not 0.0 < self.rate < math.inf:
-            raise DomainError("exponential rate must be finite and positive")
 
     mgf_abscissa = property(lambda self: self.rate)
 
@@ -137,9 +142,8 @@ class Erlang(Distribution):
     shape: int
 
     def __post_init__(self):
-        if not 0.0 < self.rate < math.inf:
-            raise DomainError("erlang rate must be finite and positive")
-        if not (1 <= self.shape < math.inf and int(self.shape) == self.shape):
+        super().__post_init__()
+        if not (1 <= self.shape and int(self.shape) == self.shape):
             raise DomainError("erlang shape must be a positive integer")
         object.__setattr__(self, "shape", int(self.shape))
 
@@ -178,9 +182,8 @@ class MixtureExp2(Distribution):
     weight: float
 
     def __post_init__(self):
-        if not (0.0 < self.rate1 < math.inf and 0.0 < self.rate2 < math.inf):
-            raise DomainError("mixture rates must be finite and positive")
-        if not 0.0 < self.weight < 1.0:
+        super().__post_init__()
+        if not self.weight < 1.0:
             raise DomainError("mixture weight must lie in (0, 1)")
 
     mgf_abscissa = property(lambda self: min(self.rate1, self.rate2))
@@ -221,10 +224,6 @@ class Pareto(Distribution):
     family = "pareto"
     shape: float
     scale: float
-
-    def __post_init__(self):
-        if not (0.0 < self.shape < math.inf and 0.0 < self.scale < math.inf):
-            raise DomainError("pareto parameters must be finite and positive")
 
     def _raw(self, j: int) -> float:
         # E Y^j = j! / (b^j * (a-1)(a-2)...(a-j)), requires a > j
@@ -271,10 +270,6 @@ class Kummer(Distribution):
     k: float
     l: float
 
-    def __post_init__(self):
-        if not (0.0 < self.k < math.inf and 0.0 < self.l < math.inf):
-            raise DomainError("kummer parameters must be finite and positive")
-
     bounded_density = property(lambda self: self.k >= 2.0)
 
     def _raw(self, j: int) -> float:
@@ -313,9 +308,14 @@ def sample(d: Distribution, rng: np.random.Generator, size=None):
 
     Erlang draws are sums of ``shape`` exponential inversions; the mixture
     picks its component by a Bernoulli(weight) branch, drawn before the
-    variates.  UnsupportedDistributionError for the Kummer family.
+    variates.  UnsupportedDistributionError for the Kummer family;
+    DomainError unless ``size`` is None or a nonnegative integer (an
+    integral float such as 4000.0 counts).
     """
-    out = d.draw(rng, 1 if size is None else int(size))
+    n = 1 if size is None else size
+    if not (isinstance(n, numbers.Real) and 0 <= n < math.inf and int(n) == n):
+        raise DomainError(f"sample size must be a nonnegative integer, got {size!r}")
+    out = d.draw(rng, int(n))
     return float(out[0]) if size is None else out
 
 

@@ -76,18 +76,19 @@ def inverse_gaussian_cdf(x, mu, lam):
     because the raw product overflows for large ``lam/mu`` long before the
     result leaves [0, 1].
 
-    ``mu = inf`` is accepted and returns the zero-drift limit
-    ``2 Phi(-sqrt(lam/x))``.
+    ``x`` and ``lam`` may be arrays of one broadcast shape; ``mu = inf`` is
+    accepted and returns the zero-drift limit ``2 Phi(-sqrt(lam/x))``.
 
     Raises:
-        DomainError: for nonpositive ``x``, ``mu`` or ``lam``.
+        DomainError: for nonpositive ``x``, ``mu`` or ``lam``, checked per element.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
+    lam = np.asarray(lam, dtype=float)
+    if not (x > 0.0).all():
         raise DomainError("inverse_gaussian_cdf requires x > 0")
     if not mu > 0.0:
         raise DomainError("inverse_gaussian_cdf requires mu > 0")
-    if not lam > 0.0:
+    if not (lam > 0.0).all():
         raise DomainError("inverse_gaussian_cdf requires lambda > 0")
     s = np.sqrt(lam / x)
     if math.isinf(mu):
@@ -96,7 +97,7 @@ def inverse_gaussian_cdf(x, mu, lam):
         a = s * (x / mu - 1.0)
         b = s * (x / mu + 1.0)
         out = sp.ndtr(a) + np.exp(2.0 * lam / mu + sp.log_ndtr(-b))
-    out = np.clip(out, 0.0, 1.0)
+    out = out.clip(0.0, 1.0)
     if out.ndim == 0:
         return float(out)
     return out

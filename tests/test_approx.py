@@ -15,7 +15,7 @@ from ruincapital.approx import (
 from ruincapital.dist import Erlang, Exponential, MixtureExp2, Pareto
 from ruincapital.errors import DomainError, ExcludedCaseError
 from ruincapital.exact import ExpPair, ruin_finite_exp, ruin_ultimate_exp
-from ruincapital.model import RiskModel
+from ruincapital.model import RiskModel, derived_constants
 
 UNIT = RiskModel(Exponential(1.0), Exponential(1.0))
 
@@ -94,6 +94,39 @@ def test_ig_domain_errors():
         ig_ruin_probability(UNIT, 1.0, 1.0, math.nan)
     with pytest.raises(DomainError):
         cramer_ruin_exp(ExpPair(1.0, 1.0), math.inf, 1.5, 10.0)
+
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        UNIT,
+        RiskModel(Erlang(1.6, 2), Exponential(0.6)),
+        RiskModel(MixtureExp2(1.0, 2.0, 2.0 / 3.0), Pareto(4.0, 0.35)),
+    ],
+    ids=["unit", "model_iv", "mixture_pareto"],
+)
+def test_ig_array_u_equals_scalar_calls(m):
+    big_m = derived_constants(m).m_big
+    us = np.geomspace(1e-3, 2e3, 70)
+    # sub- and supercritical rates, and rates within 1e-12 of cM = 1
+    for cm in (0.3, 0.9, 1.0, 1.0 - 5e-13, 1.0 + 5e-13, 1.2, 3.0):
+        c = cm / big_m
+        for t in (200.0, 1e5):
+            out = ig_ruin_probability(m, us, c, t)
+            assert isinstance(out, np.ndarray) and out.shape == us.shape
+            scalar = [ig_ruin_probability(m, float(u), c, t) for u in us]
+            assert all(type(v) is float for v in scalar)
+            assert list(out) == scalar, (cm, t)
+
+
+def test_ig_array_u_domain_errors():
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            ig_ruin_probability(UNIT, np.array([1.0, bad, 5.0]), 1.0, 200.0)
+    with pytest.raises(DomainError):
+        ig_ruin_probability(UNIT, np.array([1.0, 5.0]), 1.0, 200.0, "integral")
+    assert list(ig_ruin_probability(UNIT, np.array([1.0, 5.0]), 1.0, 0.0)) == [0.0, 0.0]
 
 
 def test_cramer_constants_printed_formulas():

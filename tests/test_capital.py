@@ -94,6 +94,39 @@ def test_ig_backend_redirects_at_zero_premium():
     assert pt.value == pytest.approx(ex.value, abs=1e-5)
 
 
+
+def test_ig_solution_satisfies_defining_equation():
+    from ruincapital.approx import ig_ruin_probability
+
+    for c in (0.5, 1.0, 1.5):
+        pt = nonruin_capital(UNIT, 0.05, 200.0, c, IG)
+        assert not pt.clamped and pt.value > 0.0
+        assert abs(ig_ruin_probability(UNIT, pt.value, c, 200.0) - 0.05) <= 2e-6
+        assert pt.residual is not None and pt.residual <= 2e-6
+
+
+def test_ig_curve_cells_equal_per_rate_solves():
+    # inverse Gaussian cells take no warm start, so a curve cell is the
+    # per-rate solve (the c = 0 cell is the redirected VaR solve)
+    heavy = RiskModel(MixtureExp2(1.0, 2.0, 2.0 / 3.0), Pareto(4.0, 0.35))
+    cs = c_grid_range(0.0, 2.5, 0.1)
+    for m in (UNIT, heavy):
+        table = capital_curve(m, 0.05, 200.0, cs, IG, kinds=("nonruin",))
+        assert table.column("nonruin") == [
+            nonruin_capital(m, 0.05, 200.0, c, IG).value for c in cs
+        ]
+
+
+def test_ig_clamps_when_scan_peak_is_below_alpha():
+    from ruincapital.approx import ig_ruin_probability
+
+    # at c = 5 the unit model's IG ruin probability never reaches 0.05
+    peak = ig_ruin_probability(UNIT, np.geomspace(1e-6, 1e3, 2000), 5.0, 200.0).max()
+    assert 0.04 < peak < 0.05
+    pt = nonruin_capital(UNIT, 0.05, 200.0, 5.0, IG)
+    assert pt.value == 0.0 and pt.clamped
+
+
 def test_monte_carlo_backend_close_to_exact():
     sim = SimConfig(n_paths=20_000, seed=99, t=200.0)
     spec = SolveSpec(backend="monte_carlo", sim=sim)

@@ -182,3 +182,44 @@ def test_config_round_trip():
         Exponential(math.inf)
     with pytest.raises(DomainError):
         Erlang(1.0, math.inf)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Exponential("1"),
+        lambda: Erlang(1.0, "2"),
+        lambda: MixtureExp2(1.0, None, 0.5),
+        lambda: Pareto(4.0, [0.35]),
+        lambda: Kummer(5.0, 1j),
+        # real but outside the family's own constraints
+        lambda: Erlang(1.0, 0.5),
+        lambda: MixtureExp2(1.0, 2.0, 1.0),
+    ],
+    ids=["Exponential", "Erlang", "MixtureExp2", "Pareto", "Kummer", "erlang_shape", "weight"],
+)
+def test_bad_parameters_are_domain_errors(make):
+    with pytest.raises(DomainError):
+        make()
+
+
+def test_valid_laws_unchanged_by_parameter_check():
+    # an int and a float parameter give equal laws that hash alike and draw alike
+    for a, b in ((Exponential(2), Exponential(2.0)), (Pareto(4, 1), Pareto(4.0, 1.0)),
+                 (MixtureExp2(1, 2, 0.5), MixtureExp2(1.0, 2.0, 0.5))):
+        assert a == b and hash(a) == hash(b)
+        draws = [sample(law, np.random.Generator(np.random.Philox(key=5)), 50) for law in (a, b)]
+        assert np.array_equal(draws[0], draws[1])
+
+
+def test_sample_size_must_be_a_nonnegative_integer():
+    law = Exponential(1.0)
+    for size in (-1, 2.5, math.nan, math.inf, "3"):
+        with pytest.raises(DomainError):
+            sample(law, np.random.Generator(np.random.Philox(key=1)), size)
+    # an integral float size draws the same variates as the int
+    draws = [sample(law, np.random.Generator(np.random.Philox(key=1)), size)
+             for size in (4000, 4000.0)]
+    assert draws[0].shape == (4000,)
+    assert np.array_equal(draws[0], draws[1])
+    assert sample(law, np.random.Generator(np.random.Philox(key=1)), 0).shape == (0,)

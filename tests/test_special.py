@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from scipy import integrate, stats
 
@@ -56,3 +57,20 @@ def test_inverse_gaussian_cdf_edges():
         inverse_gaussian_cdf(0.0, 1.0, 1.0)
     assert inverse_gaussian_cdf(1e-12, 1.0, 1.0) < 1e-10
     assert inverse_gaussian_cdf(1e9, 1.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_inverse_gaussian_cdf_elementwise():
+    xs = np.array([0.5, 1.0, 3.0, 40.0])
+    lams = np.array([0.2, 1.0, 7.0, 300.0])
+    for mu in (2.5, math.inf):
+        out = inverse_gaussian_cdf(xs, mu, lams)
+        assert list(out) == [inverse_gaussian_cdf(x, mu, lam) for x, lam in zip(xs, lams)]
+        # a scalar x broadcasts against an array lambda
+        out = inverse_gaussian_cdf(1.0, mu, lams)
+        assert list(out) == [inverse_gaussian_cdf(1.0, mu, lam) for lam in lams]
+    # every element of x and lambda is checked
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError):
+            inverse_gaussian_cdf([1.0, 2.0], 1.0, np.array([1.0, bad]))
+        with pytest.raises(DomainError):
+            inverse_gaussian_cdf([1.0, bad], 1.0, np.array([1.0, 2.0]))
