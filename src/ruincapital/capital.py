@@ -147,33 +147,34 @@ def _invert(
     theory) and the root relevant to the capital sits on its decreasing side,
     so the bracket is the first scan point beyond the peak where prob < alpha
     and the point before it.  The capital is 0 ("clamped") when prob is below
-    alpha at u = 0 or at the peak.
+    alpha at u = 0 or at the peak.  Every value of prob is kept by u, so the
+    bracket ends, which ``brentq`` evaluates first, and the residual at its
+    root, one of its own iterates, are looked up, never evaluated again.
     """
+    known: dict[float, float] = {}
+    f = lambda u: known[u] if u in known else known.setdefault(u, prob(u))
     if scan:
         us = np.geomspace(1e-6 * max_bracket, max_bracket, 80)
         vals = prob(us)
+        known.update(zip(us.tolist(), vals.tolist()))
         peak = int(np.argmax(vals))
         p_lo, below = vals[peak], peak + np.flatnonzero(vals[peak:] < alpha)
     else:
-        lo, p_lo = 0.0, prob(0.0)
+        lo, p_lo = 0.0, f(0.0)
     if p_lo < alpha:
         return CapitalPoint(kind=kind, c=c, value=0.0, clamped=True)
     hi = None
     if scan:
         if below.size:
             lo, hi = float(us[below[0] - 1]), float(us[below[0]])
-    elif warm_hi is not None and lo < warm_hi <= max_bracket and prob(warm_hi) < alpha:
+    elif warm_hi is not None and lo < warm_hi <= max_bracket and f(warm_hi) < alpha:
         hi = warm_hi
-    elif prob(max_bracket) < alpha:
+    elif f(max_bracket) < alpha:
         hi = max_bracket
     if hi is None:
         raise BracketError(f"no solution below max_bracket = {max_bracket:.6g}")
-    u = float(
-        optimize.brentq(lambda x: prob(x) - alpha, lo, hi, xtol=_U_TOLERANCE)
-    )
-    return CapitalPoint(
-        kind=kind, c=c, value=u, residual=abs(prob(u) - alpha)
-    )
+    u = float(optimize.brentq(lambda x: f(x) - alpha, lo, hi, xtol=_U_TOLERANCE))
+    return CapitalPoint(kind=kind, c=c, value=u, residual=abs(f(u) - alpha))
 
 
 def _sim_config(spec: SolveSpec, t: float) -> SimConfig:

@@ -1,19 +1,21 @@
 """Closed-form exponential-case quantities.
 
 When both T and Y are exponential (rates delta and rho) the aggregate
-claim amount has a Bessel-series distribution function and the
-finite-horizon ruin probability has a single-integral closed form.  These
-are the library's exact oracles for every approximation.
+claim amount's distribution function is a Skellam probability, i.e. a
+noncentral chi-square CDF, and so is Takacs' zero-capital survival
+phi(0, t); the finite-horizon ruin probability at u > 0 has a
+single-integral closed form.  These are the library's exact oracles for
+every approximation.
 
 The oscillatory single integral cancels an envelope of size
 ``exp(u rho (sqrt(q) - 1) - t (sqrt(c rho) - sqrt(delta))^2)``, q =
 delta/(c rho), down to a probability.  Deep in the subcritical regime
 (small c, large u) that envelope exceeds what double precision can
-cancel, so :func:`ruin_finite_exp` switches to Seal's survival formula,
-which composes only probabilities and densities and is stable everywhere.
-Both routes are fixed-node composite Gauss-Legendre sums; Seal's takes the
-zero-capital survival at its nodes from the oscillatory form at u = 0,
-where the envelope never exceeds 1, so no interpolant is built.  The
+cancel, and near c* (q close to 1) the integrand has structure narrower
+than its panels, so :func:`ruin_finite_exp` switches to Seal's survival
+formula there, which composes only probabilities and densities and is
+stable everywhere.  Both routes are fixed-node composite Gauss-Legendre
+sums; Seal's takes phi(0, .) at its nodes from Takacs' formula.  The
 routes agree to ~1e-11 where their domains overlap.
 """
 
@@ -25,7 +27,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 from scipy import special as sp
 
 from .errors import DomainError, IntegrationError
@@ -43,6 +44,9 @@ _CLAMP_WARN = 1e-7
 # Above this envelope exponent the oscillatory integral loses too many
 # digits to cancellation and the Seal route takes over.
 _OSC_MAX_LOG_ENVELOPE = 14.0
+# Within this distance of q = 1 the routes agree to ~3e-12; closer in the
+# oscillatory route errs by up to 2.5e-3 and Seal takes over.
+_OSC_MIN_ABS_Q_GAP = 0.03
 
 # 16-point Gauss-Legendre rule on [-1, 1], shared by both routes.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -71,41 +75,29 @@ def _clamp_probability(value: float, context: str) -> float:
     return min(1.0, max(0.0, value))
 
 
+def _ncx2_cdf(x, df: float, nc):
+    """scipy's noncentral chi-square CDF, NaN once x and nc both pass ~4e10: an error here."""
+    out = sp.chndtr(x, df, nc)
+    if np.isnan(out).any():
+        raise IntegrationError("noncentral chi-square CDF out of range (arguments ~4e10)")
+    return out
+
+
 def aggregate_cdf_exp(p: ExpPair, t: float, x: float) -> float:
     """P{V_t <= x} for the exponential pair.
 
-    The Bessel-series form has an atom exp(-t delta) at zero plus an
-    absolutely continuous part.  The integrand's z^{-1/2} singularity is
-    removed by the substitution z = w^2, after which the scaled Bessel
-    function turns the integrand into the overflow-free Gaussian bump
-    ``2 sqrt(delta rho t) * i1e(2 w s) * exp(-rho (w - s/rho)^2)`` with
-    ``s = sqrt(delta rho t)``.
+    With N ~ Poisson(delta t) claims by t and K ~ Poisson(rho x)
+    independent, Gamma(n, rho) <= x exactly when K >= n, so the value is
+    the Skellam probability P{N <= K} = 1 - chndtr(2 delta t, 2, 2 rho x),
+    the noncentral chi-square CDF with 2 degrees of freedom.  At x = 0 it
+    is the atom exp(-delta t) (no claims by t).  Raises IntegrationError
+    once delta t and rho x both reach about 2e10, where chndtr gives NaN.
     """
     if not (0.0 < t < math.inf and math.isfinite(x)):
         raise DomainError("aggregate_cdf_exp requires finite t > 0 and finite x")
-    delta, rho = p.delta, p.rho
-    atom = math.exp(-t * delta)
     if x < 0.0:
         return 0.0
-    if x == 0.0:
-        # right-continuity: the atom at zero (no claims by t) is included
-        return atom
-    s = math.sqrt(delta * rho * t)
-    w0 = s / rho  # peak of the Gaussian factor
-    wmax = math.sqrt(x)
-
-    def integrand(w):
-        return sp.i1e(2.0 * w * s) * np.exp(-rho * (w - w0) ** 2)
-
-    pts = [w0] if 0.0 < w0 < wmax else None
-    val, err = integrate.quad(
-        integrand, 0.0, wmax, points=pts, limit=200, epsabs=1e-12, epsrel=1e-10
-    )
-    if err > 1e-6:
-        raise IntegrationError(
-            f"aggregate_cdf_exp quadrature error estimate {err:.2e}", err
-        )
-    return _clamp_probability(atom + 2.0 * s * val, "aggregate_cdf_exp")
+    return 1.0 - float(_ncx2_cdf(2.0 * p.delta * t, 2.0, 2.0 * p.rho * x))
 
 
 def aggregate_pdf_exp(p: ExpPair, t, x):
@@ -153,11 +145,8 @@ def _composite_gl(edges):
     return nodes, weights
 
 
-def _oscillatory_integral(p: ExpPair, u: float, c: float, t):
-    """(1/pi) * integral over [0, pi] of the closed-form defect term.
-
-    ``t`` may be an array; the result then has its shape.
-    """
+def _oscillatory_integral(p: ExpPair, u: float, c: float, t: float) -> float:
+    """(1/pi) * integral over [0, pi] of the closed-form defect term."""
     delta, rho = p.delta, p.rho
     q = delta / (c * rho)
     sq = math.sqrt(q)
@@ -165,29 +154,32 @@ def _oscillatory_integral(p: ExpPair, u: float, c: float, t):
     x, w = _composite_gl(np.linspace(0.0, math.pi, max(64, int(1.0 + freq)) + 1))
     denom = 1.0 + q - 2.0 * sq * np.cos(x)
     osc = np.cos(freq * np.sin(x)) - np.cos(freq * np.sin(x) + 2.0 * x)
-    # in place: with an array t this is a (len(t), len(x)) block
-    vals = np.asarray(t, dtype=float)[..., None] * c * rho * denom
-    np.subtract(u * rho * (sq * np.cos(x) - 1.0), vals, out=vals)
-    np.exp(vals, out=vals)
-    vals *= q / denom * osc
+    vals = np.exp(u * rho * (sq * np.cos(x) - 1.0) - t * c * rho * denom) * (q / denom * osc)
     if not np.all(np.isfinite(vals)):
         raise IntegrationError("ruin_finite_exp integrand not finite")
-    out = (vals @ w) / math.pi
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(vals @ w) / math.pi
+
+
+def _survival_zero(p: ExpPair, c: float, tau):
+    """phi(0, tau), survival to tau > 0 from zero capital (vectorized in tau).
+
+    Takacs' ballot formula E[(1 - V_tau/(c tau))^+].  With N ~ Poisson(delta tau),
+    K ~ Poisson(rho c tau) and q = delta/(c rho) it is P{N <= K} - q P{K >= N + 2}
+    = 1 - chndtr(2 delta tau, 2, 2 rho c tau) - q chndtr(2 rho c tau, 4, 2 delta tau).
+    """
+    lam, mu = 2.0 * p.delta * tau, 2.0 * p.rho * c * tau
+    q = p.delta / (c * p.rho)
+    return 1.0 - _ncx2_cdf(lam, 2.0, mu) - q * _ncx2_cdf(mu, 4.0, lam)
 
 
 @lru_cache(maxsize=64)
 def _seal_rule(delta: float, rho: float, c: float, t: float):
     """Seal's quadrature nodes s in [0, t], their weights, and phi(0, t - s).
 
-    The zero-capital survival phi(0, tau) = 1 - psi(0, tau) comes from the
-    oscillatory closed form at u = 0, whose envelope exponent
-    ``-tau (sqrt(c rho) - sqrt(delta))^2`` is never positive, so the
-    cancellation is safe at every node.
+    The zero-capital survival phi(0, tau) comes from Takacs' ballot
+    formula in noncentral chi-square CDFs (:func:`_survival_zero`), so no
+    integral is needed at the nodes.
     """
-    p = ExpPair(delta, rho)
     # f_V(u + c s, s) near s = 0 and phi(0, tau) near tau = 0 move on the
     # time scale 1/max(delta, c rho), and the integrand is slow in between:
     # 16 panels on each end layer of 64 such units, 32 on the middle.  A
@@ -196,17 +188,18 @@ def _seal_rule(delta: float, rho: float, c: float, t: float):
     s, w = _composite_gl(np.concatenate([
         np.linspace(0.0, a, 17), np.linspace(a, t - a, 33)[1:], np.linspace(t - a, t, 17)[1:]
     ]))
-    phi0 = 1.0 - ruin_ultimate_exp(p, 0.0, c) + _oscillatory_integral(p, 0.0, c, t - s)
-    return s, w, phi0
+    return s, w, _survival_zero(ExpPair(delta, rho), c, t - s)
 
 
 def _ruin_finite_seal(p: ExpPair, u: float, c: float, t: float) -> float:
     """Finite-horizon ruin via Seal's survival formula (Poisson arrivals).
 
     phi(u, t) = F_V(u + c t, t) - c * int_0^t phi(0, t - s) f_V(u + c s, s) ds,
-    as one fixed-node composite Gauss-Legendre sum over s.  Every term is a
-    probability or a density; no exponential cancellation.  The dispatcher
-    calls it only for u > 0: at u = 0 the oscillatory route always answers.
+    as one fixed-node composite Gauss-Legendre sum over s.  F_V is the
+    Skellam (noncentral chi-square) closed form and phi(0, .) is Takacs'
+    ballot formula, so every term is a probability or a density; no
+    exponential cancellation.  The dispatcher calls it only for u > 0: at
+    u = 0 Takacs' formula answers directly.
     """
     s, w, phi0 = _seal_rule(p.delta, p.rho, c, t)
     corr = float(w @ (aggregate_pdf_exp(p, s, u + c * s) * phi0))
@@ -225,19 +218,24 @@ def _log_envelope(p: ExpPair, u: float, c: float, t: float) -> float:
 def ruin_finite_exp(p: ExpPair, u: float, c: float, t: float) -> float:
     """P{ruin within [0, t]} for the exponential pair.
 
-    For c > 0 this is the ultimate ruin probability minus an oscillatory
-    integral over [0, pi], evaluated by composite Gauss-Legendre quadrature
-    with the panel count scaled to the oscillation frequency; when the
-    integrand's envelope is too large for that cancellation to be done in
-    doubles, Seal's formula is used instead.  For c = 0 the claim surplus
-    is nondecreasing, so ruin by t is exactly ``V_t > u`` and the aggregate
-    CDF identity applies.
+    For c > 0 and u > 0 this is the ultimate ruin probability minus an
+    oscillatory integral over [0, pi], evaluated by composite
+    Gauss-Legendre quadrature with the panel count scaled to the
+    oscillation frequency; when the integrand's envelope is too large for
+    that cancellation to be done in doubles, or c lies within 3% of c*
+    (|q - 1| < 0.03), Seal's formula is used instead.  At u = 0 it is
+    1 - phi(0, t) from Takacs' ballot formula.  For c = 0 the claim
+    surplus is nondecreasing, so ruin by t is exactly ``V_t > u`` and the
+    aggregate CDF identity applies.
     """
     if not (0.0 <= u < math.inf and 0.0 <= c < math.inf and 0.0 < t < math.inf):
         raise DomainError("ruin_finite_exp requires finite u >= 0, c >= 0 and t > 0")
     if c == 0.0:
         return _clamp_probability(1.0 - aggregate_cdf_exp(p, t, u), "ruin_finite_exp")
-    if _log_envelope(p, u, c, t) > _OSC_MAX_LOG_ENVELOPE:
+    if u == 0.0:
+        return _clamp_probability(1.0 - float(_survival_zero(p, c, t)), "ruin_finite_exp")
+    near_c_star = abs(p.delta / (c * p.rho) - 1.0) < _OSC_MIN_ABS_Q_GAP
+    if near_c_star or _log_envelope(p, u, c, t) > _OSC_MAX_LOG_ENVELOPE:
         return _ruin_finite_seal(p, u, c, t)
     raw = ruin_ultimate_exp(p, u, c) - _oscillatory_integral(p, u, c, t)
     return _clamp_probability(raw, "ruin_finite_exp")

@@ -5,10 +5,15 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from ruincapital import montecarlo, presets
+from scipy import optimize
+
+from ruincapital import approx, montecarlo, presets
 from ruincapital.capital import (
+    _U_TOLERANCE,
     CapitalPoint,
     SolveSpec,
+    _default_bracket,
+    _invert,
     capital_curve,
     nonruin_capital,
     ruin_curve,
@@ -37,6 +42,45 @@ def test_nonruin_solution_satisfies_defining_equation():
     p = ruin_finite_exp(ExpPair(1.0, 1.0), pt.value, 1.0, 200.0)
     assert p == pytest.approx(0.05, abs=2e-6)
     assert pt.residual is not None and pt.residual <= 2e-6
+
+
+def test_nonruin_near_critical_rate_model_i():
+    # within 3% of c* the exact route answers through Seal's formula
+    model_i = RiskModel(Exponential(0.8), Exponential(0.6))
+    pt = nonruin_capital(model_i, 0.05, 200.0, 1.3333, EXACT)
+    assert pt.value == pytest.approx(59.9086, abs=1e-3)
+
+
+class _Counting:
+    """A backend that records each scalar u it is asked for."""
+
+    def __init__(self, prob):
+        self.prob, self.scalars, self.arrays = prob, [], []
+
+    def __call__(self, u):
+        (self.arrays if np.ndim(u) else self.scalars).append(u)
+        return self.prob(u)
+
+
+@pytest.mark.parametrize("path", ["exact", "warm", "warm_miss", "scan"])
+def test_invert_evaluates_no_u_twice(path):
+    c, t, alpha = 1.1, 200.0, 0.05
+    mb = _default_bracket(UNIT, alpha, t, c)
+    if path == "scan":
+        prob = _Counting(lambda u: approx.ig_ruin_probability(UNIT, u, c, t, "closed"))
+    else:
+        prob = _Counting(lambda u: ruin_finite_exp(ExpPair(1.0, 1.0), u, c, t))
+    root = nonruin_capital(UNIT, alpha, t, c, EXACT).value
+    warm = {"warm": root * 1.01 + 1.0, "warm_miss": 0.5 * root}.get(path)
+    pt = _invert(prob, alpha, mb, "nonruin", c, warm, path == "scan")
+    assert len(set(prob.scalars)) == len(prob.scalars)
+    assert not set(prob.scalars) & {u for a in prob.arrays for u in a.tolist()}
+    assert pt.residual == abs(prob.prob(pt.value) - alpha)
+    if path != "scan":
+        # brentq sees the same floats as without the cache: the same root
+        hi = warm if path == "warm" else mb
+        plain = optimize.brentq(lambda u: prob.prob(u) - alpha, 0.0, hi, xtol=_U_TOLERANCE)
+        assert pt.value == plain
 
 
 def test_var_equals_nonruin_at_zero_premium():

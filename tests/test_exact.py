@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy import special as sp
 
-from ruincapital.errors import DomainError
+from ruincapital.errors import DomainError, IntegrationError
 from ruincapital.exact import (
     ExpPair,
     _log_envelope,
     _oscillatory_integral,
     _ruin_finite_seal,
+    _seal_rule,
     aggregate_cdf_exp,
     aggregate_pdf_exp,
     ruin_finite_exp,
@@ -41,6 +43,67 @@ def test_aggregate_cdf_matches_poisson_gamma_mixture(pair, t, x):
     assert aggregate_cdf_exp(pair, t, x) == pytest.approx(
         _poisson_gamma_cdf(pair, t, x), abs=1e-12
     )
+
+
+def _bessel_quad_cdf(p: ExpPair, t: float, x: float) -> float:
+    # the Bessel-series form: the atom exp(-delta t) plus the continuous part
+    # integrated by adaptive quadrature after z = w^2, where the scaled
+    # Bessel function turns the integrand into a Gaussian bump at s/rho
+    s = math.sqrt(p.delta * p.rho * t)
+    w0, wmax = s / p.rho, math.sqrt(x)
+    val, _ = integrate.quad(
+        lambda w: sp.i1e(2.0 * w * s) * np.exp(-p.rho * (w - w0) ** 2),
+        0.0, wmax, points=[w0] if 0.0 < w0 < wmax else None,
+        limit=200, epsabs=1e-12, epsrel=1e-10,
+    )
+    return math.exp(-p.delta * t) + 2.0 * s * val
+
+
+@pytest.mark.parametrize("pair", [UNIT, ExpPair(0.8, 0.6), ExpPair(2.0, 0.5)])
+def test_aggregate_cdf_matches_bessel_quadrature(pair):
+    for t in (0.1, 1.0, 10.0, 100.0, 1000.0):
+        mean, sd = pair.delta * t / pair.rho, math.sqrt(2.0 * pair.delta * t) / pair.rho
+        for x in np.linspace(0.0, mean + 8.0 * sd + 5.0 / pair.rho, 25)[1:]:
+            assert aggregate_cdf_exp(pair, t, x) == pytest.approx(
+                _bessel_quad_cdf(pair, t, x), abs=1e-12
+            )
+
+
+def test_aggregate_cdf_long_horizon():
+    # at equal means P{N <= K} = (1 + P{N = K}) / 2 with P{N = K} = i0e(2 lam)
+    lam = 1e8
+    assert aggregate_cdf_exp(UNIT, lam, lam) == pytest.approx(
+        0.5 * (1.0 + sp.i0e(2.0 * lam)), abs=1e-12
+    )
+    # once delta t and rho x both pass about 2e10 chndtr is NaN: a typed error
+    with pytest.raises(IntegrationError):
+        aggregate_cdf_exp(UNIT, 1e11, 1e11)
+
+
+@pytest.mark.parametrize("pair", [UNIT, ExpPair(0.8, 0.6)])
+@pytest.mark.parametrize("c", [0.5, 0.9, 1.0, 1.2, 1.5, 2.0])
+def test_seal_zero_capital_survival_matches_oscillatory_form(pair, c):
+    # Takacs' ballot formula against 1 - psi(0) + the oscillatory integral
+    # at u = 0, whose envelope never exceeds 1
+    for t in (200.0, 1000.0):
+        s, _, phi0 = _seal_rule(pair.delta, pair.rho, c, t)
+        for tau, got in zip(t - s[::8], phi0[::8]):
+            osc = 1.0 - ruin_ultimate_exp(pair, 0.0, c) + _oscillatory_integral(pair, 0.0, c, tau)
+            assert got == pytest.approx(osc, abs=1e-12)
+
+
+@pytest.mark.parametrize("pair", [UNIT, ExpPair(0.8, 0.6)], ids=["unit", "model_I"])
+def test_finite_ruin_near_critical_rate_matches_seal(pair):
+    # within a few percent of c* the oscillatory route loses up to 2.5e-3
+    # (3.3e-5 at u = 0), so the dispatcher must agree with Seal on both sides
+    c_star = pair.delta / pair.rho
+    us = [0.0, *np.linspace(1.0, 200.0, 12)]
+    for k in range(1, 7):
+        for c in (c_star * (1.0 - 10.0**-k), c_star * (1.0 + 10.0**-k)):
+            for u in us:
+                assert ruin_finite_exp(pair, u, c, 200.0) == pytest.approx(
+                    _ruin_finite_seal(pair, u, c, 200.0), abs=1e-10
+                )
 
 
 def test_aggregate_cdf_atom_and_tail():
