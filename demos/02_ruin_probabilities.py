@@ -1,8 +1,9 @@
 """Four routes to the same finite-horizon ruin probability.
 
 For exponential claims and inter-arrival times the probability of ruin
-within [0, t] has a closed form (Bessel-series aggregate distribution plus
-an oscillatory correction).  That exact value is the yardstick for three
+within [0, t] has a closed form (the aggregate distribution as a
+noncentral chi-square (Skellam) probability, plus an oscillatory
+correction).  That exact value is the yardstick for three
 cheaper routes that also work beyond the exponential world:
 
 * the inverse Gaussian (diffusion) approximation, which needs only the

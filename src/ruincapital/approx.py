@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 from scipy import integrate
 
-from .errors import DomainError, ExcludedCaseError, IntegrationError
+from .errors import DomainError, ExcludedCaseError, IntegrationError, check_real, check_real_array
 from .exact import ExpPair
 from .model import RiskModel, check_alpha, derived_constants, theorem_preconditions
 from .special import inverse_gaussian_cdf, normal_pdf, std_normal_cdf, std_normal_quantile
@@ -51,16 +51,15 @@ def var_clt(m: RiskModel, alpha: float, t: float, c: float) -> float:
     upper alpha-quantile of the standard normal law.
     """
     alpha = check_alpha(alpha)
-    if not 0.0 < t < math.inf:
-        raise DomainError("var_clt requires finite t > 0")
-    if not 0.0 <= c < math.inf:
-        raise DomainError("var_clt requires finite c >= 0")
+    t = check_real("t", t, above=0.0)
+    c = check_real("c", c, at_least=0.0)
     k = derived_constants(m)
     z = std_normal_quantile(1.0 - alpha)
     return max(0.0, (k.m_v - c) * t + z * k.d_v * math.sqrt(t))
 
 
 def _ig_integral(u: float, c: float, t: float, m_big: float, d2_big: float) -> float:
+    """The defining integral of ig_ruin_probability by quadrature; its closed form's reference."""
     # integrand: (x+1)^{-1} times a Gaussian density in x with mean
     # cM(x+1) and variance (c^2 D^2 / u)(x+1)
     cm = c * m_big
@@ -100,39 +99,28 @@ def _ig_closed(u, c: float, t: float, m_big: float, d2_big: float):
     return np.clip(scale * (cdf(c * t / u + 1.0) - cdf(1.0)), 0.0, 1.0)
 
 
-def ig_ruin_probability(m: RiskModel, u, c: float, t: float, form: str = "closed"):
+def ig_ruin_probability(m: RiskModel, u, c: float, t: float):
     """Inverse Gaussian approximation of P{ruin within [0, t]}.
 
-    ``form="integral"`` evaluates the defining integral over [0, ct/u] by
-    adaptive quadrature; ``form="closed"`` evaluates the equivalent
+    The defining integral over [0, ct/u] (:func:`_ig_integral`, kept as the
+    reference) has the closed form
     ``scale * [F(ct/u + 1) - F(1)]``, F the IG(mu, u/(c^2 D^2)) distribution
     function with mu = 1/|1 - cM|, scale 1 for cM <= 1 and exp(-2 lam/mu)
     above.  The two agree to ~1e-9 away from the regime boundary cM = 1,
-    where the closed form uses the zero-drift limit mu = inf.  The closed
-    form takes u as a float or a 1-D array and returns the same; every
-    entry is checked, and the array values equal the scalar calls.
+    where the closed form uses the zero-drift limit mu = inf.  u is a float
+    or a 1-D array and the result is the same; every entry is checked, and
+    the array values equal the scalar calls.  c = 0 is outside the domain:
+    there the aggregate-claims distribution function answers.
     """
-    ua = np.asarray(u, dtype=float)
-    if not ((0.0 < ua) & (ua < math.inf)).all():
-        raise DomainError("ig_ruin_probability requires finite u > 0")
-    if not 0.0 < c < math.inf:
-        raise DomainError(
-            "ig_ruin_probability requires finite c > 0; at c = 0 use the "
-            "aggregate-claims distribution function instead"
-        )
-    if not 0.0 <= t < math.inf:
-        raise DomainError("ig_ruin_probability requires finite t >= 0")
-    if form not in ("integral", "closed"):
-        raise DomainError(f"unknown form {form!r}; expected 'integral' or 'closed'")
-    if form == "integral" and ua.ndim:
-        raise DomainError("ig_ruin_probability with form='integral' requires a scalar u")
+    scalar = np.isscalar(u)
+    u = check_real("u", u, above=0.0) if scalar else check_real_array("u", u, above=0.0)
+    c = check_real("c", c, above=0.0)
+    t = check_real("t", t, at_least=0.0)
     if t == 0.0:
-        return 0.0 if ua.ndim == 0 else np.zeros_like(ua)
+        return 0.0 if scalar else np.zeros_like(u)
     k = derived_constants(m)
-    if form == "integral":
-        return _ig_integral(float(ua), c, t, k.m_big, k.d2_big)
-    val = _ig_closed(ua, c, t, k.m_big, k.d2_big)
-    return float(val) if ua.ndim == 0 else val
+    val = _ig_closed(u, c, t, k.m_big, k.d2_big)
+    return float(val) if scalar else val
 
 
 @dataclass(frozen=True)
@@ -159,8 +147,7 @@ def cramer_constants_exp(p: ExpPair, c: float) -> CramerConstants:
         ExcludedCaseError: at c = c* = delta/rho, where every displayed
             denominator vanishes.
     """
-    if not 0.0 < c < math.inf:
-        raise DomainError("cramer_constants_exp requires finite c > 0")
+    c = check_real("c", c, above=0.0)
     delta, rho = p.delta, p.rho
     q = delta / (c * rho)
     # the displayed denominators vanish at c = c*; treat a relative
@@ -190,10 +177,8 @@ def cramer_ruin_exp(p: ExpPair, u: float, c: float, t: float) -> float:
     (c > c*): C exp(-kappa u) Phi((t - m u)/(D sqrt(u))).  Undefined at
     c = c*.
     """
-    if not 0.0 < u < math.inf:
-        raise DomainError("cramer_ruin_exp requires finite u > 0")
-    if not 0.0 < t < math.inf:
-        raise DomainError("cramer_ruin_exp requires finite t > 0")
+    u = check_real("u", u, above=0.0)
+    t = check_real("t", t, above=0.0)
     k = cramer_constants_exp(p, c)
     if k.m_sub is not None:
         z = (t - k.m_sub * u) / math.sqrt(k.d2_sub * u)
@@ -233,8 +218,7 @@ def capital_asymptotic_endpoints(
     third-moment hypotheses produce a warning, not an error.
     """
     alpha = check_alpha(alpha)
-    if not 0.0 < t < math.inf:
-        raise DomainError("capital_asymptotic_endpoints requires finite t > 0")
+    t = check_real("t", t, above=0.0)
     _warn_if_preconditions_fail(m, "capital_asymptotic_endpoints")
     k = derived_constants(m)
     scale = k.capital_scale
@@ -256,10 +240,8 @@ def capital_asymptotic_bounds(
     upper = (c* - c) t + (D/M^{3/2}) z_{alpha/2} sqrt(t).
     """
     alpha = check_alpha(alpha)
-    if not 0.0 < t < math.inf:
-        raise DomainError("capital_asymptotic_bounds requires finite t > 0")
-    if not 0.0 <= c < math.inf:
-        raise DomainError("capital_asymptotic_bounds requires finite c >= 0")
+    t = check_real("t", t, above=0.0)
+    c = check_real("c", c, at_least=0.0)
     k = derived_constants(m)
     if c > k.c_star:
         raise DomainError(

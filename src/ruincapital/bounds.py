@@ -22,6 +22,7 @@ from .errors import (
     DomainError,
     InfiniteCapitalError,
     NoAdjustmentCoefficientError,
+    check_real,
 )
 from .exact import ExpPair
 from .model import RiskModel, check_alpha, derived_constants
@@ -68,8 +69,7 @@ def adjustment_coefficient(m: RiskModel, c: float) -> AdjustmentCoefficient:
     Raises:
         NoAdjustmentCoefficientError: heavy-tailed Y, or c <= c*.
     """
-    if not 0.0 < c < math.inf:
-        raise DomainError("adjustment_coefficient requires finite c > 0")
+    c = check_real("c", c, above=0.0)
     if m.y_law.mgf_abscissa == 0.0:
         raise NoAdjustmentCoefficientError(
             "adjustment coefficient does not exist for heavy-tailed claim sizes"
@@ -224,8 +224,7 @@ def ultimate_capital_exp(p: ExpPair, alpha: float, c: float) -> float:
             at every capital level.
     """
     alpha = check_alpha(alpha)
-    if not math.isfinite(c):
-        raise DomainError("ultimate_capital_exp requires finite c")
+    c = check_real("c", c)
     if c <= p.delta / p.rho:
         raise InfiniteCapitalError(
             "ultimate capital is infinite for c <= c* = delta/rho"

@@ -41,6 +41,7 @@ from .errors import (
     DomainError,
     InfiniteCapitalError,
     RuinCapitalError,
+    check_real,
 )
 from .exact import ExpPair
 from .model import RiskModel, check_alpha, check_c_grid, derived_constants
@@ -67,7 +68,8 @@ _U_TOLERANCE = 1e-6
 class SolveSpec:
     """Which probability backend answers a var or nonruin cell.
 
-    ``sim`` is required only by the monte_carlo backend.  Root solves stop
+    ``sim`` is required only by the monte_carlo backend, and its horizon
+    ``sim.t`` must be the solve's t.  Root solves stop
     at a bracket width of 1e-6 money units, with an upper bracket derived
     from the asymptotic capital scale.
     """
@@ -107,17 +109,6 @@ def _default_bracket(m: RiskModel, alpha: float, t: float, c: float) -> float:
     drift = max(0.0, (k.c_star - c) * t)
     upper = drift + spread * approx.std_normal_quantile(1.0 - alpha / 2.0)
     return upper + 10.0 * spread
-
-
-def _check_horizon(name: str, t: float) -> None:
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"{name} requires finite t > 0")
-
-
-def _check_horizon_premium(name: str, t: float, c: float) -> None:
-    _check_horizon(name, t)
-    if not 0.0 <= c < math.inf:
-        raise DomainError(f"{name} requires finite c >= 0")
 
 
 def _require_exp_pair(m: RiskModel, route: str) -> ExpPair:
@@ -177,12 +168,13 @@ def _invert(
     return CapitalPoint(kind=kind, c=c, value=u, residual=abs(f(u) - alpha))
 
 
-def _sim_config(spec: SolveSpec, t: float) -> SimConfig:
-    if spec.sim is None:
-        raise DomainError("monte_carlo backend requires SolveSpec.sim")
-    if spec.sim.t != t:
-        return replace(spec.sim, t=t)
-    return spec.sim
+def _check_sim(sim: Optional[SimConfig], t: float) -> SimConfig:
+    """``sim``; DomainError when it is missing or its horizon is not t."""
+    if sim is None:
+        raise DomainError("Monte Carlo requires a SimConfig")
+    if sim.t != t:
+        raise DomainError(f"the SimConfig simulates to t = {sim.t!r}, not the horizon t = {t!r}")
+    return sim
 
 
 def _solve(
@@ -212,7 +204,8 @@ def _solve(
         v = approx.var_clt(m, alpha, t, c)
         return CapitalPoint(kind="var", c=c, value=v, clamped=(v == 0.0))
     if backend == "monte_carlo":
-        est = montecarlo.simulate_paths(m, [c], _sim_config(spec, t)).quantile(kind, alpha)[0]
+        sim = _check_sim(spec.sim, t)
+        est = montecarlo.simulate_paths(m, [c], sim).quantile(kind, alpha)[0]
         return CapitalPoint(
             kind=kind, c=c, value=est.point, clamped=(est.point == 0.0), ci95=est.ci95
         )
@@ -227,7 +220,7 @@ def _solve(
             redirect = "exact_exp" if m.is_exponential_pair() else "clt"
             point = _solve(m, alpha, t, 0.0, replace(spec, backend=redirect), "var")
             return replace(point, kind="nonruin")
-        prob = lambda u: approx.ig_ruin_probability(m, u, c, t, "closed")
+        prob = lambda u: approx.ig_ruin_probability(m, u, c, t)
     else:
         p = _require_exp_pair(m, f"backend {backend!r}")
         if kind == "var":
@@ -252,7 +245,8 @@ def var_capital(
     ``monte_carlo`` takes the empirical quantile of terminal deficits.
     """
     alpha = check_alpha(alpha)
-    _check_horizon_premium("var_capital", t, c)
+    t = check_real("t", t, above=0.0)
+    c = check_real("c", c, at_least=0.0)
     return _solve(m, alpha, t, c, spec, "var")
 
 
@@ -267,7 +261,8 @@ def nonruin_capital(
     CLT otherwise.
     """
     alpha = check_alpha(alpha)
-    _check_horizon_premium("nonruin_capital", t, c)
+    t = check_real("t", t, above=0.0)
+    c = check_real("c", c, at_least=0.0)
     return _solve(m, alpha, t, c, spec, "nonruin")
 
 
@@ -283,8 +278,7 @@ def ultimate_capital(m: RiskModel, alpha: float, c: float) -> CapitalPoint:
         InfiniteCapitalError: for c <= c*.
     """
     alpha = check_alpha(alpha)
-    if not math.isfinite(c):
-        raise DomainError("ultimate_capital requires finite c")
+    c = check_real("c", c)
     k = derived_constants(m)
     if c <= k.c_star:
         raise InfiniteCapitalError(
@@ -369,7 +363,9 @@ def capital_curve(
     ``metadata["warnings"]`` as "<kind>@c=<c:g>: <reason>"; an error of the
     sweep is logged against every cell it prices.  Invalid inputs shared by
     every cell (alpha, the grid, a kind, a horizon t that is not finite and
-    positive when var or nonruin is asked for) raise DomainError up front.
+    positive when var or nonruin is asked for, and under ``monte_carlo`` a
+    missing ``spec.sim`` or one whose horizon is not t) raise DomainError
+    up front.
     """
     alpha = check_alpha(alpha)
     c_grid = check_c_grid(c_grid)
@@ -378,7 +374,7 @@ def capital_curve(
             raise DomainError(f"unknown capital kind {kind!r}")
     horizon_kinds = [kind for kind in kinds if kind != "ultimate"]
     if horizon_kinds:
-        _check_horizon("capital_curve", t)
+        t = check_real("t", t, above=0.0)
 
     table = CurveTable(
         columns=["c", *kinds],
@@ -388,8 +384,9 @@ def capital_curve(
         "ultimate": lambda i, c: ultimate_capital(m, alpha, c).value
     }
     if spec.backend == "monte_carlo" and horizon_kinds:
+        sim = _check_sim(spec.sim, t)
         try:
-            sample = montecarlo.simulate_paths(m, c_grid, _sim_config(spec, t))
+            sample = montecarlo.simulate_paths(m, c_grid, sim)
         except RuinCapitalError as exc:
             cells.update(dict.fromkeys(horizon_kinds, _failing(exc)))
         else:
@@ -409,33 +406,32 @@ def ruin_curve(
 
     ``methods`` is a sequence drawn from ``exact`` and ``cramer``
     (exponential pair only), ``ig`` (the inverse Gaussian closed form) and
-    ``mc``: the ``ruin_prob`` of one ``PathSample`` of ``sim`` at horizon t
-    prices every ``mc`` cell and an added ``mc_stderr`` column.  Cells are
-    NA and logged as in ``capital_curve``; the grid, u (finite, >= 0), t
-    (finite, > 0), the methods and ``sim`` for ``mc`` are checked up front.
+    ``mc``: the ``ruin_prob`` of one ``PathSample`` of ``sim`` prices every
+    ``mc`` cell and an added ``mc_stderr`` column.  Cells are NA and logged
+    as in ``capital_curve``; the grid, u (finite, >= 0), t (finite, > 0),
+    the methods and, for ``mc``, a ``sim`` with horizon t are checked up
+    front.
     """
     c_grid = check_c_grid(c_grid)
-    u = float(u)
-    if not 0.0 <= u < math.inf:
-        raise DomainError("ruin_curve requires finite u >= 0")
-    _check_horizon("ruin_curve", t)
+    u = check_real("u", u, at_least=0.0)
+    t = check_real("t", t, above=0.0)
     if any(mth not in _RUIN_METHODS for mth in methods):
         raise DomainError(f"ruin-probability methods are among {_RUIN_METHODS}, got {methods!r}")
-    if "mc" in methods and sim is None:
-        raise DomainError("ruin_curve method 'mc' requires sim")
+    if "mc" in methods:
+        _check_sim(sim, t)
 
     table = CurveTable(columns=["c", *methods], metadata={"u": u, "t": t, "warnings": []})
     pair = lambda name: _require_exp_pair(m, f"method {name!r}")
     cells: dict[str, Cell] = {
         "exact": lambda i, c: exact.ruin_finite_exp(pair("exact"), u, c, t),
-        "ig": lambda i, c: approx.ig_ruin_probability(m, u, c, t, "closed"),
+        "ig": lambda i, c: approx.ig_ruin_probability(m, u, c, t),
         "cramer": lambda i, c: approx.cramer_ruin_exp(pair("cramer"), u, c, t),
     }
     if "mc" in methods:
         table.columns.append("mc_stderr")
         table.metadata.update(seed=sim.seed, n_paths=sim.n_paths)
         try:
-            ests = montecarlo.simulate_paths(m, c_grid, replace(sim, t=t)).ruin_prob(u)
+            ests = montecarlo.simulate_paths(m, c_grid, sim).ruin_prob(u)
         except RuinCapitalError as exc:  # logged against the mc cells only
             cells.update(mc=_failing(exc), mc_stderr=lambda i, c: None)
         else:

@@ -172,10 +172,7 @@ def cmd_constants(args) -> int:
 def cmd_reproduce(args) -> int:
     n_paths = args.paths if args.paths is not None else 1000
     seed = args.seed if args.seed is not None else 20240817
-    try:
-        files, sidecar = presets.run_preset(args.preset, n_paths=n_paths, seed=seed)
-    except DomainError as exc:
-        raise _CliError(str(exc), EXIT_USAGE) from exc
+    files, sidecar = presets.run_preset(args.preset, n_paths=n_paths, seed=seed)
     outdir = Path(args.out) if args.out else Path.cwd()
     outdir.mkdir(parents=True, exist_ok=True)
     written = []

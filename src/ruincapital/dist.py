@@ -15,7 +15,6 @@ diverges, at and above a law's ``mgf_abscissa``.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -23,7 +22,7 @@ import numpy as np
 from scipy import integrate
 from scipy import special as sp
 
-from .errors import DomainError, MomentUndefinedError, UnsupportedDistributionError
+from .errors import DomainError, MomentUndefinedError, UnsupportedDistributionError, check_real
 
 __all__ = [
     "Exponential",
@@ -67,8 +66,8 @@ class Distribution:
     through the module functions of the same name.  A family without a
     formula inherits the method here, which raises
     UnsupportedDistributionError.  Every parameter of every family is a
-    finite positive real number, checked by ``__post_init__`` here;
-    a family with further constraints extends it.
+    finite positive real number, checked and stored as a float by
+    ``__post_init__`` here; a family with further constraints extends it.
     """
 
     family = ""
@@ -77,9 +76,8 @@ class Distribution:
 
     def __post_init__(self):
         for f in fields(self):
-            v = getattr(self, f.name)
-            if not (isinstance(v, numbers.Real) and 0.0 < v < math.inf):
-                raise DomainError(f"{self.family} {f.name} must be finite and positive, got {v!r}")
+            v = check_real(f"{self.family} {f.name}", getattr(self, f.name), above=0.0)
+            object.__setattr__(self, f.name, v)
 
     def moments(self) -> MomentSet:
         """Exact closed-form mean, variance and raw third moment.
@@ -183,8 +181,7 @@ class MixtureExp2(Distribution):
 
     def __post_init__(self):
         super().__post_init__()
-        if not self.weight < 1.0:
-            raise DomainError("mixture weight must lie in (0, 1)")
+        check_real("mixture2 weight", self.weight, below=1.0)
 
     mgf_abscissa = property(lambda self: min(self.rate1, self.rate2))
 
@@ -312,8 +309,8 @@ def sample(d: Distribution, rng: np.random.Generator, size=None):
     DomainError unless ``size`` is None or a nonnegative integer (an
     integral float such as 4000.0 counts).
     """
-    n = 1 if size is None else size
-    if not (isinstance(n, numbers.Real) and 0 <= n < math.inf and int(n) == n):
+    n = 1.0 if size is None else check_real("sample size", size, at_least=0.0)
+    if n != int(n):
         raise DomainError(f"sample size must be a nonnegative integer, got {size!r}")
     out = d.draw(rng, int(n))
     return float(out[0]) if size is None else out
@@ -327,12 +324,7 @@ def mgf(d: Distribution, r: float) -> float:
     Kummer family supports only r >= 0 (densityless; r > 0 diverges).
     DomainError unless r is a finite number.
     """
-    try:
-        r = float(r)
-    except (TypeError, ValueError):
-        raise DomainError(f"mgf requires a numeric r, got {r!r}") from None
-    if not math.isfinite(r):
-        raise DomainError(f"mgf requires a finite r, got {r}")
+    r = check_real("r", r)
     if r == 0.0:
         return 1.0
     if r >= d.mgf_abscissa:
@@ -346,8 +338,8 @@ _FAMILIES = {cls.family: cls for cls in (Exponential, Erlang, MixtureExp2, Paret
 def distribution_from_config(cfg: dict) -> Distribution:
     """Build a distribution from a ``{"family": name, **params}`` mapping.
 
-    Parameters are converted to floats; DomainError for a value that is not
-    a number.
+    The family checks its parameters, so a value that is not a number, a
+    numeric string included, is DomainError.
     """
     try:
         family = cfg["family"]
@@ -368,8 +360,4 @@ def distribution_from_config(cfg: dict) -> Distribution:
             f"family {family!r} takes parameters {keys}; "
             f"missing {missing}, unexpected {extra}"
         )
-    try:
-        params = {k: float(v) for k, v in params.items()}
-    except (TypeError, ValueError):
-        raise DomainError(f"family {family!r} parameters must be numbers, got {params}") from None
     return cls(**params)

@@ -1,9 +1,16 @@
-"""Exception hierarchy shared across the library.
+"""Exception hierarchy shared across the library, and its one argument rule.
 
 Every error raised on purpose derives from :class:`RuinCapitalError`, so
 callers can catch one base class.  Domain violations additionally derive
-from ``ValueError`` to stay friendly to generic numeric code.
+from ``ValueError`` to stay friendly to generic numeric code.  Every public
+entry point checks its numeric arguments with :func:`check_real` or
+:func:`check_real_array`, which raise DomainError for anything else.
 """
+
+import math
+import numbers
+
+import numpy as np
 
 
 class RuinCapitalError(Exception):
@@ -55,3 +62,39 @@ class BracketError(RuinCapitalError):
 
 class InfiniteCapitalError(RuinCapitalError):
     """The ultimate capital u_alpha(c) is infinite for c <= c*."""
+
+
+def _bad_argument(name: str, x, noun: str, above, at_least, below) -> DomainError:
+    bounds = ((">", above), (">=", at_least), ("<", below))
+    rule = ", ".join(["finite", *(f"{op} {b:g}" for op, b in bounds if math.isfinite(b))])
+    return DomainError(f"{name} must be {noun} ({rule}), got {x!r}")
+
+
+def check_real(name: str, x, above=-math.inf, at_least=-math.inf, below=math.inf) -> float:
+    """``x`` as a float: a real number (NumPy scalars included) with
+    ``above < x < below`` and ``x >= at_least``, else DomainError naming the
+    argument and the value it got.  The default range admits every finite
+    number, NaN fails every range and a string is never converted.
+    """
+    if type(x) is float:  # the common case skips the slower ABC check
+        v = x
+    else:
+        try:
+            v = float(x) if isinstance(x, numbers.Real) else math.nan
+        except OverflowError:  # an int beyond the float range
+            v = math.nan
+    if above < v < below and v >= at_least:
+        return v
+    raise _bad_argument(name, x, "a real number", above, at_least, below)
+
+
+def check_real_array(name: str, x, above=-math.inf, at_least=-math.inf, below=math.inf):
+    """``x`` as a float array; DomainError unless it has an integer or float
+    dtype and every entry lies in the range of :func:`check_real`."""
+    try:
+        a = np.asarray(x)
+    except ValueError:  # a ragged nesting: made an object array, rejected below
+        a = np.asarray(None)
+    if a.dtype.kind in "iuf" and ((above < a) & (a < below) & (a >= at_least)).all():
+        return np.asarray(a, dtype=float)
+    raise _bad_argument(name, x, "an array of real numbers", above, at_least, below)

@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as sp
 
-from .errors import DomainError, IntegrationError
+from .errors import IntegrationError, check_real, check_real_array
 
 __all__ = [
     "ExpPair",
@@ -60,8 +60,8 @@ class ExpPair:
     rho: float
 
     def __post_init__(self):
-        if not (0.0 < self.delta < math.inf and 0.0 < self.rho < math.inf):
-            raise DomainError("ExpPair rates must be finite and positive")
+        object.__setattr__(self, "delta", check_real("delta", self.delta, above=0.0))
+        object.__setattr__(self, "rho", check_real("rho", self.rho, above=0.0))
 
 
 def _clamp_probability(value: float, context: str) -> float:
@@ -93,8 +93,8 @@ def aggregate_cdf_exp(p: ExpPair, t: float, x: float) -> float:
     is the atom exp(-delta t) (no claims by t).  Raises IntegrationError
     once delta t and rho x both reach about 2e10, where chndtr gives NaN.
     """
-    if not (0.0 < t < math.inf and math.isfinite(x)):
-        raise DomainError("aggregate_cdf_exp requires finite t > 0 and finite x")
+    t = check_real("t", t, above=0.0)
+    x = check_real("x", x)
     if x < 0.0:
         return 0.0
     return 1.0 - float(_ncx2_cdf(2.0 * p.delta * t, 2.0, 2.0 * p.rho * x))
@@ -108,10 +108,8 @@ def aggregate_pdf_exp(p: ExpPair, t, x):
     expression never overflows.
     """
     delta, rho = p.delta, p.rho
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if not (np.all(x > 0.0) and np.all((t > 0.0) & (t < math.inf))):
-        raise DomainError("aggregate_pdf_exp requires finite t > 0 and x > 0")
+    t = check_real_array("t", t, above=0.0)
+    x = check_real_array("x", x, above=0.0)
     w = 2.0 * np.sqrt(delta * rho * t * x)
     out = (
         np.sqrt(delta * rho * t / x)
@@ -125,8 +123,8 @@ def aggregate_pdf_exp(p: ExpPair, t, x):
 
 def ruin_ultimate_exp(p: ExpPair, u: float, c: float) -> float:
     """Ultimate ruin probability P{ruin ever} for initial capital u, price c."""
-    if not (0.0 <= u < math.inf and 0.0 <= c < math.inf):
-        raise DomainError("ruin_ultimate_exp requires finite u >= 0 and c >= 0")
+    u = check_real("u", u, at_least=0.0)
+    c = check_real("c", c, at_least=0.0)
     if c == 0.0:
         return 1.0
     q = p.delta / (c * p.rho)
@@ -228,8 +226,9 @@ def ruin_finite_exp(p: ExpPair, u: float, c: float, t: float) -> float:
     surplus is nondecreasing, so ruin by t is exactly ``V_t > u`` and the
     aggregate CDF identity applies.
     """
-    if not (0.0 <= u < math.inf and 0.0 <= c < math.inf and 0.0 < t < math.inf):
-        raise DomainError("ruin_finite_exp requires finite u >= 0, c >= 0 and t > 0")
+    u = check_real("u", u, at_least=0.0)
+    c = check_real("c", c, at_least=0.0)
+    t = check_real("t", t, above=0.0)
     if c == 0.0:
         return _clamp_probability(1.0 - aggregate_cdf_exp(p, t, u), "ruin_finite_exp")
     if u == 0.0:

@@ -18,11 +18,18 @@ Two normalizations of the same model coexist and must not be conflated:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dist import Distribution, Exponential
-from .errors import ConstantsUnavailableError, DomainError, MomentUndefinedError
+from .errors import (
+    ConstantsUnavailableError,
+    DomainError,
+    MomentUndefinedError,
+    check_real,
+    check_real_array,
+)
 
 __all__ = [
     "RiskModel",
@@ -161,24 +168,19 @@ def check_alpha(alpha: float) -> float:
     solvers, the bounds, the approximations and the Monte Carlo quantile
     estimators.
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha < 0.5:
-        raise DomainError(f"alpha must lie in (0, 1/2), got {alpha}")
-    return alpha
+    return check_real("alpha", alpha, above=0.0, below=0.5)
 
 
 def check_c_grid(c_grid) -> list[float]:
     """A premium-rate grid as a list of floats.
 
-    DomainError unless the grid is strictly increasing, finite and
+    DomainError unless the grid is 1-D, strictly increasing, finite and
     nonnegative; shared by ``capital_curve`` and ``simulate_curve``.
     """
-    cs = [float(c) for c in c_grid]
-    if not all(0.0 <= c < math.inf for c in cs) or any(
-        b <= a for a, b in zip(cs, cs[1:])
-    ):
-        raise DomainError("c_grid must be strictly increasing, finite and nonnegative")
-    return cs
+    cs = check_real_array("c_grid", c_grid, at_least=0.0)
+    if cs.ndim != 1 or (np.diff(cs) <= 0.0).any():
+        raise DomainError(f"c_grid must be a strictly increasing 1-D grid, got {c_grid!r}")
+    return cs.tolist()
 
 
 def c_grid_range(start: float, stop: float, step: float) -> list[float]:
@@ -188,9 +190,8 @@ def c_grid_range(start: float, stop: float, step: float) -> list[float]:
     (0.15, not 0.15000000000000002).  DomainError unless all three are
     finite, step > 0 and stop >= start.
     """
-    if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
-        raise DomainError(
-            "bad premium grid: need finite start, stop and step, step > 0 and stop >= start"
-        )
+    start = check_real("start", start)
+    stop = check_real("stop", stop, at_least=start)
+    step = check_real("step", step, above=0.0)
     n = int(round((stop - start) / step)) + 1
     return [round(start + i * step, 12) for i in range(n)]

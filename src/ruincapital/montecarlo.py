@@ -20,7 +20,6 @@ so a fixed (seed, n_paths) reproduces every path bit for bit.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 import warnings
 from collections.abc import Sequence
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dist
-from .errors import DomainError
+from .errors import DomainError, check_real, check_real_array
 from .model import RiskModel, check_alpha, check_c_grid
 from .table import CurveTable
 
@@ -67,8 +66,7 @@ class SimConfig:
                 stacklevel=3,
             )
         # t is stored as given: simulate_curve echoes it into its metadata
-        if not isinstance(self.t, numbers.Real) or not 0.0 < self.t < math.inf:
-            raise DomainError(f"horizon t must be a finite positive number, got {self.t!r}")
+        check_real("t", self.t, above=0.0)
         if not 0 <= self.seed < 2**64:
             raise DomainError("seed must be a 64-bit unsigned integer")
 
@@ -80,17 +78,6 @@ class Estimate:
     point: float
     stderr: float
     ci95: tuple[float, float]
-
-
-def _nonnegative(name: str, value) -> np.ndarray:
-    """``value`` as a float array; DomainError unless every entry is finite and >= 0."""
-    try:
-        a = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be numeric, got {value!r}") from None
-    if not np.isfinite(a).all() or (a < 0.0).any():
-        raise DomainError(f"{name} must be finite and nonnegative")
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +130,7 @@ class PathSample:
 
     def ruin_prob(self, u: float) -> list[Estimate]:
         """P{ruin within [0, t]} at capital u: the share of sup deficits above u."""
-        u = float(_nonnegative("capital u", u))
+        u = check_real("u", u, at_least=0.0)
         n = self.cfg.n_paths
         out = []
         for row in self.sup:
@@ -169,7 +156,7 @@ def simulate_paths(m: RiskModel, c_grid: Sequence[float], cfg: SimConfig) -> Pat
     past the horizon keeps its claim total and gains arrival time, so for
     c >= 0 its deficit cannot exceed its running maximum.
     """
-    rates = _nonnegative("premium rate c", c_grid)
+    rates = check_real_array("c_grid", c_grid, at_least=0.0)
     if rates.ndim != 1:
         raise DomainError("premium rates c must be a 1-D grid")
     rng = np.random.Generator(np.random.Philox(key=cfg.seed << 64))

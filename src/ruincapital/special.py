@@ -15,7 +15,7 @@ import math
 import numpy as np
 from scipy import special as sp
 
-from .errors import DomainError
+from .errors import DomainError, check_real
 
 __all__ = [
     "std_normal_cdf",
@@ -39,9 +39,7 @@ def std_normal_quantile(p: float) -> float:
     Raises:
         DomainError: unless 0 < p < 1.
     """
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"quantile level must lie in (0, 1), got {p}")
+    p = check_real("p", p, above=0.0, below=1.0)
     z = sp.ndtri(p)
     # One Newton step: z <- z - (Phi(z) - p) / phi(z)
     pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)

@@ -15,6 +15,7 @@ import time
 import numpy as np
 
 from ruincapital.approx import (
+    _ig_integral,
     capital_asymptotic_endpoints,
     ig_ruin_probability,
 )
@@ -139,11 +140,12 @@ def test_criterion_05_normal_quantiles():
 def test_criterion_06_ig_closed_vs_integral_grid():
     start = time.perf_counter()
     worst = 0.0
+    k = derived_constants(UNIT)
     for u in (5.0, 20.0, 60.0):
         for c in (0.5, 0.8, 1.0, 1.2, 2.0):
             for t in (50.0, 200.0, 500.0, 1000.0, 5000.0):
-                a = ig_ruin_probability(UNIT, u, c, t, "integral")
-                b = ig_ruin_probability(UNIT, u, c, t, "closed")
+                a = _ig_integral(u, c, t, k.m_big, k.d2_big)
+                b = ig_ruin_probability(UNIT, u, c, t)
                 worst = max(worst, abs(a - b))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-6 and elapsed < 30.0

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from scipy import stats
 
 from ruincapital.approx import (
+    _ig_integral,
     capital_asymptotic_bounds,
     capital_asymptotic_endpoints,
     cramer_constants_exp,
@@ -18,6 +20,7 @@ from ruincapital.exact import ExpPair, ruin_finite_exp, ruin_ultimate_exp
 from ruincapital.model import RiskModel, derived_constants
 
 UNIT = RiskModel(Exponential(1.0), Exponential(1.0))
+K_UNIT = derived_constants(UNIT)
 
 
 def test_var_clt_reference_values():
@@ -41,8 +44,8 @@ def test_ig_closed_equals_integral():
         (50.0, 1.0, 1000.0),
         (5.0, 2.0, 30.0),
     ]:
-        a = ig_ruin_probability(UNIT, u, c, t, "integral")
-        b = ig_ruin_probability(UNIT, u, c, t, "closed")
+        a = _ig_integral(u, c, t, K_UNIT.m_big, K_UNIT.d2_big)
+        b = ig_ruin_probability(UNIT, u, c, t)
         assert b == pytest.approx(a, abs=1e-8), (u, c, t)
 
 
@@ -54,8 +57,8 @@ def test_ig_supercritical_defective_limit():
     # reflected mean is 1/(cM - 1))
     u, c = 30.0, 1.5
     lam, mu = u / (c * c * 2.0), 1.0 / (c - 1.0)
-    v9 = ig_ruin_probability(UNIT, u, c, 1e9, "closed")
-    v12 = ig_ruin_probability(UNIT, u, c, 1e12, "closed")
+    v9 = ig_ruin_probability(UNIT, u, c, 1e9)
+    v12 = ig_ruin_probability(UNIT, u, c, 1e12)
     assert v12 == pytest.approx(v9, rel=1e-9)
     assert 0.0 < v12 < math.exp(-2.0 * lam / mu)
 
@@ -80,9 +83,9 @@ def test_ig_domain_errors():
         ig_ruin_probability(UNIT, 0.0, 1.0, 10.0)
     with pytest.raises(DomainError):
         ig_ruin_probability(UNIT, 1.0, 0.0, 10.0)
-    with pytest.raises(DomainError):
-        ig_ruin_probability(UNIT, 1.0, 1.0, 1.0, "fancy")
     assert ig_ruin_probability(UNIT, 1.0, 1.0, 0.0) == 0.0
+    # one route: the quadrature reference is private, not a selectable form
+    assert list(inspect.signature(ig_ruin_probability).parameters) == ["m", "u", "c", "t"]
     # non-finite inputs are typed errors, not 0.0 or NaN
     with pytest.raises(DomainError):
         var_clt(UNIT, 0.05, 200.0, math.nan)
@@ -124,8 +127,6 @@ def test_ig_array_u_domain_errors():
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             ig_ruin_probability(UNIT, np.array([1.0, bad, 5.0]), 1.0, 200.0)
-    with pytest.raises(DomainError):
-        ig_ruin_probability(UNIT, np.array([1.0, 5.0]), 1.0, 200.0, "integral")
     assert list(ig_ruin_probability(UNIT, np.array([1.0, 5.0]), 1.0, 0.0)) == [0.0, 0.0]
 
 

@@ -67,7 +67,7 @@ def test_invert_evaluates_no_u_twice(path):
     c, t, alpha = 1.1, 200.0, 0.05
     mb = _default_bracket(UNIT, alpha, t, c)
     if path == "scan":
-        prob = _Counting(lambda u: approx.ig_ruin_probability(UNIT, u, c, t, "closed"))
+        prob = _Counting(lambda u: approx.ig_ruin_probability(UNIT, u, c, t))
     else:
         prob = _Counting(lambda u: ruin_finite_exp(ExpPair(1.0, 1.0), u, c, t))
     root = nonruin_capital(UNIT, alpha, t, c, EXACT).value

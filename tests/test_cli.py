@@ -206,6 +206,7 @@ def test_usage_errors_exit_2(config_path, tmp_path):
     assert main(["constants", "--config", config_path, "--t", "5"]) == 2
     assert main(["reproduce", "table1", "--alpha", "0.01"]) == 2
     assert main(["reproduce", "table1", "--config", config_path]) == 2
+    assert main(["reproduce", "fig99"]) == 2  # an unknown preset
     assert main([*ruin, "--u", "10", "--alpha", "0.1", *grid]) == 2
     # the ultimate capital has one route, whatever the method list says
     ultimate = ["capital", "--config", config_path, "--kind", "ultimate", *grid]
