@@ -110,7 +110,8 @@ def ig_ruin_probability(m: RiskModel, u, c: float, t: float):
     where the closed form uses the zero-drift limit mu = inf.  u is a float
     or a 1-D array and the result is the same; every entry is checked, and
     the array values equal the scalar calls.  c = 0 is outside the domain:
-    there the aggregate-claims distribution function answers.
+    there the aggregate-claims distribution function answers.  Raises
+    IntegrationError when u/(c^2 D^2) is not finite (huge u or tiny c).
     """
     scalar = np.isscalar(u)
     u = check_real("u", u, above=0.0) if scalar else check_real_array("u", u, above=0.0)
@@ -119,6 +120,10 @@ def ig_ruin_probability(m: RiskModel, u, c: float, t: float):
     if t == 0.0:
         return 0.0 if scalar else np.zeros_like(u)
     k = derived_constants(m)
+    # the IG shape lam = u/(c^2 D^2) overflows, or divides by zero, at extreme u or c
+    d = c * c * k.d2_big
+    if d == 0.0 or math.isinf((u if scalar else float(u.max(initial=0.0))) / d):
+        raise IntegrationError(f"inverse Gaussian shape u/(c^2 D^2) is not finite at c = {c!r}")
     val = _ig_closed(u, c, t, k.m_big, k.d2_big)
     return float(val) if scalar else val
 

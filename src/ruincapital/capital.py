@@ -363,18 +363,16 @@ def capital_curve(
     ``metadata["warnings"]`` as "<kind>@c=<c:g>: <reason>"; an error of the
     sweep is logged against every cell it prices.  Invalid inputs shared by
     every cell (alpha, the grid, a kind, a horizon t that is not finite and
-    positive when var or nonruin is asked for, and under ``monte_carlo`` a
-    missing ``spec.sim`` or one whose horizon is not t) raise DomainError
-    up front.
+    positive, whatever the kinds, and under ``monte_carlo`` a missing
+    ``spec.sim`` or one whose horizon is not t) raise DomainError up front.
     """
     alpha = check_alpha(alpha)
     c_grid = check_c_grid(c_grid)
     for kind in kinds:
         if kind not in ("var", "nonruin", "ultimate"):
             raise DomainError(f"unknown capital kind {kind!r}")
+    t = check_real("t", t, above=0.0)
     horizon_kinds = [kind for kind in kinds if kind != "ultimate"]
-    if horizon_kinds:
-        t = check_real("t", t, above=0.0)
 
     table = CurveTable(
         columns=["c", *kinds],

@@ -52,12 +52,6 @@ EXIT_INCOMPATIBLE = 4
 _BACKENDS = {"exact": "exact_exp", "ig": "inverse_gaussian", "clt": "clt", "mc": "monte_carlo"}
 
 
-class _CliError(Exception):
-    def __init__(self, message, code):
-        super().__init__(message)
-        self.code = code
-
-
 def _load_config(args) -> dict:
     """The ``--config`` object; a usage error for any key but the model's."""
     path = args.config
@@ -67,18 +61,17 @@ def _load_config(args) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as exc:
-        raise _CliError(f"cannot read config: {exc}", EXIT_USAGE) from exc
+        raise DomainError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _CliError(f"config is not valid JSON: {exc}", EXIT_USAGE) from exc
+        raise DomainError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise _CliError("config root must be an object", EXIT_USAGE)
+        raise DomainError("config root must be an object")
     allowed = ["model", "models"] if args.command == "constants" else ["model"]
     unread = [key for key in cfg if key not in allowed]
     if unread:
-        raise _CliError(
+        raise DomainError(
             f"config has keys {unread}; it holds only {allowed}, "
-            "and every run setting is a flag",
-            EXIT_USAGE,
+            "and every run setting is a flag"
         )
     return cfg
 
@@ -87,7 +80,7 @@ def _section(name: str, value, kind=dict):
     """``value`` of config entry ``name``; a usage error unless it has the JSON type ``kind``."""
     if not isinstance(value, kind):
         noun = "an object" if kind is dict else "a list"
-        raise _CliError(f"config {name!r} must be {noun}, got {value!r}", EXIT_USAGE)
+        raise DomainError(f"config {name!r} must be {noun}, got {value!r}")
     return value
 
 
@@ -97,20 +90,21 @@ def _model_from_config(cfg: dict, keys=("t_law", "y_law")) -> RiskModel:
         spec = _section("model", cfg["model"])
         unread = [key for key in spec if key not in keys]
         if unread:
-            raise _CliError(f"config 'model' has keys {unread}; it reads {list(keys)}", EXIT_USAGE)
-        t_law = distribution_from_config(spec["t_law"])
-        y_law = distribution_from_config(spec["y_law"])
+            raise DomainError(f"config 'model' has keys {unread}; it reads {list(keys)}")
+        laws = spec["t_law"], spec["y_law"]
     except KeyError as exc:
-        raise _CliError(f"config missing field: {exc}", EXIT_USAGE) from exc
+        raise DomainError(f"config missing field: {exc}") from exc
+    try:
+        t_law, y_law = map(distribution_from_config, laws)
     except DomainError as exc:
-        raise _CliError(f"bad model config: {exc}", EXIT_USAGE) from exc
+        raise DomainError(f"bad model config: {exc}") from exc
     return RiskModel(t_law, y_law)
 
 
 def _c_grid(args) -> list[float]:
     ends = (args.c_start, args.c_stop, args.c_step)
     if None in ends:
-        raise _CliError("premium grid incomplete: need --c-start, --c-stop and --c-step", EXIT_USAGE)
+        raise DomainError("premium grid incomplete: need --c-start, --c-stop and --c-step")
     return c_grid_range(*ends)
 
 
@@ -121,7 +115,7 @@ def _sim_config(args, t: float, methods: list):
     """
     if "mc" not in methods:
         if args.paths is not None or args.seed is not None:
-            raise _CliError("--paths and --seed are read only with method mc", EXIT_USAGE)
+            raise DomainError("--paths and --seed are read only with method mc")
         return None
     n_paths = 1000 if args.paths is None else args.paths
     seed = 20240817 if args.seed is None else args.seed
@@ -146,24 +140,21 @@ def _echo_config(table: CurveTable, cfg: dict, args_dict: dict) -> None:
 def cmd_constants(args) -> int:
     cfg = _load_config(args)
     if "models" in cfg and "model" in cfg:
-        raise _CliError("config has both 'model' and 'models'; constants reads one", EXIT_USAGE)
+        raise DomainError("config has both 'model' and 'models'; constants reads one")
     if "models" in cfg:
         entries = _section("models", cfg["models"], list)
     elif "model" in cfg:
         entries = [cfg["model"]]
     else:
-        raise _CliError("config must contain 'model' or 'models'", EXIT_USAGE)
+        raise DomainError("config must contain 'model' or 'models'")
     named = []
     for i, spec in enumerate(entries):
         m = _model_from_config({"model": spec}, keys=("t_law", "y_law", "name"))
         label = spec.get("name", f"model{i + 1}")
         if not isinstance(label, str):
-            raise _CliError(f"model name must be a string, got {label!r}", EXIT_USAGE)
+            raise DomainError(f"model name must be a string, got {label!r}")
         named.append((label, m))
-    try:
-        table = presets.constants_table(named)
-    except ConstantsUnavailableError as exc:
-        raise _CliError(str(exc), EXIT_INCOMPATIBLE) from exc
+    table = presets.constants_table(named)
     _echo_config(table, cfg, vars(args))
     _emit(table, args.out)
     return EXIT_OK
@@ -197,7 +188,7 @@ def _parse_methods(args) -> list:
     raw = "exact" if args.method is None else args.method
     methods = [s.strip() for s in raw.split(",") if s.strip()]
     if not methods or len(set(methods)) < len(methods):
-        raise _CliError(f"--method needs one or more distinct methods, got {raw!r}", EXIT_USAGE)
+        raise DomainError(f"--method needs one or more distinct methods, got {raw!r}")
     return methods
 
 
@@ -208,40 +199,31 @@ def cmd_capital(args) -> int:
     t = 200.0 if args.t is None else args.t
     kind = "nonruin" if args.kind is None else args.kind
     if kind not in ("var", "nonruin", "ultimate"):
-        raise _CliError(f"unknown capital kind {kind!r}", EXIT_USAGE)
+        raise DomainError(f"unknown capital kind {kind!r}")
     methods = _parse_methods(args)
     # the ultimate capital has one route: a closed form or an enclosure
     allowed = ["exact"] if kind == "ultimate" else list(_BACKENDS)
     if any(mth not in allowed for mth in methods):
-        raise _CliError(f"{kind} capital methods are among {allowed}, got {methods}", EXIT_USAGE)
+        raise DomainError(f"{kind} capital methods are among {allowed}, got {methods}")
     grid = _c_grid(args)
-
-    columns = ["c"] + [f"{kind}_{mth}" for mth in methods]
-    if "mc" in methods:
-        columns.append("mc_stderr")
-    warnings_log: list[str] = []
-    table = CurveTable(
-        columns=columns,
-        metadata={"alpha": alpha, "t": t, "kind": kind, "warnings": warnings_log},
-    )
     sim = _sim_config(args, t, methods)
+
+    metadata = {"alpha": alpha, "t": t, "kind": kind, "warnings": []}
     if sim is not None:
-        table.metadata["seed"] = sim.seed
-        table.metadata["n_paths"] = sim.n_paths
-    data = []
+        metadata.update(seed=sim.seed, n_paths=sim.n_paths)
+    columns = {"c": grid}
     stderr = [None] * len(grid)
     for mth in methods:
         spec = SolveSpec(backend=_BACKENDS[mth], sim=sim)
         curve = capital.capital_curve(m, alpha, t, grid, spec, kinds=(kind,))
-        data.append(curve.column(kind))
+        columns[f"{kind}_{mth}"] = curve.column(kind)
         # capital_curve logs "<kind>@c=..."; NA reasons are keyed by method
-        warnings_log += [mth + w[len(kind):] for w in curve.metadata["warnings"]]
+        metadata["warnings"] += [mth + w[len(kind):] for w in curve.metadata["warnings"]]
         if mth == "mc":
             stderr = curve.metadata.get("mc_stderr", {}).get(kind, stderr)
     if "mc" in methods:
-        data.append(stderr)
-    for i, c in enumerate(grid):
-        table.append([c] + [col[i] for col in data])
+        columns["mc_stderr"] = stderr
+    table = CurveTable.from_columns(columns, metadata)
     _echo_config(table, cfg, vars(args))
     _emit(table, args.out)
     return EXIT_OK
@@ -252,7 +234,7 @@ def cmd_ruinprob(args) -> int:
     m = _model_from_config(cfg)
     t = 200.0 if args.t is None else args.t
     if args.u is None:
-        raise _CliError("ruinprob requires --u (initial capital)", EXIT_USAGE)
+        raise DomainError("ruinprob requires --u (initial capital)")
     methods = _parse_methods(args)
     grid = _c_grid(args)
     sim = _sim_config(args, t, methods)
@@ -322,9 +304,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except (IntegrationError, BracketError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -39,6 +39,9 @@ __all__ = [
     "theorem_preconditions",
 ]
 
+# c_grid_range's largest rate count; a preset's grid has at most 51 rates
+_MAX_GRID_RATES = 10**6
+
 
 @dataclass(frozen=True)
 class RiskModel:
@@ -175,7 +178,8 @@ def check_c_grid(c_grid) -> list[float]:
     """A premium-rate grid as a list of floats.
 
     DomainError unless the grid is 1-D, strictly increasing, finite and
-    nonnegative; shared by ``capital_curve`` and ``simulate_curve``.
+    nonnegative; shared by ``capital_curve``, ``ruin_curve`` and
+    ``simulate_curve``.
     """
     cs = check_real_array("c_grid", c_grid, at_least=0.0)
     if cs.ndim != 1 or (np.diff(cs) <= 0.0).any():
@@ -188,10 +192,14 @@ def c_grid_range(start: float, stop: float, step: float) -> list[float]:
 
     Rates are rounded to 12 decimals, so each equals the decimal it names
     (0.15, not 0.15000000000000002).  DomainError unless all three are
-    finite, step > 0 and stop >= start.
+    finite, step > 0, stop >= start and the grid has at most 10**6 rates.
     """
     start = check_real("start", start)
     stop = check_real("stop", stop, at_least=start)
     step = check_real("step", step, above=0.0)
-    n = int(round((stop - start) / step)) + 1
-    return [round(start + i * step, 12) for i in range(n)]
+    steps = (stop - start) / step
+    if not steps <= _MAX_GRID_RATES - 1:  # false for an infinite count too
+        raise DomainError(
+            f"the grid {start!r} to {stop!r} by {step!r} has more than {_MAX_GRID_RATES} rates"
+        )
+    return [round(start + i * step, 12) for i in range(int(round(steps)) + 1)]

@@ -193,12 +193,11 @@ def _fig7(n_paths: int, seed: int):
     tab = capital.capital_curve(m, alpha, t, cs, spec, kinds=("nonruin",))
     mc = SolveSpec(backend="monte_carlo", sim=SimConfig(n_paths=n_paths, seed=seed, t=t))
     sim = capital.capital_curve(m, alpha, t, cs, mc, kinds=("nonruin",)).column("nonruin")
-    out = CurveTable(
-        columns=["c", "lower_bound", "upper_bound", "nonruin_exact", "sim_nonruin"],
-        metadata={"alpha": alpha, "t": t, "seed": seed},
+    out = CurveTable.from_columns(
+        {"c": cs, "lower_bound": lower, "upper_bound": upper,
+         "nonruin_exact": tab.column("nonruin"), "sim_nonruin": sim},
+        {"alpha": alpha, "t": t, "seed": seed},
     )
-    for i, c in enumerate(cs):
-        out.append([float(c), lower[i], upper[i], tab.rows[i][1], sim[i]])
     at_cstar = capital.nonruin_capital(m, alpha, t, 4.0 / 3.0, spec).value
     sidecar = {
         "grid_lines": {"c_star": 4.0 / 3.0, "nonruin_at_cstar": 59.9033},
@@ -222,12 +221,10 @@ def _fig8(n_paths: int, seed: int):
     )
     mc = SolveSpec(backend="monte_carlo", sim=SimConfig(n_paths=n_paths, seed=seed, t=t))
     sim = capital.capital_curve(m, alpha, t, cs, mc, kinds=("nonruin",)).column("nonruin")
-    out = CurveTable(
-        columns=["c", "lower_bound", "upper_bound", "sim_nonruin"],
-        metadata={"alpha": alpha, "t": t, "seed": seed},
+    out = CurveTable.from_columns(
+        {"c": cs, "lower_bound": lower, "upper_bound": upper, "sim_nonruin": sim},
+        {"alpha": alpha, "t": t, "seed": seed},
     )
-    for i, c in enumerate(cs):
-        out.append([float(c), lower[i], upper[i], sim[i]])
     i_star = int(np.argmin(np.abs(np.asarray(cs) - 4.0 / 3.0)))
     ep = approx.capital_asymptotic_endpoints(m, alpha, t)
     sidecar = {
@@ -250,25 +247,19 @@ def _fig9(n_paths: int, seed: int):
     m_dots = RiskModel(Exponential(4.0 / 5.0), Pareto(10.0, 0.05))
     m_cross = RiskModel(Exponential(4.0 / 5.0), Pareto(3.0, 0.3))
     mc = SolveSpec(backend="monte_carlo", sim=SimConfig(n_paths=n_paths, seed=seed, t=t))
-    cols = ["c"]
-    data = []
+    columns = {"c": cs}
     notes = []
     for label, m in (("dots", m_dots), ("crosses", m_cross)):
         lower, upper = _bounds_columns(m, alpha, t, cs, None)
         sim = capital.capital_curve(m, alpha, t, cs, mc, kinds=("nonruin",)).column("nonruin")
-        data += [lower, upper, sim]
-        cols += [f"{label}_lower", f"{label}_upper", f"{label}_sim"]
+        columns.update({f"{label}_lower": lower, f"{label}_upper": upper, f"{label}_sim": sim})
         rep = model.theorem_preconditions(m)
         if not rep.capital_asymptotics_ok:
             notes.append(
                 f"{label}: third claim-size moment not finite; the bound "
                 "formulas are applied outside their stated hypotheses"
             )
-    out = CurveTable(
-        columns=cols, metadata={"alpha": alpha, "t": t, "seed": seed}
-    )
-    for i, c in enumerate(cs):
-        out.append([float(c)] + [col[i] for col in data])
+    out = CurveTable.from_columns(columns, {"alpha": alpha, "t": t, "seed": seed})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         ep = approx.capital_asymptotic_endpoints(m_dots, alpha, t)
@@ -293,17 +284,10 @@ def _fig10(n_paths: int, seed: int):
     cs = c_grid_range(0.0, 2.5, 0.05)
     m_dots = RiskModel(Exponential(4.0 / 5.0), Kummer(5.0, 5.0))
     m_cross = RiskModel(Exponential(4.0 / 5.0), Kummer(200.0, 200.0))
-    cols = ["c"]
-    data = []
+    columns = {"c": cs}
     for label, m in (("dots", m_dots), ("crosses", m_cross)):
-        lower, upper = _bounds_columns(m, alpha, t, cs, None)
-        data += [lower, upper]
-        cols += [f"{label}_lower", f"{label}_upper"]
-    out = CurveTable(
-        columns=cols, metadata={"alpha": alpha, "t": t}
-    )
-    for i, c in enumerate(cs):
-        out.append([float(c)] + [col[i] for col in data])
+        columns[f"{label}_lower"], columns[f"{label}_upper"] = _bounds_columns(m, alpha, t, cs, None)
+    out = CurveTable.from_columns(columns, {"alpha": alpha, "t": t})
     sidecar = {
         "grid_lines": {
             "c_star_dots": 1.3333,

@@ -50,6 +50,18 @@ class CurveTable:
                     f"row width {len(r)} does not match {len(self.columns)} columns"
                 )
 
+    @classmethod
+    def from_columns(cls, columns: dict, metadata=None) -> "CurveTable":
+        """The table of ``{name: values}``, dict order being column order.
+
+        DomainError unless every column has the same length.
+        """
+        lengths = {name: len(values) for name, values in columns.items()}
+        if len(set(lengths.values())) > 1:
+            raise DomainError(f"columns of unequal lengths {lengths}")
+        rows = [list(row) for row in zip(*columns.values())]
+        return cls(columns=list(columns), rows=rows, metadata=dict(metadata or {}))
+
     def append(self, row) -> None:
         row = list(row)
         if len(row) != len(self.columns):

@@ -15,7 +15,7 @@ from ruincapital.approx import (
     var_clt,
 )
 from ruincapital.dist import Erlang, Exponential, MixtureExp2, Pareto
-from ruincapital.errors import DomainError, ExcludedCaseError
+from ruincapital.errors import DomainError, ExcludedCaseError, IntegrationError
 from ruincapital.exact import ExpPair, ruin_finite_exp, ruin_ultimate_exp
 from ruincapital.model import RiskModel, derived_constants
 
@@ -204,3 +204,10 @@ def test_precondition_warning_for_missing_third_moment():
     m = RiskModel(Exponential(0.8), Pareto(3.0, 0.3))
     with pytest.warns(RuntimeWarning):
         capital_asymptotic_endpoints(m, 0.05, 200.0)
+
+
+def test_ig_raises_a_typed_error_when_its_shape_is_not_finite():
+    # lam = u/(c^2 D^2) overflows at u = 1e308 and divides by zero at c = 1e-200
+    for u, c in ((1e308, 0.5), (10.0, 1e-200), (np.array([1.0, 1e308]), 0.5)):
+        with pytest.raises(IntegrationError, match="not finite"):
+            ig_ruin_probability(UNIT, u, c, 200.0)

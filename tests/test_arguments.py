@@ -7,6 +7,7 @@ a bare TypeError and never converted; NumPy scalars give results equal to
 those of Python floats.
 """
 
+import ast
 import math
 import re
 from dataclasses import dataclass, field
@@ -178,5 +179,18 @@ def test_no_hand_written_range_checks():
         for path in sorted(SRC.glob("*.py"))
         for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
         if re.search(r"<=?\s*(math|np)\.inf\b", line)
+    ]
+    assert hits == []
+
+
+def test_every_exception_class_lives_in_errors():
+    """One error hierarchy: no module but errors.py defines an exception."""
+    hits = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "errors.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        and any(re.search(r"(Error|Exception)$", ast.unparse(base)) for base in node.bases)
     ]
     assert hits == []

@@ -25,6 +25,7 @@ from ruincapital.errors import (
     BackendIncompatibleError,
     DomainError,
     InfiniteCapitalError,
+    IntegrationError,
     NoAdjustmentCoefficientError,
 )
 from ruincapital.exact import ExpPair, ruin_finite_exp
@@ -267,6 +268,10 @@ def test_domain_checks():
         capital_curve(UNIT, 0.05, math.inf, [0.5, 1.0], EXACT)
     with pytest.raises(DomainError):
         ultimate_capital(UNIT, 0.05, math.nan)
+    # a curve checks t whatever the kinds, so no bad t reaches its metadata
+    for t in ("x", math.nan):
+        with pytest.raises(DomainError, match="^t must"):
+            capital_curve(UNIT, 0.05, t, [2.0], EXACT, kinds=("ultimate",))
     # every setting is read: SolveSpec has no tolerance or bracket field,
     # and ultimate_capital, which no backend answers, takes no spec
     assert [f.name for f in fields(SolveSpec)] == ["backend", "sim"]
@@ -361,6 +366,15 @@ def test_ruin_curve_records_failures_as_na():
     assert 0.99 < table.column("exact")[0] <= 1.0
     keys = [w.partition(": ")[0] for w in table.metadata["warnings"]]
     assert keys == ["cramer@c=0.5", "ig@c=0.5", "cramer@c=1", "ig@c=1"]
+    # at c = 1e-200, u/(c^2 D^2) divides by zero: that cell alone is NA
+    table = ruin_curve(UNIT, 10.0, 200.0, [1e-200, 0.5], ("ig",))
+    assert table.column("ig") == [None, approx.ig_ruin_probability(UNIT, 10.0, 0.5, 200.0)]
+    assert table.metadata["warnings"] == [
+        "ig@c=1e-200: inverse Gaussian shape u/(c^2 D^2) is not finite at c = 1e-200"
+    ]
+    # and a typed error, not a BracketError from NaNs, in the capital solve
+    with pytest.raises(IntegrationError):
+        nonruin_capital(UNIT, 0.05, 200.0, 1e-200, IG)
 
 
 def test_ruin_curve_domain_checks():

@@ -261,6 +261,46 @@ def test_usage_errors_exit_2(config_path, tmp_path):
     assert CurveTable.read_csv(tmp_path / "k.csv").metadata["models"] == ["unit"]
 
 
+
+def test_usage_errors_print_one_error_line(config_path, tmp_path, capsys):
+    grid = ["--c-start", "1", "--c-stop", "1.5", "--c-step", "0.5"]
+    path = tmp_path / "cfg.json"
+    model = UNIT_CONFIG["model"]
+    heavy = {"t_law": model["t_law"], "y_law": {"family": "pareto", "shape": 1.5, "scale": 1.0}}
+    cases = [
+        (["capital", "--config", config_path, "--kind", "ultimate", "--t", "nan", *grid], None,
+         2, "error: t must be a real number (finite, > 0), got nan"),
+        (["capital", "--config", config_path, "--c-start", "0", "--c-stop", "1e300",
+          "--c-step", "1e-300"], None, 2, "error: the grid 0.0 to 1e+300 by 1e-300 has more"),
+        (["capital", "--config", str(path), *grid], {}, 2, "error: config missing field: 'model'"),
+        (["capital", "--config", str(path), *grid], {"model": {"t_law": model["t_law"]}},
+         2, "error: config missing field: 'y_law'"),
+        (["capital", "--config", str(path), *grid], {"model": 3},
+         2, "error: config 'model' must be an object, got 3"),
+        (["capital", "--config", str(path), *grid],
+         {"model": {"t_law": {"family": "weibull"}, "y_law": model["y_law"]}},
+         2, "error: bad model config: unknown family 'weibull'"),
+        (["constants", "--config", str(path)], {"model": heavy},
+         4, "model incompatibility: Y law: pareto variance requires shape > 2"),
+    ]
+    for argv, cfg, code, line in cases:
+        if cfg is not None:
+            path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert main(argv) == code, argv
+        err = capsys.readouterr().err
+        assert err.startswith(line) and err.count("\n") == 1, (argv, err)
+
+
+def test_ruinprob_ig_cell_with_infinite_shape_is_na(config_path, tmp_path):
+    out = tmp_path / "rp.csv"
+    assert main(["ruinprob", "--config", config_path, "--u", "1e308", "--t", "200",
+                 "--method", "ig", "--c-start", "0.5", "--c-stop", "0.5", "--c-step", "1",
+                 "--out", str(out)]) == 0
+    table = CurveTable.read_csv(out)
+    assert table.rows == [[0.5, None]]
+    assert table.metadata["warnings"][0].startswith("ig@c=0.5: inverse Gaussian shape")
+
 def test_each_subcommand_takes_only_the_flags_it_reads():
     grid = {"--c-start", "--c-stop", "--c-step", "--method", "--paths", "--seed", "--out"}
     expected = {

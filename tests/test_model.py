@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import pytest
 
@@ -113,3 +114,16 @@ def test_c_grid_range_names_its_decimals():
                 (0.0, float("inf"), 0.1)):
         with pytest.raises(DomainError):
             c_grid_range(*bad)
+
+
+def test_c_grid_range_rejects_a_grid_of_too_many_rates():
+    tracemalloc.start()
+    try:
+        for bad in ((0.0, 1e300, 1e-300), (0.0, 1e7, 1.0)):
+            with pytest.raises(DomainError, match="more than 1000000 rates"):
+                c_grid_range(*bad)
+        # rejected before the list is built
+        assert tracemalloc.get_traced_memory()[1] < 1_000_000
+    finally:
+        tracemalloc.stop()
+    assert len(c_grid_range(0.0, 999_999.0, 1.0)) == 10**6

@@ -60,3 +60,20 @@ def test_csv_file_round_trip(tmp_path):
     back = CurveTable.read_csv(path)
     assert back.rows == t.rows
     assert back.metadata == t.metadata
+
+
+def test_from_columns_keeps_dict_order_and_metadata():
+    meta = {"alpha": 0.05}
+    t = CurveTable.from_columns({"c": [0.5, 1.0], "cap": [12.25, None], "a": [1.0, 2.0]}, meta)
+    assert t.columns == ["c", "cap", "a"]
+    assert t.rows == [[0.5, 12.25, 1.0], [1.0, None, 2.0]]
+    assert t.metadata == meta
+    back = CurveTable.from_text(t.to_text())
+    assert (back.columns, back.rows, back.metadata) == (t.columns, t.rows, t.metadata)
+    assert CurveTable.from_columns({"x": []}).metadata == {}
+
+
+def test_from_columns_rejects_unequal_lengths():
+    # zip would silently drop the last row
+    with pytest.raises(DomainError, match="unequal lengths"):
+        CurveTable.from_columns({"c": [0.5, 1.0], "cap": [12.25]})
