@@ -20,11 +20,12 @@ from typing import Optional
 
 import numpy as np
 from scipy import integrate
+from scipy import special as sp
 
 from .errors import DomainError, ExcludedCaseError, IntegrationError, check_real, check_real_array
 from .exact import ExpPair
 from .model import RiskModel, check_alpha, derived_constants, theorem_preconditions
-from .special import inverse_gaussian_cdf, normal_pdf, std_normal_cdf, std_normal_quantile
+from .special import inverse_gaussian_cdf, normal_pdf, std_normal_quantile
 
 __all__ = [
     "CramerConstants",
@@ -187,10 +188,10 @@ def cramer_ruin_exp(p: ExpPair, u: float, c: float, t: float) -> float:
     k = cramer_constants_exp(p, c)
     if k.m_sub is not None:
         z = (t - k.m_sub * u) / math.sqrt(k.d2_sub * u)
-        val = float(std_normal_cdf(z))
+        val = float(sp.ndtr(z))
     else:
         z = (t - k.m_super * u) / math.sqrt(k.d2_super * u)
-        val = k.big_c * math.exp(-k.kappa * u) * float(std_normal_cdf(z))
+        val = k.big_c * math.exp(-k.kappa * u) * float(sp.ndtr(z))
     return min(1.0, max(0.0, val))
 
 

@@ -4,7 +4,10 @@ The adjustment coefficient kappa is the positive root of Lundberg's
 equation ``E exp{r (Y - cT)} = 1``.  It exists only for light-tailed claim
 sizes and premium rates above the equilibrium rate c*, and yields the
 Markov-type bound ``P{ruin ever} <= exp(-kappa u)`` together with two-sided
-refinements with constant prefactors.
+refinements ``b_minus e^{-kappa u} <= P{ruin ever} <= b_plus e^{-kappa u}``
+(Asmussen & Albrecher, *Ruin Probabilities*, 2010).  The prefactors are the
+inf and sup over x of the claim law's tilted tail ratio, which is monotone
+for every light-tailed family here, so they are its two closed-form ends.
 """
 
 from __future__ import annotations
@@ -12,14 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
 
 from . import dist
-from .dist import Distribution, Exponential
+from .dist import Distribution
 from .errors import (
     BracketError,
-    DomainError,
     InfiniteCapitalError,
     NoAdjustmentCoefficientError,
     check_real,
@@ -42,11 +43,10 @@ _RESIDUAL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class AdjustmentCoefficient:
-    """Positive Lundberg root with the method and bracket that produced it."""
+    """Positive Lundberg root with the method that produced it."""
 
     kappa: float
     method: str
-    bracket: tuple[float, float]
 
 
 def _mgf_product(m: RiskModel, c: float, r: float) -> float:
@@ -83,7 +83,7 @@ def adjustment_coefficient(m: RiskModel, c: float) -> AdjustmentCoefficient:
         delta = m.t_law.rate
         rho = m.y_law.rate
         kappa = rho - delta / c
-        return AdjustmentCoefficient(kappa, "closed_form", (0.0, rho))
+        return AdjustmentCoefficient(kappa, "closed_form")
 
     abscissa = m.y_law.mgf_abscissa
     lo = 1e-12
@@ -110,7 +110,7 @@ def adjustment_coefficient(m: RiskModel, c: float) -> AdjustmentCoefficient:
         raise BracketError(
             f"Lundberg root residual {residual:.2e} exceeds {_RESIDUAL_TOL}"
         )
-    return AdjustmentCoefficient(kappa, "root_find", (lo, hi))
+    return AdjustmentCoefficient(kappa, "root_find")
 
 
 def capital_upper_bound_lundberg(m: RiskModel, alpha: float, c: float) -> float:
@@ -130,87 +130,24 @@ class RatioBounds:
     b_minus: float
     b_plus: float
 
-    def __post_init__(self):
-        if not 0.0 <= self.b_minus <= self.b_plus:
-            raise DomainError(
-                f"ratio bounds out of order: {self.b_minus} > {self.b_plus}"
-            )
 
-
-def _exp_moment_tail(d: Distribution, kappa: float, z: float) -> float:
-    """int_z^inf e^{kappa y} dF(y) for a light-tailed claim-size law."""
-    if isinstance(d, Exponential):
-        r = d.rate
-        return r / (r - kappa) * math.exp(-(r - kappa) * max(z, 0.0))
-    lo = max(z, 0.0)
-    # the tilted integrand decays like exp(-(abscissa - kappa) y); truncate
-    # where it is below 1e-35 of its scale and compose exp(.) in log space
-    # so intermediate exp(kappa y) never overflows
-    gap = d.mgf_abscissa - kappa
-    if not gap > 0.0:
-        raise DomainError("exponential moment diverges at this kappa")
-    hi = lo + 85.0 / gap
-
-    def igrand(y):
-        p = dist.pdf(d, y)
-        if p <= 0.0:
-            return 0.0
-        return math.exp(kappa * y + math.log(p))
-
-    val, _ = integrate.quad(igrand, lo, hi, limit=200)
-    return val
-
-
-def _tail_quantile(d: Distribution, eps: float) -> float:
-    """The point x with 1 - F(x) = eps, found by bracketed root-finding."""
-    hi = 1.0
-    while 1.0 - float(dist.cdf(d, hi)) > eps:
-        hi *= 2.0
-        if hi > 1e12:
-            raise BracketError("tail quantile bracket expansion failed")
-    return float(optimize.brentq(lambda x: float(dist.cdf(d, x)) - (1.0 - eps), 0.0, hi))
-
-
-def _tilted_tail_ratio(m: RiskModel, kappa: float, x: float) -> float:
-    """e^{kappa x} P{Y > x} / E[e^{kappa Y}; Y > x] for the claim size Y."""
-    tail = 1.0 - float(dist.cdf(m.y_law, x))
-    if tail <= 0.0:
-        return 1.0
-    return math.exp(kappa * x) * tail / _exp_moment_tail(m.y_law, kappa, x)
+def _ratio_ends(y: Distribution, kappa: float) -> RatioBounds:
+    """Sorted ends of Y's tilted tail ratio at kappa (see lundberg_ratio_bounds)."""
+    return RatioBounds(*sorted((1.0 / dist.mgf(y, kappa), 1.0 - kappa / y.mgf_abscissa)))
 
 
 def lundberg_ratio_bounds(m: RiskModel, c: float) -> RatioBounds:
     """Inf/sup over x >= 0 of the claim-size law's exponentially tilted tail ratio.
 
-    The ratio is e^{kappa x} P{Y > x} / E[e^{kappa Y}; Y > x], the constant
-    1 - kappa/rho for exponential claims; b_plus is capped at 1.
+    The ratio e^{kappa x} P{Y > x} / E[e^{kappa Y}; Y > x] is monotone, so
+    b_minus and b_plus are its ends, sorted: 1/E e^{kappa Y} at x = 0 and
+    1 - kappa/a as x grows, a the abscissa of Y's MGF.  It is constant for
+    Exponential(rho); it decreases for MixtureExp2, whose tilted weight
+    moves to the smaller rate; it increases for Erlang(k, r), whose
+    log-derivative [g(rx) - g((r - kappa)x)]/x has g(y) = E[N | N <= k - 1],
+    N ~ Poisson(y), increasing.  Heavy-tailed claims have no kappa and raise.
     """
-    kappa = adjustment_coefficient(m, c).kappa
-    ratio = lambda x: _tilted_tail_ratio(m, kappa, x)
-
-    # coarse log-spaced scan up to the 1 - 1e-10 quantile (beyond it the
-    # tail 1 - F loses all precision), then golden-section refinement
-    # around the grid extremizers
-    x_max = _tail_quantile(m.y_law, 1e-10)
-    xs = np.concatenate([[0.0], np.logspace(-3.0, math.log10(x_max), 41)])
-    vals = np.array([ratio(float(x)) for x in xs])
-    lo_i = int(np.argmin(vals))
-    hi_i = int(np.argmax(vals))
-
-    def refine(i, sign):
-        a = xs[max(i - 1, 0)]
-        b = xs[min(i + 1, len(xs) - 1)]
-        if b <= a:
-            return vals[i]
-        res = optimize.minimize_scalar(
-            lambda x: sign * ratio(float(x)), bounds=(a, b), method="bounded"
-        )
-        return sign * res.fun
-
-    b_minus = min(float(vals[lo_i]), float(refine(lo_i, 1.0)))
-    b_plus = min(max(float(vals[hi_i]), float(refine(hi_i, -1.0))), 1.0)
-    b_minus = min(b_minus, b_plus)
-    return RatioBounds(b_minus=max(b_minus, 0.0), b_plus=b_plus)
+    return _ratio_ends(m.y_law, adjustment_coefficient(m, c).kappa)
 
 
 def ultimate_capital_exp(p: ExpPair, alpha: float, c: float) -> float:
@@ -240,11 +177,12 @@ def ultimate_capital_interval(m: RiskModel, alpha: float, c: float) -> tuple[flo
 
     From ``b_minus e^{-kappa u} <= P <= b_plus e^{-kappa u}`` the capital
     solving P = alpha lies in ``[ln(b_minus/alpha)/kappa,
-    ln(b_plus/alpha)/kappa]``, each endpoint clamped at 0.
+    ln(b_plus/alpha)/kappa]``, each endpoint clamped at 0; for exponential
+    claims it is one point up to rounding, the exact capital.
     """
     alpha = check_alpha(alpha)
-    ac = adjustment_coefficient(m, c)
-    rb = lundberg_ratio_bounds(m, c)
-    lo = max(0.0, math.log(rb.b_minus / alpha) / ac.kappa) if rb.b_minus > 0 else 0.0
-    hi = max(0.0, math.log(rb.b_plus / alpha) / ac.kappa)
+    kappa = adjustment_coefficient(m, c).kappa
+    rb = _ratio_ends(m.y_law, kappa)
+    lo = max(0.0, math.log(rb.b_minus / alpha) / kappa)
+    hi = max(0.0, math.log(rb.b_plus / alpha) / kappa)
     return lo, hi

@@ -163,8 +163,11 @@ class Erlang(Distribution):
         return sp.gammainc(self.shape, self.rate * x)
 
     def draw(self, rng, n):
-        u = rng.random((self.shape, n))
-        return -np.log1p(-u).sum(axis=0) / self.rate
+        # one row of uniforms at a time, so memory stays O(n) for any shape
+        total = np.zeros(n)
+        for _ in range(self.shape):
+            total += np.log1p(-rng.random(n))
+        return -total / self.rate
 
     def mgf(self, r):
         return (self.rate / (self.rate - r)) ** self.shape

@@ -18,23 +18,17 @@ from scipy import special as sp
 from .errors import DomainError, check_real
 
 __all__ = [
-    "std_normal_cdf",
     "std_normal_quantile",
     "normal_pdf",
     "inverse_gaussian_cdf",
 ]
 
 
-def std_normal_cdf(x):
-    """Standard Gaussian distribution function Phi(x)."""
-    return sp.ndtr(x)
-
-
 def std_normal_quantile(p: float) -> float:
     """Inverse of Phi.
 
     Uses scipy's rational approximation, then polishes with one Newton step
-    so that ``std_normal_cdf(result) == p`` to ~1e-15.
+    so that ``scipy.special.ndtr(result) == p`` to ~1e-15.
 
     Raises:
         DomainError: unless 0 < p < 1.
