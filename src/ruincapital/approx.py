@@ -8,7 +8,8 @@ Four families live here:
 * the exponential-case normal (Cramer-type) ruin approximation with its
   explicit constants;
 * the asymptotic endpoint values and bilateral bounds for the non-ruin
-  capital as a function of the premium rate.
+  capital as a function of the premium rate: the CLT Value-at-Risk
+  formula at alpha and alpha/2, one expression shared with ``var_clt``.
 """
 
 from __future__ import annotations
@@ -16,16 +17,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy import integrate
 from scipy import special as sp
 
 from .errors import DomainError, ExcludedCaseError, IntegrationError, check_real, check_real_array
-from .exact import ExpPair
-from .model import RiskModel, check_alpha, derived_constants, theorem_preconditions
-from .special import inverse_gaussian_cdf, normal_pdf, std_normal_quantile
+from .exact import ExpPair, ruin_ultimate_exp
+from .model import DerivedConstants, RiskModel, check_alpha, derived_constants
+from .model import theorem_preconditions
+from .special import inverse_gaussian_cdf, std_normal_quantile
 
 __all__ = [
     "CramerConstants",
@@ -38,25 +39,22 @@ __all__ = [
     "capital_asymptotic_bounds",
 ]
 
-# Width of the window around cM = 1 in which the closed form switches to
-# the zero-drift limit of the inverse Gaussian distribution function.  The
-# closed form is stable for arbitrarily large mu, so the window only needs
-# to absorb floating-point ties at cM == 1.
-_BOUNDARY_EPS = 1e-12
+
+def _clt_capital(k: DerivedConstants, alpha: float, t: float, c: float) -> float:
+    """``(c* - c) t + D_V sqrt(t) z_alpha``, z_alpha the upper alpha-quantile of N(0, 1).
+
+    The CLT Value-at-Risk formula; at alpha/2 it is the leading-order
+    non-ruin capital (the reflection principle at c*).
+    """
+    return (k.c_star - c) * t + k.capital_scale * math.sqrt(t) * std_normal_quantile(1.0 - alpha)
 
 
 def var_clt(m: RiskModel, alpha: float, t: float, c: float) -> float:
-    """CLT approximation of the Value-at-Risk capital.
-
-    ``max{0, (M_V - c) t + z_alpha D_V sqrt(t)}`` where z_alpha is the
-    upper alpha-quantile of the standard normal law.
-    """
+    """CLT approximation of the Value-at-Risk capital: ``max{0, _clt_capital(alpha)}``."""
     alpha = check_alpha(alpha)
     t = check_real("t", t, above=0.0)
     c = check_real("c", c, at_least=0.0)
-    k = derived_constants(m)
-    z = std_normal_quantile(1.0 - alpha)
-    return max(0.0, (k.m_v - c) * t + z * k.d_v * math.sqrt(t))
+    return max(0.0, _clt_capital(derived_constants(m), alpha, t, c))
 
 
 def _ig_integral(u: float, c: float, t: float, m_big: float, d2_big: float) -> float:
@@ -68,24 +66,18 @@ def _ig_integral(u: float, c: float, t: float, m_big: float, d2_big: float) -> f
 
     def integrand(x):
         y = x + 1.0
-        return normal_pdf(x, cm * y, v0 * y) / y
+        v = v0 * y
+        return math.exp(-((x - cm * y) ** 2) / (2.0 * v)) / (math.sqrt(2.0 * math.pi * v) * y)
 
     hi = c * t / u
     if hi <= 0.0:
         return 0.0
-    pts = None
-    if cm < 1.0:
-        # the Gaussian peak sits at the fixed point x = cM(x+1)
-        xstar = cm / (1.0 - cm)
-        if 0.0 < xstar < hi:
-            pts = [xstar]
-    val, err = integrate.quad(
-        integrand, 0.0, hi, points=pts, limit=200, epsabs=1e-10, epsrel=1e-10
-    )
+    # the Gaussian peak sits at the fixed point x = cM(x+1), if cM < 1
+    xstar = cm / (1.0 - cm) if cm < 1.0 else -1.0
+    pts = [xstar] if 0.0 < xstar < hi else None
+    val, err = integrate.quad(integrand, 0.0, hi, points=pts, limit=200, epsabs=1e-10, epsrel=1e-10)
     if err > 1e-7:
-        raise IntegrationError(
-            f"inverse Gaussian integral error estimate {err:.2e}", err
-        )
+        raise IntegrationError(f"inverse Gaussian integral error estimate {err:.2e}", err)
     return float(min(1.0, max(0.0, val)))
 
 
@@ -94,7 +86,7 @@ def _ig_closed(u, c: float, t: float, m_big: float, d2_big: float):
     # supercritical rates reflect the drift and scale the mass to exp(-2 lam/mu)
     cm = c * m_big
     lam = u / (c * c * d2_big)
-    mu = math.inf if 1.0 - _BOUNDARY_EPS <= cm <= 1.0 + _BOUNDARY_EPS else 1.0 / abs(1.0 - cm)
+    mu = math.inf if cm == 1.0 else 1.0 / abs(1.0 - cm)
     scale = np.exp(-2.0 * lam / mu) if cm > 1.0 else 1.0
     cdf = lambda x: inverse_gaussian_cdf(x, mu, lam)
     return np.clip(scale * (cdf(c * t / u + 1.0) - cdf(1.0)), 0.0, 1.0)
@@ -106,13 +98,13 @@ def ig_ruin_probability(m: RiskModel, u, c: float, t: float):
     The defining integral over [0, ct/u] (:func:`_ig_integral`, kept as the
     reference) has the closed form
     ``scale * [F(ct/u + 1) - F(1)]``, F the IG(mu, u/(c^2 D^2)) distribution
-    function with mu = 1/|1 - cM|, scale 1 for cM <= 1 and exp(-2 lam/mu)
-    above.  The two agree to ~1e-9 away from the regime boundary cM = 1,
-    where the closed form uses the zero-drift limit mu = inf.  u is a float
-    or a 1-D array and the result is the same; every entry is checked, and
-    the array values equal the scalar calls.  c = 0 is outside the domain:
-    there the aggregate-claims distribution function answers.  Raises
-    IntegrationError when u/(c^2 D^2) is not finite (huge u or tiny c).
+    function with mu = 1/|1 - cM| (mu = inf, the zero-drift limit, at
+    cM = 1), scale 1 for cM <= 1 and exp(-2 lam/mu) above; the two agree to
+    ~1e-9.  u is a float or a 1-D array and the result is the same; every
+    entry is checked, and the array values equal the scalar calls.  c = 0 is
+    outside the domain: there the aggregate-claims distribution function
+    answers.  Raises IntegrationError when the shape u/(c^2 D^2) or the
+    upper limit ct/u is not finite (huge u or t, tiny u or c).
     """
     scalar = np.isscalar(u)
     u = check_real("u", u, above=0.0) if scalar else check_real_array("u", u, above=0.0)
@@ -121,10 +113,13 @@ def ig_ruin_probability(m: RiskModel, u, c: float, t: float):
     if t == 0.0:
         return 0.0 if scalar else np.zeros_like(u)
     k = derived_constants(m)
-    # the IG shape lam = u/(c^2 D^2) overflows, or divides by zero, at extreme u or c
+    u_lo, u_hi = (u, u) if scalar else (float(u.min(initial=math.inf)), float(u.max(initial=0.0)))
+    # the IG shape u/(c^2 D^2) and the limit ct/u overflow, or divide by zero, at extreme inputs
     d = c * c * k.d2_big
-    if d == 0.0 or math.isinf((u if scalar else float(u.max(initial=0.0))) / d):
+    if d == 0.0 or math.isinf(u_hi / d):
         raise IntegrationError(f"inverse Gaussian shape u/(c^2 D^2) is not finite at c = {c!r}")
+    if math.isinf(c * t / u_lo):
+        raise IntegrationError(f"inverse Gaussian limit ct/u is not finite at c = {c!r}")
     val = _ig_closed(u, c, t, k.m_big, k.d2_big)
     return float(val) if scalar else val
 
@@ -133,17 +128,15 @@ def ig_ruin_probability(m: RiskModel, u, c: float, t: float):
 class CramerConstants:
     """Constants of the exponential-case normal ruin approximation.
 
-    The sub- and supercritical branches use different (mean, variance)
-    pairs; fields from the regime that does not apply at the given premium
-    rate are None.
+    With q = c*/c: C = q, kappa = rho (1 - q), and the passage-time mean
+    ``m = min(q, 1)/(c |1 - q|)`` and variance ``d2 = 2q/(c^2 rho |1 - q|^3)``,
+    one expression for both printed branches.
     """
 
     big_c: float
     kappa: float
-    m_sub: Optional[float]
-    d2_sub: Optional[float]
-    m_super: Optional[float]
-    d2_super: Optional[float]
+    m: float
+    d2: float
 
 
 def cramer_constants_exp(p: ExpPair, c: float) -> CramerConstants:
@@ -152,47 +145,39 @@ def cramer_constants_exp(p: ExpPair, c: float) -> CramerConstants:
     Raises:
         ExcludedCaseError: at c = c* = delta/rho, where every displayed
             denominator vanishes.
+        DomainError: where the constants are not positive floats (extreme c).
     """
     c = check_real("c", c, above=0.0)
     delta, rho = p.delta, p.rho
-    q = delta / (c * rho)
-    # the displayed denominators vanish at c = c*; treat a relative
-    # neighborhood as excluded so grid arithmetic cannot land on wild values
-    if abs(q - 1.0) < 1e-9:
-        raise ExcludedCaseError("normal ruin approximation undefined at c = c*")
-    big_c = q
-    kappa = rho * (1.0 - q)
-    one = 1.0 - q
-    if q > 1.0:  # subcritical: c < c*
-        m_sub = -1.0 / (c * one)
-        d2_sub = -2.0 * q / (c * c * rho * one**3)
-        if not (m_sub > 0.0 and d2_sub > 0.0):
-            raise DomainError("subcritical constants came out nonpositive")
-        return CramerConstants(big_c, kappa, m_sub, d2_sub, None, None)
-    m_super = q / (c * one)
-    d2_super = 2.0 * q / (c * c * rho * one**3)
-    if not (m_super > 0.0 and d2_super > 0.0):
-        raise DomainError("supercritical constants came out nonpositive")
-    return CramerConstants(big_c, kappa, None, None, m_super, d2_super)
+    try:
+        q = delta / (c * rho)
+        gap = abs(1.0 - q)
+        # the displayed denominators vanish at c = c*; treat a relative
+        # neighborhood as excluded so grid arithmetic cannot land on wild values
+        if gap < 1e-9:
+            raise ExcludedCaseError("normal ruin approximation undefined at c = c*")
+        m = min(q, 1.0) / (c * gap)
+        d2 = 2.0 * q / (c * c * rho * (gap * gap * gap))
+    except ZeroDivisionError:  # c rho or a denominator underflows to 0 at extreme c
+        q = m = d2 = math.nan
+    if not (m > 0.0 and d2 > 0.0):
+        raise DomainError(f"normal ruin approximation constants are not positive at c = {c!r}")
+    return CramerConstants(q, rho * (1.0 - q), m, d2)
 
 
 def cramer_ruin_exp(p: ExpPair, u: float, c: float, t: float) -> float:
     """Normal approximation of P{ruin within [0, t]}, exponential case.
 
-    Subcritical (c < c*): Phi((t - m u)/(D sqrt(u))).  Supercritical
-    (c > c*): C exp(-kappa u) Phi((t - m u)/(D sqrt(u))).  Undefined at
-    c = c*.
+    ``psi(u) Phi((t - m u)/sqrt(d2 u))`` with psi the ultimate ruin
+    probability: 1 below c* and C exp(-kappa u) above.  Undefined at c = c*.
     """
     u = check_real("u", u, above=0.0)
     t = check_real("t", t, above=0.0)
     k = cramer_constants_exp(p, c)
-    if k.m_sub is not None:
-        z = (t - k.m_sub * u) / math.sqrt(k.d2_sub * u)
-        val = float(sp.ndtr(z))
-    else:
-        z = (t - k.m_super * u) / math.sqrt(k.d2_super * u)
-        val = k.big_c * math.exp(-k.kappa * u) * float(sp.ndtr(z))
-    return min(1.0, max(0.0, val))
+    var = k.d2 * u
+    if not var > 0.0:
+        raise DomainError(f"normal ruin approximation variance d2 u underflows at u = {u!r}")
+    return ruin_ultimate_exp(p, u, c) * float(sp.ndtr((t - k.m * u) / math.sqrt(var)))
 
 
 @dataclass(frozen=True)
@@ -204,8 +189,7 @@ class AsymptoticEndpoints:
 
 
 def _warn_if_preconditions_fail(m: RiskModel, what: str) -> None:
-    report = theorem_preconditions(m)
-    if not report.capital_asymptotics_ok:
+    if not theorem_preconditions(m).capital_asymptotics_ok:
         warnings.warn(
             f"{what}: stated moment conditions not all satisfied for this "
             "model; the formula is applied anyway",
@@ -217,23 +201,19 @@ def _warn_if_preconditions_fail(m: RiskModel, what: str) -> None:
 def capital_asymptotic_endpoints(
     m: RiskModel, alpha: float, t: float
 ) -> AsymptoticEndpoints:
-    """Asymptotic non-ruin capital at c = 0 and c = c*.
+    """Asymptotic non-ruin capital at c = 0 and c = c*, the two ends of the band.
 
-    ``u(0) = t/M + (D/M^{3/2}) z_alpha sqrt(t)`` and
-    ``u(c*) = (D/M^{3/2}) z_{alpha/2} sqrt(t)``.  Models violating the
-    third-moment hypotheses produce a warning, not an error.
+    ``u(0) = c* t + D_V z_alpha sqrt(t)`` (the band's lower end) and
+    ``u(c*) = D_V z_{alpha/2} sqrt(t)`` (its upper end).  Models violating
+    the third-moment hypotheses produce a warning, not an error.
     """
     alpha = check_alpha(alpha)
     t = check_real("t", t, above=0.0)
     _warn_if_preconditions_fail(m, "capital_asymptotic_endpoints")
     k = derived_constants(m)
-    scale = k.capital_scale
-    z_a = std_normal_quantile(1.0 - alpha)
-    z_h = std_normal_quantile(1.0 - alpha / 2.0)
-    rt = math.sqrt(t)
     return AsymptoticEndpoints(
-        u_at_zero=t / k.m_big + scale * z_a * rt,
-        u_at_cstar=scale * z_h * rt,
+        u_at_zero=_clt_capital(k, alpha, t, 0.0),
+        u_at_cstar=_clt_capital(k, alpha / 2.0, t, k.c_star),
     )
 
 
@@ -242,8 +222,9 @@ def capital_asymptotic_bounds(
 ) -> tuple[float, float]:
     """Bilateral asymptotic bounds on the non-ruin capital for 0 <= c <= c*.
 
-    lower = (c* - c) t + (D/M^{3/2}) z_alpha sqrt(t);
-    upper = (c* - c) t + (D/M^{3/2}) z_{alpha/2} sqrt(t).
+    The CLT Value-at-Risk formula at alpha and at alpha/2:
+    ``(c* - c) t + D_V z sqrt(t)`` with z = z_alpha (lower) and
+    z = z_{alpha/2} (upper), so the band is (var_clt(alpha), var_clt(alpha/2)).
     """
     alpha = check_alpha(alpha)
     t = check_real("t", t, above=0.0)
@@ -255,8 +236,4 @@ def capital_asymptotic_bounds(
             "premium rates use the adjustment-coefficient bounds"
         )
     _warn_if_preconditions_fail(m, "capital_asymptotic_bounds")
-    drift = (k.c_star - c) * t
-    spread = k.capital_scale * math.sqrt(t)
-    lower = drift + spread * std_normal_quantile(1.0 - alpha)
-    upper = drift + spread * std_normal_quantile(1.0 - alpha / 2.0)
-    return lower, upper
+    return _clt_capital(k, alpha, t, c), _clt_capital(k, alpha / 2.0, t, c)

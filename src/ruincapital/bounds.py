@@ -83,6 +83,8 @@ def adjustment_coefficient(m: RiskModel, c: float) -> AdjustmentCoefficient:
         delta = m.t_law.rate
         rho = m.y_law.rate
         kappa = rho - delta / c
+        if not kappa > 0.0:  # c within rounding of c*
+            raise NoAdjustmentCoefficientError(f"kappa = rho - delta/c is {kappa!r} at c = {c!r}")
         return AdjustmentCoefficient(kappa, "closed_form")
 
     abscissa = m.y_law.mgf_abscissa
@@ -162,7 +164,7 @@ def ultimate_capital_exp(p: ExpPair, alpha: float, c: float) -> float:
     """
     alpha = check_alpha(alpha)
     c = check_real("c", c)
-    if c <= p.delta / p.rho:
+    if not c * p.rho > p.delta:
         raise InfiniteCapitalError(
             "ultimate capital is infinite for c <= c* = delta/rho"
         )
@@ -177,12 +179,11 @@ def ultimate_capital_interval(m: RiskModel, alpha: float, c: float) -> tuple[flo
 
     From ``b_minus e^{-kappa u} <= P <= b_plus e^{-kappa u}`` the capital
     solving P = alpha lies in ``[ln(b_minus/alpha)/kappa,
-    ln(b_plus/alpha)/kappa]``, each endpoint clamped at 0; for exponential
-    claims it is one point up to rounding, the exact capital.
+    ln(b_plus/alpha)/kappa]``, each endpoint 0 where its prefactor is at most
+    alpha; for exponential claims it is one point, the exact capital.
     """
     alpha = check_alpha(alpha)
     kappa = adjustment_coefficient(m, c).kappa
     rb = _ratio_ends(m.y_law, kappa)
-    lo = max(0.0, math.log(rb.b_minus / alpha) / kappa)
-    hi = max(0.0, math.log(rb.b_plus / alpha) / kappa)
+    lo, hi = (0.0 if b <= alpha else math.log(b / alpha) / kappa for b in (rb.b_minus, rb.b_plus))
     return lo, hi

@@ -104,11 +104,10 @@ class CapitalPoint:
 
 
 def _default_bracket(m: RiskModel, alpha: float, t: float, c: float) -> float:
+    """The asymptotic band's upper end at min(c, c*) plus ten of its sqrt(t) spreads."""
     k = derived_constants(m)
-    spread = k.capital_scale * math.sqrt(t)
-    drift = max(0.0, (k.c_star - c) * t)
-    upper = drift + spread * approx.std_normal_quantile(1.0 - alpha / 2.0)
-    return upper + 10.0 * spread
+    upper = approx._clt_capital(k, alpha / 2.0, t, min(c, k.c_star))
+    return upper + 10.0 * (k.capital_scale * math.sqrt(t))
 
 
 def _require_exp_pair(m: RiskModel, route: str) -> ExpPair:
@@ -269,10 +268,10 @@ def nonruin_capital(
 def ultimate_capital(m: RiskModel, alpha: float, c: float) -> CapitalPoint:
     """Smallest capital with ultimate ruin probability at most alpha.
 
-    Exponential pair: exact closed-form inversion.  Other light-tailed
-    models: midpoint of the two-sided adjustment-coefficient enclosure,
-    with the enclosure attached.  Heavy-tailed claims: no adjustment
-    coefficient, typed error.
+    The midpoint of the two-sided adjustment-coefficient enclosure, with
+    the enclosure attached; for exponential claims its two ends coincide
+    in the exact capital.  ``clamped`` means the enclosure is {0}.
+    Heavy-tailed claims: no adjustment coefficient, typed error.
 
     Raises:
         InfiniteCapitalError: for c <= c*.
@@ -284,13 +283,9 @@ def ultimate_capital(m: RiskModel, alpha: float, c: float) -> CapitalPoint:
         raise InfiniteCapitalError(
             f"ultimate capital is infinite for c = {c} <= c* = {k.c_star:.6g}"
         )
-    if m.is_exponential_pair():
-        p = ExpPair(m.t_law.rate, m.y_law.rate)
-        v = bounds.ultimate_capital_exp(p, alpha, c)
-        return CapitalPoint(kind="ultimate", c=c, value=v, clamped=(v == 0.0))
     lo, hi = bounds.ultimate_capital_interval(m, alpha, c)
     return CapitalPoint(
-        kind="ultimate", c=c, value=0.5 * (lo + hi), interval=(lo, hi)
+        kind="ultimate", c=c, value=0.5 * (lo + hi), clamped=(hi == 0.0), interval=(lo, hi)
     )
 
 

@@ -170,7 +170,10 @@ class Erlang(Distribution):
         return -total / self.rate
 
     def mgf(self, r):
-        return (self.rate / (self.rate - r)) ** self.shape
+        try:
+            return (self.rate / (self.rate - r)) ** self.shape
+        except OverflowError:  # a float power past the float range, near the abscissa
+            return math.inf
 
 
 @dataclass(frozen=True)

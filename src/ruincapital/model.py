@@ -13,7 +13,11 @@ Two normalizations of the same model coexist and must not be conflated:
   ``D_V^2 = ((ET)^2 DY + (EY)^2 DT) / (ET)^3`` drive the CLT for V_t
   (money per unit of operational time).
 
-``c* = EY/ET`` is the equilibrium premium rate and equals ``1/M``.
+``c* = EY/ET`` is the equilibrium premium rate and equals ``1/M``.  The
+two sets share their constants: ``c* = M_V`` and ``D/M^{3/2} = D_V``
+(``capital_scale``), so the asymptotic non-ruin band and the CLT
+Value-at-Risk capital are one formula (``approx._clt_capital``); M and
+D^2 remain the parameters of the inverse Gaussian route.
 """
 
 from __future__ import annotations
@@ -82,7 +86,7 @@ class DerivedConstants:
 
     @property
     def capital_scale(self) -> float:
-        """D / M^{3/2}, the sqrt(t) coefficient in the capital asymptotics."""
+        """D / M^{3/2} = D_V, the sqrt(t) coefficient in the capital asymptotics."""
         return self.d_big / self.m_big**1.5
 
 

@@ -184,10 +184,9 @@ def _fig7(n_paths: int, seed: int):
     m = _MODEL_I
     alpha, t = 0.05, 200.0
     cs = c_grid_range(0.0, 2.5, 0.05)
-    p = ExpPair(4.0 / 5.0, 3.0 / 5.0)
     # the non-ruin capital never exceeds the ultimate capital
     lower, upper = _bounds_columns(
-        m, alpha, t, cs, lambda c: bounds.ultimate_capital_exp(p, alpha, c)
+        m, alpha, t, cs, lambda c: capital.ultimate_capital(m, alpha, c).value
     )
     spec = SolveSpec(backend="exact_exp")
     tab = capital.capital_curve(m, alpha, t, cs, spec, kinds=("nonruin",))

@@ -11,15 +11,15 @@ All functions are pure and accept numpy arrays where it is natural.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 from scipy import special as sp
 
-from .errors import DomainError, check_real
+from .errors import DomainError, IntegrationError, check_real, check_real_array
 
 __all__ = [
     "std_normal_quantile",
-    "normal_pdf",
     "inverse_gaussian_cdf",
 ]
 
@@ -42,21 +42,12 @@ def std_normal_quantile(p: float) -> float:
     return float(z)
 
 
-def normal_pdf(x, mean, variance):
-    """Gaussian density with given mean and *variance*.
-
-    Raises:
-        DomainError: if variance <= 0.
-    """
-    variance = np.asarray(variance, dtype=float)
-    if np.any(variance <= 0.0):
-        raise DomainError("variance must be positive")
-    x = np.asarray(x, dtype=float)
-    z = (x - mean) ** 2 / (2.0 * variance)
-    out = np.exp(-z) / np.sqrt(2.0 * np.pi * variance)
-    if out.ndim == 0:
-        return float(out)
-    return out
+def _positive(name: str, x):
+    """``x`` checked by the argument rule, finite and > 0: a float stays a
+    float (the IG route's scalar calls), anything else becomes a float array."""
+    if type(x) is float:
+        return check_real(name, x, above=0.0)
+    return check_real_array(name, x, above=0.0)
 
 
 def inverse_gaussian_cdf(x, mu, lam):
@@ -72,16 +63,15 @@ def inverse_gaussian_cdf(x, mu, lam):
     accepted and returns the zero-drift limit ``2 Phi(-sqrt(lam/x))``.
 
     Raises:
-        DomainError: for nonpositive ``x``, ``mu`` or ``lam``, checked per element.
+        DomainError: unless ``x`` and ``lam`` are finite and > 0, checked
+            per element by the argument rule, and ``mu`` is a real number
+            > 0 (``inf`` included); a string is never converted.
+        IntegrationError: where x/mu or 2 lam/mu overflows and the two
+            terms give NaN.
     """
-    x = np.asarray(x, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    if not (x > 0.0).all():
-        raise DomainError("inverse_gaussian_cdf requires x > 0")
-    if not mu > 0.0:
-        raise DomainError("inverse_gaussian_cdf requires mu > 0")
-    if not (lam > 0.0).all():
-        raise DomainError("inverse_gaussian_cdf requires lambda > 0")
+    x, lam = _positive("x", x), _positive("lam", lam)
+    if not (isinstance(mu, numbers.Real) and mu > 0.0):
+        raise DomainError(f"mu must be a real number > 0 (inf included), got {mu!r}")
     s = np.sqrt(lam / x)
     if math.isinf(mu):
         out = 2.0 * sp.ndtr(-s)
@@ -90,6 +80,6 @@ def inverse_gaussian_cdf(x, mu, lam):
         b = s * (x / mu + 1.0)
         out = sp.ndtr(a) + np.exp(2.0 * lam / mu + sp.log_ndtr(-b))
     out = out.clip(0.0, 1.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    if np.isnan(out).any():
+        raise IntegrationError("inverse_gaussian_cdf is not finite: x/mu or 2 lam/mu overflows")
+    return float(out) if out.ndim == 0 else out

@@ -135,15 +135,13 @@ def test_cramer_constants_printed_formulas():
     k = cramer_constants_exp(ExpPair(1.0, 1.0), 2.0)
     assert k.big_c == pytest.approx(0.5)
     assert k.kappa == pytest.approx(0.5)
-    assert k.m_sub is None
-    assert k.m_super == pytest.approx(0.5)
-    assert k.d2_super == pytest.approx(2.0)
+    assert k.m == pytest.approx(0.5)
+    assert k.d2 == pytest.approx(2.0)
     # subcritical branch: c=0.5, q=2, m = -1/(c(1-q)) = 2,
     # D^2 = -2q/(c^2 rho (1-q)^3) = 16
     k = cramer_constants_exp(ExpPair(1.0, 1.0), 0.5)
-    assert k.m_super is None
-    assert k.m_sub == pytest.approx(2.0)
-    assert k.d2_sub == pytest.approx(16.0)
+    assert k.m == pytest.approx(2.0)
+    assert k.d2 == pytest.approx(16.0)
 
 
 def test_cramer_excluded_at_equilibrium():
@@ -207,7 +205,18 @@ def test_precondition_warning_for_missing_third_moment():
 
 
 def test_ig_raises_a_typed_error_when_its_shape_is_not_finite():
-    # lam = u/(c^2 D^2) overflows at u = 1e308 and divides by zero at c = 1e-200
-    for u, c in ((1e308, 0.5), (10.0, 1e-200), (np.array([1.0, 1e308]), 0.5)):
+    # lam = u/(c^2 D^2) overflows at u = 1e308 and divides by zero at c = 1e-200;
+    # the limit ct/u overflows at u = 1e-300, t = 1e300, and x/mu = (ct/u + 1)|1 - cM|
+    # at c = 1e37
+    for u, c, t in ((1e308, 0.5, 200.0), (10.0, 1e-200, 200.0),
+                    (np.array([1.0, 1e308]), 0.5, 200.0), (1e-300, 0.5, 1e300), (1e-180, 1e37, 1e58)):
         with pytest.raises(IntegrationError, match="not finite"):
-            ig_ruin_probability(UNIT, u, c, 200.0)
+            ig_ruin_probability(UNIT, u, c, t)
+
+
+def test_cramer_extreme_constants_are_typed_errors():
+    # the cube (1 - q)^3 overflowed, and d2 u underflowed to a zero divisor
+    for p, u, c, t in ((ExpPair(1e6, 0.01), 1e-12, 1e-300, 1e-300),
+                       (ExpPair(1.0, 3.0), 1e-200, 1e100, 3.0)):
+        with pytest.raises(DomainError):
+            cramer_ruin_exp(p, u, c, t)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ruincapital import approx, bounds, capital, dist, exact, model, montecarlo
+from ruincapital import approx, bounds, capital, dist, exact, model, montecarlo, special
 from ruincapital.capital import SolveSpec
 from ruincapital.dist import Erlang, Exponential, Kummer, MixtureExp2, Pareto
 from ruincapital.errors import DomainError
@@ -71,6 +71,9 @@ CASES = {
     "capital_asymptotic_bounds": Case(
         lambda alpha, t, c: approx.capital_asymptotic_bounds(UNIT, alpha, t, c),
         dict(alpha=0.05, t=200, c=1), dict(alpha=0.7, t=0, c=-1)),
+    # special: mu may be inf, the zero-drift limit, so it has its own test
+    "inverse_gaussian_cdf": Case(lambda x, lam: special.inverse_gaussian_cdf(x, 2.5, lam),
+                                 dict(x=2, lam=1), dict(x=0, lam=0), ("x", "lam")),
     # bounds
     "adjustment_coefficient": Case(lambda c: bounds.adjustment_coefficient(UNIT, c),
                                    dict(c=2), dict(c=0)),

@@ -17,6 +17,7 @@ from ruincapital.bounds import (
 )
 from ruincapital.dist import Distribution, Erlang, Exponential, MixtureExp2, Pareto, mgf
 from ruincapital.errors import (
+    BracketError,
     DomainError,
     InfiniteCapitalError,
     NoAdjustmentCoefficientError,
@@ -273,3 +274,33 @@ def test_interval_solves_kappa_once(monkeypatch):
         calls.clear()
         ultimate_capital_interval(m, 0.05, c)
         assert calls == [c]
+
+
+def test_erlang_claims_of_high_shape_near_their_abscissa():
+    # (5/(5 - r))^60 passes the float range before r reaches 5: the MGF is
+    # inf there, as at the abscissa, and the root walk steps down from it
+    y = Erlang(5.0, 60)
+    assert mgf(y, 4.99999) == math.inf
+    m = RiskModel(Exponential(0.8), y)  # c* = 9.6
+    assert adjustment_coefficient(m, 12.0).kappa == pytest.approx(0.03523, abs=5e-6)
+    lo, hi = ultimate_capital_interval(m, 0.05, 12.0)
+    assert (lo, hi) == (pytest.approx(72.99, abs=5e-3), pytest.approx(84.84, abs=5e-3))
+    with pytest.raises(BracketError):
+        ultimate_capital_interval(m, 0.05, 1e100)
+
+
+def test_interval_is_zero_where_a_prefactor_is_at_most_alpha():
+    # at c = 1e17 kappa rounds to the abscissa 1, so both prefactors are 0:
+    # a capital of 0, not log(0)
+    m = RiskModel(Exponential(1.0), Exponential(1.0))
+    assert ultimate_capital_interval(m, 0.05, 1e17) == (0.0, 0.0)
+
+
+def test_kappa_rounding_to_zero_next_to_cstar_is_a_typed_error():
+    # c one ulp above c* = 3/7, where rho - delta/c rounds to 0
+    m = RiskModel(Exponential(0.3), Exponential(0.7))
+    c = math.nextafter(3.0 / 7.0, 1.0)
+    with pytest.raises(NoAdjustmentCoefficientError):
+        adjustment_coefficient(m, c)
+    with pytest.raises(InfiniteCapitalError):
+        ultimate_capital_exp(ExpPair(1.0, 1.5), 0.05, math.nextafter(2.0 / 3.0, 1.0))

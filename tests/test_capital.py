@@ -372,6 +372,12 @@ def test_ruin_curve_records_failures_as_na():
     assert table.metadata["warnings"] == [
         "ig@c=1e-200: inverse Gaussian shape u/(c^2 D^2) is not finite at c = 1e-200"
     ]
+    # at u = 1e-300, t = 1e300 the limit ct/u overflows: NA, not a NaN cell
+    table = ruin_curve(UNIT, 1e-300, 1e300, [0.5], ("ig",))
+    assert table.column("ig") == [None]
+    assert table.metadata["warnings"] == [
+        "ig@c=0.5: inverse Gaussian limit ct/u is not finite at c = 0.5"
+    ]
     # and a typed error, not a BracketError from NaNs, in the capital solve
     with pytest.raises(IntegrationError):
         nonruin_capital(UNIT, 0.05, 200.0, 1e-200, IG)

@@ -360,3 +360,18 @@ def test_stdout_output(config_path, capsys):
     assert rc == 0
     text = capsys.readouterr().out
     assert "c_star" in text
+
+
+def test_ultimate_capital_with_high_shape_erlang_claims(tmp_path):
+    # c* = 9.6; the Lundberg solve near the Erlang(5, 60) abscissa used to
+    # end in a traceback (exit 1) at every c > c*
+    cfg = {"model": {"t_law": {"family": "exponential", "rate": 0.8},
+                     "y_law": {"family": "erlang", "rate": 5.0, "shape": 60}}}
+    path = tmp_path / "erlang.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "u.csv"
+    assert main(["capital", "--config", str(path), "--kind", "ultimate", "--c-start", "10",
+                 "--c-stop", "12", "--c-step", "1", "--out", str(out)]) == 0
+    table = CurveTable.read_csv(out)
+    assert table.rows[-1] == [12.0, pytest.approx(0.5 * (72.99 + 84.84), abs=1e-2)]
+    assert all(row[1] > 0.0 for row in table.rows)

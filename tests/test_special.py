@@ -2,15 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import stats
 from scipy import special as sp
 
-from ruincapital.errors import DomainError
-from ruincapital.special import (
-    inverse_gaussian_cdf,
-    normal_pdf,
-    std_normal_quantile,
-)
+from ruincapital.errors import DomainError, IntegrationError
+from ruincapital.special import inverse_gaussian_cdf, std_normal_quantile
 
 
 def test_cdf_matches_reference_points():
@@ -29,11 +25,6 @@ def test_quantile_rejects_endpoints():
         std_normal_quantile(0.0)
     with pytest.raises(DomainError):
         std_normal_quantile(1.0)
-
-
-def test_normal_pdf_integrates_to_one():
-    val, _ = integrate.quad(lambda x: normal_pdf(x, 2.0, 9.0), -40, 44)
-    assert val == pytest.approx(1.0, abs=1e-10)
 
 
 def test_inverse_gaussian_cdf_against_scipy():
@@ -57,6 +48,9 @@ def test_inverse_gaussian_cdf_edges():
         inverse_gaussian_cdf(0.0, 1.0, 1.0)
     assert inverse_gaussian_cdf(1e-12, 1.0, 1.0) < 1e-10
     assert inverse_gaussian_cdf(1e9, 1.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+    # x/mu = 1e310 overflows and sqrt(lam/x) underflows: 0 * inf, a typed error
+    with pytest.raises(IntegrationError, match="not finite"):
+        inverse_gaussian_cdf(1e300, 1e-10, 1e-300)
 
 
 def test_inverse_gaussian_cdf_elementwise():
@@ -74,3 +68,16 @@ def test_inverse_gaussian_cdf_elementwise():
             inverse_gaussian_cdf([1.0, 2.0], 1.0, np.array([1.0, bad]))
         with pytest.raises(DomainError):
             inverse_gaussian_cdf([1.0, bad], 1.0, np.array([1.0, 2.0]))
+
+
+def test_inverse_gaussian_cdf_argument_rule():
+    # x and lam follow the argument rule (test_arguments); mu is a real
+    # number > 0 where inf, the zero-drift limit, is valid
+    for mu in (None, "1", [1.0], math.nan, -math.inf, 0.0, -1.0):
+        with pytest.raises(DomainError, match=r"\bmu must"):
+            inverse_gaussian_cdf(2.0, mu, 1.0)
+    ref = inverse_gaussian_cdf(2.0, 1.5, 1.0)
+    assert inverse_gaussian_cdf(2.0, np.float64(1.5), 1.0) == ref
+    assert inverse_gaussian_cdf(2.0, np.inf, 1.0) == inverse_gaussian_cdf(2.0, math.inf, 1.0)
+    assert inverse_gaussian_cdf(2.0, 3, 1.0) == inverse_gaussian_cdf(2.0, 3.0, 1.0)
+
