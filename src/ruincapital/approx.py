@@ -4,7 +4,7 @@ Four families live here:
 
 * the CLT-based Value-at-Risk capital (normal approximation of V_t);
 * the uniform inverse Gaussian approximation of the finite-horizon ruin
-  probability, in both its integral and closed forms;
+  probability, in closed form;
 * the exponential-case normal (Cramer-type) ruin approximation with its
   explicit constants;
 * the asymptotic endpoint values and bilateral bounds for the non-ruin
@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy import special as sp
 
 from .errors import DomainError, ExcludedCaseError, IntegrationError, check_real, check_real_array
@@ -57,30 +56,6 @@ def var_clt(m: RiskModel, alpha: float, t: float, c: float) -> float:
     return max(0.0, _clt_capital(derived_constants(m), alpha, t, c))
 
 
-def _ig_integral(u: float, c: float, t: float, m_big: float, d2_big: float) -> float:
-    """The defining integral of ig_ruin_probability by quadrature; its closed form's reference."""
-    # integrand: (x+1)^{-1} times a Gaussian density in x with mean
-    # cM(x+1) and variance (c^2 D^2 / u)(x+1)
-    cm = c * m_big
-    v0 = c * c * d2_big / u
-
-    def integrand(x):
-        y = x + 1.0
-        v = v0 * y
-        return math.exp(-((x - cm * y) ** 2) / (2.0 * v)) / (math.sqrt(2.0 * math.pi * v) * y)
-
-    hi = c * t / u
-    if hi <= 0.0:
-        return 0.0
-    # the Gaussian peak sits at the fixed point x = cM(x+1), if cM < 1
-    xstar = cm / (1.0 - cm) if cm < 1.0 else -1.0
-    pts = [xstar] if 0.0 < xstar < hi else None
-    val, err = integrate.quad(integrand, 0.0, hi, points=pts, limit=200, epsabs=1e-10, epsrel=1e-10)
-    if err > 1e-7:
-        raise IntegrationError(f"inverse Gaussian integral error estimate {err:.2e}", err)
-    return float(min(1.0, max(0.0, val)))
-
-
 def _ig_closed(u, c: float, t: float, m_big: float, d2_big: float):
     # difference of IG(mu, lam) distribution functions with mu = 1/|1 - cM|;
     # supercritical rates reflect the drift and scale the mass to exp(-2 lam/mu)
@@ -95,8 +70,7 @@ def _ig_closed(u, c: float, t: float, m_big: float, d2_big: float):
 def ig_ruin_probability(m: RiskModel, u, c: float, t: float):
     """Inverse Gaussian approximation of P{ruin within [0, t]}.
 
-    The defining integral over [0, ct/u] (:func:`_ig_integral`, kept as the
-    reference) has the closed form
+    The defining integral over [0, ct/u] has the closed form
     ``scale * [F(ct/u + 1) - F(1)]``, F the IG(mu, u/(c^2 D^2)) distribution
     function with mu = 1/|1 - cM| (mu = inf, the zero-drift limit, at
     cM = 1), scale 1 for cM <= 1 and exp(-2 lam/mu) above; the two agree to

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import optimize
-
 from . import dist
 from .dist import Distribution
 from .errors import (
@@ -27,6 +25,7 @@ from .errors import (
 )
 from .exact import ExpPair
 from .model import RiskModel, check_alpha, derived_constants
+from .special import brentq
 
 __all__ = [
     "AdjustmentCoefficient",
@@ -101,12 +100,22 @@ def adjustment_coefficient(m: RiskModel, c: float) -> AdjustmentCoefficient:
         hi *= 0.5
         g_hi = g(hi)
         iters += 1
-    if g(lo) >= 0.0 or g_hi <= 0.0:
+    g_lo = g(lo)
+    # g is convex with g(0) = 0 and g'(0) < 0, so g < 0 on (0, kappa); where
+    # g(1e-12) is below the error of a quadrature MGF (Pareto arrivals), walk
+    # lo down from hi into that interval
+    if not g_lo < 0.0:
+        lo, iters = hi, 0
+        while not g_lo < 0.0 and iters < 200:
+            lo *= 0.5
+            g_lo = g(lo)
+            iters += 1
+    if not g_lo < 0.0 or g_hi <= 0.0:
         raise BracketError(
             "Lundberg root bracket failed: no sign change on "
             f"({lo:.3g}, {hi:.6g})"
         )
-    kappa = float(optimize.brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16))
+    kappa = brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16)
     residual = abs(_mgf_product(m, c, kappa) - 1.0)
     if residual > _RESIDUAL_TOL:
         raise BracketError(

@@ -32,7 +32,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import optimize
 
 from . import approx, bounds, exact, montecarlo
 from .errors import (
@@ -46,6 +45,7 @@ from .errors import (
 from .exact import ExpPair
 from .model import RiskModel, check_alpha, check_c_grid, derived_constants
 from .montecarlo import SimConfig
+from .special import brentq
 from .table import CurveTable
 
 __all__ = [
@@ -163,7 +163,7 @@ def _invert(
         hi = max_bracket
     if hi is None:
         raise BracketError(f"no solution below max_bracket = {max_bracket:.6g}")
-    u = float(optimize.brentq(lambda x: f(x) - alpha, lo, hi, xtol=_U_TOLERANCE))
+    u = brentq(lambda x: f(x) - alpha, lo, hi, xtol=_U_TOLERANCE)
     return CapitalPoint(kind=kind, c=c, value=u, residual=abs(f(u) - alpha))
 
 

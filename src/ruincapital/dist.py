@@ -19,7 +19,6 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 from scipy import special as sp
 
 from .errors import DomainError, MomentUndefinedError, UnsupportedDistributionError, check_real
@@ -254,7 +253,11 @@ class Pareto(Distribution):
         return ((1.0 - u) ** (-1.0 / self.shape) - 1.0) / self.scale
 
     def mgf(self, r):
-        # r < 0: no closed form, so integrate e^{rx} against the density
+        # r < 0: no closed form, so integrate e^{rx} against the density; only
+        # the Lundberg solve for Pareto arrivals gets here, so scipy.integrate
+        # is imported on first use, not with the package
+        from scipy import integrate
+
         val, _ = integrate.quad(
             lambda x: math.exp(r * x) * pdf(self, x), 0.0, math.inf, limit=200
         )

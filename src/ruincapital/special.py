@@ -1,9 +1,11 @@
-"""Scalar special-function kernels used by every other module.
+"""Scalar special-function kernels and the root finder used by every other module.
 
 The heavy lifting (the erf family) is delegated to :mod:`scipy.special`;
 this module pins down domains, overflow-safe compositions and the
 inverse-Gaussian distribution function, which scipy does not expose in
-the overflow-safe form needed here.
+the overflow-safe form needed here.  :func:`brentq`, Brent's method, is
+the one bracketed root finder of the capital and Lundberg solves, so the
+package imports :mod:`scipy.special` and not :mod:`scipy.optimize`.
 
 All functions are pure and accept numpy arrays where it is natural.
 """
@@ -16,7 +18,7 @@ import numbers
 import numpy as np
 from scipy import special as sp
 
-from .errors import DomainError, IntegrationError, check_real, check_real_array
+from .errors import BracketError, DomainError, IntegrationError, check_real, check_real_array
 
 __all__ = [
     "std_normal_quantile",
@@ -83,3 +85,66 @@ def inverse_gaussian_cdf(x, mu, lam):
     if np.isnan(out).any():
         raise IntegrationError("inverse_gaussian_cdf is not finite: x/mu or 2 lam/mu overflows")
     return float(out) if out.ndim == 0 else out
+
+
+def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = 4 * math.ulp(1.0)):
+    """A root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line port of scipy's ``brentq`` (``scipy/optimize/Zeros/brentq.c``):
+    the same iterates, the tolerance ``delta = (xtol + rtol |x|) / 2`` and at
+    most 100 iterations, so it returns scipy's root after the same calls of f.
+
+    Raises:
+        BracketError: f(a) and f(b) have the same sign, f returns NaN, or
+            100 iterations do not converge.
+    """
+
+    def fx(x):
+        y = float(f(x))
+        if math.isnan(y):
+            raise BracketError(f"brentq: the function value at x = {x!r} is NaN")
+        return y
+
+    xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), float(rtol)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = fx(xpre), fx(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise BracketError(f"brentq: f({xpre!r}) and f({xcur!r}) have the same sign")
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate; a zero divisor gives C an inf or NaN step, which bisects
+                try:
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                except ZeroDivisionError:
+                    stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = fx(xcur)
+    raise BracketError(f"brentq: no convergence after 100 iterations, last x = {xcur!r}")

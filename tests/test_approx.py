@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ig_oracle import ig_integral
 from ruincapital.approx import (
-    _ig_integral,
     capital_asymptotic_bounds,
     capital_asymptotic_endpoints,
     cramer_constants_exp,
@@ -44,7 +44,7 @@ def test_ig_closed_equals_integral():
         (50.0, 1.0, 1000.0),
         (5.0, 2.0, 30.0),
     ]:
-        a = _ig_integral(u, c, t, K_UNIT.m_big, K_UNIT.d2_big)
+        a = ig_integral(u, c, t, K_UNIT.m_big, K_UNIT.d2_big)
         b = ig_ruin_probability(UNIT, u, c, t)
         assert b == pytest.approx(a, abs=1e-8), (u, c, t)
 

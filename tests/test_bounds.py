@@ -1,6 +1,7 @@
 import inspect
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -304,3 +305,24 @@ def test_kappa_rounding_to_zero_next_to_cstar_is_a_typed_error():
         adjustment_coefficient(m, c)
     with pytest.raises(InfiniteCapitalError):
         ultimate_capital_exp(ExpPair(1.0, 1.5), 0.05, math.nextafter(2.0 / 3.0, 1.0))
+
+
+@pytest.mark.parametrize("ratio", [1.1, 2.0, 5.0])
+def test_kappa_for_pareto_arrivals_against_30_digits(ratio):
+    # E exp(-rcT) is a quadrature for Pareto T, whose error swamps g(1e-12),
+    # so the lower bracket walks down from the upper one instead
+    a, b = 2.5, 0.0508
+    m = RiskModel(Pareto(a, b), Exponential(1.0))
+    c = ratio * 0.0762  # c* = E Y / E T = b (a - 1)
+    kappa = adjustment_coefficient(m, c).kappa
+    with mpmath.workdps(30):
+        a_, b_, c_ = map(mpmath.mpf, (a, b, c))
+
+        def g(r):
+            # E exp(-sT) = a e^z z^a Gamma(-a, z), z = s/b, by y = 1 + bx
+            z = r * c_ / b_
+            return a_ * mpmath.exp(z) * z**a_ * mpmath.gammainc(-a_, z) / (1 - r) - 1
+
+        truth = float(mpmath.findroot(g, (0.9 * kappa, 1.1 * kappa), solver="anderson"))
+    # the quadrature's error over g'(kappa), which is smallest next to c*
+    assert kappa == pytest.approx(truth, rel=1e-8)

@@ -31,7 +31,6 @@ light_laws = st.one_of(
 )
 laws = st.one_of(light_laws, st.builds(Pareto, st.floats(2.5, 8.0), rates))
 models = st.builds(RiskModel, laws, laws)
-light_models = st.builds(RiskModel, light_laws, light_laws)
 alphas = st.floats(1e-6, 0.4999999)
 # 10^e for e in [-300, 300]: valid inputs far beyond any preset
 extremes = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
@@ -110,7 +109,8 @@ def test_ultimate_capital_near_cstar_against_50_digits(delta, rho, k, alpha):
     )
 
 
-@given(light_models, alphas, st.floats(1.01, 50.0))
+# light claims under any arrivals, Pareto ones (a quadrature MGF) included
+@given(st.builds(RiskModel, laws, light_laws), alphas, st.floats(1.01, 50.0))
 def test_clamped_exactly_when_the_ultimate_capital_is_zero(m, alpha, ratio):
     pt = capital.ultimate_capital(m, alpha, ratio * derived_constants(m).c_star)
     assert pt.clamped == (pt.value == 0.0)

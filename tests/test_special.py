@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import example, given
+from hypothesis import strategies as st
+from scipy import optimize, stats
 from scipy import special as sp
 
-from ruincapital.errors import DomainError, IntegrationError
-from ruincapital.special import inverse_gaussian_cdf, std_normal_quantile
+from ruincapital.errors import BracketError, DomainError, IntegrationError
+from ruincapital.special import brentq, inverse_gaussian_cdf, std_normal_quantile
 
 
 def test_cdf_matches_reference_points():
@@ -81,3 +83,66 @@ def test_inverse_gaussian_cdf_argument_rule():
     assert inverse_gaussian_cdf(2.0, np.inf, 1.0) == inverse_gaussian_cdf(2.0, math.inf, 1.0)
     assert inverse_gaussian_cdf(2.0, 3, 1.0) == inverse_gaussian_cdf(2.0, 3.0, 1.0)
 
+
+def _recorded(f):
+    """f, and the list of the points it is called at."""
+    xs = []
+
+    def g(x):
+        xs.append(x)
+        return f(x)
+
+    return g, xs
+
+
+# the tolerances of capital._invert and of bounds.adjustment_coefficient
+TOLERANCES = [(1e-6, 4 * math.ulp(1.0)), (1e-15, 8.9e-16)]
+
+
+@given(
+    st.floats(-5.0, 5.0),
+    st.floats(0.2, 3.0),
+    st.floats(0.1, 5.0),
+    st.floats(0.0, 2.0),
+    st.floats(-250.0, 250.0),
+    st.booleans(),
+    st.floats(0.0, 40.0),
+    st.floats(0.0, 40.0),
+    st.sampled_from([math.inf, 1.0]),
+    st.sampled_from(TOLERANCES),
+)
+@example(0.0, 1.0, 1.0, 0.0, 0.0, False, 0.0, 1.0, math.inf, TOLERANCES[0])  # f(a) = 0
+def test_brentq_is_scipys_root_after_scipys_calls(x0, p, k, w, e, down, left, right, cap, tol):
+    # a drawn monotone function of any scale and sign, its root x0 in [a, b]:
+    # a power p < 1 is steep at the root, so interpolated steps overshoot,
+    # and capped at +-1 its flat ends make the extrapolation divide by zero
+    scale = (-1.0 if down else 1.0) * 10.0**e
+
+    def f(x):
+        d = x - x0
+        return scale * max(-cap, min(cap, math.copysign(abs(d) ** p, d) + w * math.expm1(k * d)))
+
+    ours, ours_xs = _recorded(f)
+    theirs, their_xs = _recorded(f)
+    a, b = x0 - left, x0 + right
+    try:
+        root = optimize.brentq(theirs, a, b, xtol=tol[0], rtol=tol[1])
+    except RuntimeError:  # no convergence in 100 iterations
+        with pytest.raises(BracketError, match="100 iterations"):
+            brentq(ours, a, b, *tol)
+    else:
+        assert brentq(ours, a, b, *tol) == root
+    assert ours_xs == their_xs
+
+
+def test_brentq_raises_a_bracket_error():
+    with pytest.raises(BracketError, match="same sign"):
+        brentq(lambda x: x + 1.0, 0.0, 1.0)
+    with pytest.raises(BracketError, match="NaN"):
+        brentq(lambda x: math.nan if x > 0.2 else -1.0, 0.0, 1.0)
+    # a step has no interpolant to follow: 100 bisections of [-1e300, 1e300]
+    # do not reach x = 0.5
+    with pytest.raises(BracketError, match="100 iterations"):
+        brentq(lambda x: math.copysign(1.0, x - 0.5), -1e300, 1e300)
+    with pytest.raises(RuntimeError):
+        optimize.brentq(lambda x: math.copysign(1.0, x - 0.5), -1e300, 1e300)
