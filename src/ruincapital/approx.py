@@ -25,7 +25,7 @@ from .errors import DomainError, ExcludedCaseError, IntegrationError, check_real
 from .exact import ExpPair, ruin_ultimate_exp
 from .model import DerivedConstants, RiskModel, check_alpha, derived_constants
 from .model import theorem_preconditions
-from .special import inverse_gaussian_cdf, std_normal_quantile
+from .special import _ig_cdf, std_normal_quantile
 
 __all__ = [
     "CramerConstants",
@@ -56,15 +56,43 @@ def var_clt(m: RiskModel, alpha: float, t: float, c: float) -> float:
     return max(0.0, _clt_capital(derived_constants(m), alpha, t, c))
 
 
-def _ig_closed(u, c: float, t: float, m_big: float, d2_big: float):
-    # difference of IG(mu, lam) distribution functions with mu = 1/|1 - cM|;
-    # supercritical rates reflect the drift and scale the mass to exp(-2 lam/mu)
-    cm = c * m_big
-    lam = u / (c * c * d2_big)
+def _ig_prob(k: DerivedConstants, c: float, t: float, u_lo: float, u_hi: float):
+    """The IG ruin probability at fixed (model, c, t), as a function of u in
+    [u_lo, u_hi].
+
+    A difference of IG(mu, lam) distribution functions with mu = 1/|1 - cM|
+    and lam = u/(c^2 D^2); supercritical rates reflect the drift and scale
+    the mass to exp(-2 lam/mu).  The constants are computed here, once, and
+    so is the check that the shape u/(c^2 D^2) is finite and positive and
+    the limit ct/u finite over the whole range: both are monotone in u, so
+    the ends decide (IntegrationError at extreme inputs, huge u or t, tiny
+    u or c).  The returned ``prob(u)`` runs the same ufuncs for a float u,
+    returning a float, and for an array; it raises IntegrationError where
+    x/mu or 2 lam/mu still overflows.  The caller checks c > 0, t and every
+    u, and evaluates ``prob`` only inside [u_lo, u_hi].
+    """
+    cm = c * k.m_big
+    d = c * c * k.d2_big
+    ct = c * t
+    if d == 0.0 or math.isinf(u_hi / d) or u_lo / d == 0.0:
+        raise IntegrationError(f"inverse Gaussian shape u/(c^2 D^2) is not finite at c = {c!r}")
+    if math.isinf(ct / u_lo):
+        raise IntegrationError(f"inverse Gaussian limit ct/u is not finite at c = {c!r}")
     mu = math.inf if cm == 1.0 else 1.0 / abs(1.0 - cm)
-    scale = np.exp(-2.0 * lam / mu) if cm > 1.0 else 1.0
-    cdf = lambda x: inverse_gaussian_cdf(x, mu, lam)
-    return np.clip(scale * (cdf(c * t / u + 1.0) - cdf(1.0)), 0.0, 1.0)
+    supercritical = cm > 1.0
+
+    def prob(u):
+        lam = u / d
+        scale = np.exp(-2.0 * lam / mu) if supercritical else 1.0
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = scale * (_ig_cdf(ct / u + 1.0, mu, lam) - _ig_cdf(1.0, mu, lam))
+        out = np.minimum(np.maximum(out, 0.0), 1.0)
+        scalar = out.ndim == 0
+        if math.isnan(out) if scalar else np.isnan(out).any():
+            raise IntegrationError("inverse_gaussian_cdf is not finite: x/mu or 2 lam/mu overflows")
+        return float(out) if scalar else out
+
+    return prob
 
 
 def ig_ruin_probability(m: RiskModel, u, c: float, t: float):
@@ -77,8 +105,9 @@ def ig_ruin_probability(m: RiskModel, u, c: float, t: float):
     ~1e-9.  u is a float or a 1-D array and the result is the same; every
     entry is checked, and the array values equal the scalar calls.  c = 0 is
     outside the domain: there the aggregate-claims distribution function
-    answers.  Raises IntegrationError when the shape u/(c^2 D^2) or the
-    upper limit ct/u is not finite (huge u or t, tiny u or c).
+    answers.  Raises IntegrationError when the shape u/(c^2 D^2) is not
+    finite and positive or the upper limit ct/u is not finite (huge u or t,
+    tiny u or c).
     """
     scalar = np.isscalar(u)
     u = check_real("u", u, above=0.0) if scalar else check_real_array("u", u, above=0.0)
@@ -88,14 +117,7 @@ def ig_ruin_probability(m: RiskModel, u, c: float, t: float):
         return 0.0 if scalar else np.zeros_like(u)
     k = derived_constants(m)
     u_lo, u_hi = (u, u) if scalar else (float(u.min(initial=math.inf)), float(u.max(initial=0.0)))
-    # the IG shape u/(c^2 D^2) and the limit ct/u overflow, or divide by zero, at extreme inputs
-    d = c * c * k.d2_big
-    if d == 0.0 or math.isinf(u_hi / d):
-        raise IntegrationError(f"inverse Gaussian shape u/(c^2 D^2) is not finite at c = {c!r}")
-    if math.isinf(c * t / u_lo):
-        raise IntegrationError(f"inverse Gaussian limit ct/u is not finite at c = {c!r}")
-    val = _ig_closed(u, c, t, k.m_big, k.d2_big)
-    return float(val) if scalar else val
+    return _ig_prob(k, c, t, u_lo, u_hi)(u)
 
 
 @dataclass(frozen=True)

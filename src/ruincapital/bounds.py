@@ -90,8 +90,15 @@ def adjustment_coefficient(m: RiskModel, c: float) -> AdjustmentCoefficient:
     lo = 1e-12
     hi = 0.999999 * abscissa
 
+    # every value of g is kept by r: brentq starts from the bracket ends the
+    # walks below already evaluated, and its last iterate is kappa, so the
+    # residual is looked up too
+    known: dict[float, float] = {}
+
     def g(r):
-        return _mgf_product(m, c, r) - 1.0
+        if r not in known:
+            known[r] = _mgf_product(m, c, r) - 1.0
+        return known[r]
 
     g_hi = g(hi)
     # near the abscissa the product blows up; walk hi down until finite
@@ -116,7 +123,7 @@ def adjustment_coefficient(m: RiskModel, c: float) -> AdjustmentCoefficient:
             f"({lo:.3g}, {hi:.6g})"
         )
     kappa = brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    residual = abs(_mgf_product(m, c, kappa) - 1.0)
+    residual = abs(g(kappa))
     if residual > _RESIDUAL_TOL:
         raise BracketError(
             f"Lundberg root residual {residual:.2e} exceeds {_RESIDUAL_TOL}"

@@ -17,8 +17,10 @@ lower bracket, so the root-finder converges unconditionally.  For
 ``exact_exp`` the lower bracket is u = 0.  The inverse Gaussian
 approximation vanishes at u = 0, so one array evaluation of an 80-point
 scan in u finds its peak and brackets the root between two neighbouring
-scan points beyond it.  When even the lower bracket satisfies the target
-the capital is 0 by definition and the result carries a "clamped" flag.
+scan points beyond it; the cell prepares its probability once, constants
+and overflow checks included, and every evaluation reuses it.  When even
+the lower bracket satisfies the target the capital is 0 by definition and
+the result carries a "clamped" flag.
 ``capital_curve`` warm-starts each exact root solve from the previous rate
 (inverse Gaussian cells take no warm start) and prices a Monte Carlo grid
 from one path sweep; ``ruin_curve`` tabulates ruin probabilities at a fixed
@@ -43,7 +45,7 @@ from .errors import (
     check_real,
 )
 from .exact import ExpPair
-from .model import RiskModel, check_alpha, check_c_grid, derived_constants
+from .model import DerivedConstants, RiskModel, check_alpha, check_c_grid, derived_constants
 from .montecarlo import SimConfig
 from .special import brentq
 from .table import CurveTable
@@ -62,6 +64,10 @@ _BACKENDS = ("exact_exp", "inverse_gaussian", "monte_carlo", "clt")
 _RUIN_METHODS = ("exact", "ig", "cramer", "mc")
 # bracket width at which a root solve stops, in money units
 _U_TOLERANCE = 1e-6
+# the inverse Gaussian scan in u, as fractions of the upper bracket: the
+# 80-point geometric grid on [1e-6, 1] (np.geomspace's values, without the
+# memory its first call costs a process that never scans)
+_SCAN = np.logspace(-6.0, 0.0, 80)
 
 
 @dataclass(frozen=True)
@@ -103,9 +109,8 @@ class CapitalPoint:
     ci95: Optional[tuple[float, float]] = None
 
 
-def _default_bracket(m: RiskModel, alpha: float, t: float, c: float) -> float:
+def _default_bracket(k: DerivedConstants, alpha: float, t: float, c: float) -> float:
     """The asymptotic band's upper end at min(c, c*) plus ten of its sqrt(t) spreads."""
-    k = derived_constants(m)
     upper = approx._clt_capital(k, alpha / 2.0, t, min(c, k.c_star))
     return upper + 10.0 * (k.capital_scale * math.sqrt(t))
 
@@ -131,20 +136,21 @@ def _invert(
 
     Without ``scan`` the lower bracket is u = 0, and ``warm_hi`` is tried as
     the upper bracket before ``max_bracket``, each evaluated only when needed.
-    With ``scan`` one array call ``prob(us)`` evaluates an 80-point geometric
-    scan of [1e-6, 1] * max_bracket: the inverse Gaussian approximation rises
-    from 0 over the first few money units (a small-u artifact of the large-u
-    theory) and the root relevant to the capital sits on its decreasing side,
-    so the bracket is the first scan point beyond the peak where prob < alpha
-    and the point before it.  The capital is 0 ("clamped") when prob is below
-    alpha at u = 0 or at the peak.  Every value of prob is kept by u, so the
-    bracket ends, which ``brentq`` evaluates first, and the residual at its
-    root, one of its own iterates, are looked up, never evaluated again.
+    With ``scan`` one array call ``prob(us)`` evaluates the 80-point geometric
+    scan ``max_bracket * _SCAN`` of [1e-6, 1] * max_bracket: the inverse
+    Gaussian approximation rises from 0 over the first few money units (a
+    small-u artifact of the large-u theory) and the root relevant to the
+    capital sits on its decreasing side, so the bracket is the first scan
+    point beyond the peak where prob < alpha and the point before it.  The
+    capital is 0 ("clamped") when prob is below alpha at u = 0 or at the
+    peak.  Every value of prob is kept by u, so the bracket ends, which
+    ``brentq`` evaluates first, and the residual at its root, one of its
+    own iterates, are looked up, never evaluated again.
     """
     known: dict[float, float] = {}
     f = lambda u: known[u] if u in known else known.setdefault(u, prob(u))
     if scan:
-        us = np.geomspace(1e-6 * max_bracket, max_bracket, 80)
+        us = max_bracket * _SCAN
         vals = prob(us)
         known.update(zip(us.tolist(), vals.tolist()))
         peak = int(np.argmax(vals))
@@ -219,19 +225,21 @@ def _solve(
             redirect = "exact_exp" if m.is_exponential_pair() else "clt"
             point = _solve(m, alpha, t, 0.0, replace(spec, backend=redirect), "var")
             return replace(point, kind="nonruin")
-        prob = lambda u: approx.ig_ruin_probability(m, u, c, t)
+        k = derived_constants(m)
+        mb = _default_bracket(k, alpha, t, c)
+        # the scan and every brentq iterate lie in [mb * _SCAN[0], mb]
+        prob = approx._ig_prob(k, c, t, mb * float(_SCAN[0]), mb)
+        return _invert(prob, alpha, mb, kind, c, None, True)
+    p = _require_exp_pair(m, f"backend {backend!r}")
+    if kind == "var":
+        prob = lambda u: 1.0 - exact.aggregate_cdf_exp(p, t, u + c * t)
     else:
-        p = _require_exp_pair(m, f"backend {backend!r}")
-        if kind == "var":
-            prob = lambda u: 1.0 - exact.aggregate_cdf_exp(p, t, u + c * t)
-        else:
-            prob = lambda u: exact.ruin_finite_exp(p, u, c, t)
-    mb = _default_bracket(m, alpha, t, c)
-    scan = backend == "inverse_gaussian"
+        prob = lambda u: exact.ruin_finite_exp(p, u, c, t)
+    mb = _default_bracket(derived_constants(m), alpha, t, c)
     warm = None
-    if prev_value is not None and prev_value > 0.0 and not scan:
+    if prev_value is not None and prev_value > 0.0:
         warm = min(mb, prev_value * 1.01 + 1.0)
-    return _invert(prob, alpha, mb, kind, c, warm, scan)
+    return _invert(prob, alpha, mb, kind, c, warm, False)
 
 
 def var_capital(

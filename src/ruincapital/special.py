@@ -52,6 +52,26 @@ def _positive(name: str, x):
     return check_real_array(name, x, above=0.0)
 
 
+def _ig_cdf(x, mu, lam):
+    """The IG(mu, lam) distribution function on checked arguments, clamped to
+    [0, 1]; NaN where x/mu or 2 lam/mu overflows.
+
+    One expression for a float and for arrays of one broadcast shape: the
+    body of :func:`inverse_gaussian_cdf` and of the inverse Gaussian ruin
+    probability's prepared kernel.  Callers evaluate it under
+    ``np.errstate(invalid="ignore", over="ignore")``, so that NaN is their
+    typed error and not first a NumPy warning.
+    """
+    s = np.sqrt(lam / x)
+    if math.isinf(mu):
+        out = 2.0 * sp.ndtr(-s)
+    else:
+        a = s * (x / mu - 1.0)
+        b = s * (x / mu + 1.0)
+        out = sp.ndtr(a) + np.exp(2.0 * lam / mu + sp.log_ndtr(-b))
+    return np.minimum(np.maximum(out, 0.0), 1.0)
+
+
 def inverse_gaussian_cdf(x, mu, lam):
     """Distribution function of the inverse Gaussian law IG(mu, lam).
 
@@ -74,14 +94,8 @@ def inverse_gaussian_cdf(x, mu, lam):
     x, lam = _positive("x", x), _positive("lam", lam)
     if not (isinstance(mu, numbers.Real) and mu > 0.0):
         raise DomainError(f"mu must be a real number > 0 (inf included), got {mu!r}")
-    s = np.sqrt(lam / x)
-    if math.isinf(mu):
-        out = 2.0 * sp.ndtr(-s)
-    else:
-        a = s * (x / mu - 1.0)
-        b = s * (x / mu + 1.0)
-        out = sp.ndtr(a) + np.exp(2.0 * lam / mu + sp.log_ndtr(-b))
-    out = out.clip(0.0, 1.0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = _ig_cdf(x, mu, lam)
     if np.isnan(out).any():
         raise IntegrationError("inverse_gaussian_cdf is not finite: x/mu or 2 lam/mu overflows")
     return float(out) if out.ndim == 0 else out

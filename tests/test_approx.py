@@ -1,5 +1,6 @@
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy import stats
 
 from ig_oracle import ig_integral
 from ruincapital.approx import (
+    _ig_prob,
     capital_asymptotic_bounds,
     capital_asymptotic_endpoints,
     cramer_constants_exp,
@@ -18,6 +20,7 @@ from ruincapital.dist import Erlang, Exponential, MixtureExp2, Pareto
 from ruincapital.errors import DomainError, ExcludedCaseError, IntegrationError
 from ruincapital.exact import ExpPair, ruin_finite_exp, ruin_ultimate_exp
 from ruincapital.model import RiskModel, derived_constants
+from ruincapital.special import inverse_gaussian_cdf
 
 UNIT = RiskModel(Exponential(1.0), Exponential(1.0))
 K_UNIT = derived_constants(UNIT)
@@ -123,6 +126,29 @@ def test_ig_array_u_equals_scalar_calls(m):
             assert list(out) == scalar, (cm, t)
 
 
+IG_MODELS = [
+    UNIT,
+    RiskModel(Erlang(1.6, 2), Exponential(0.6)),
+    RiskModel(MixtureExp2(1.0, 2.0, 2.0 / 3.0), Pareto(4.0, 0.35)),
+]
+
+
+@pytest.mark.parametrize("m", IG_MODELS, ids=["unit", "model_iv", "mixture_pareto"])
+def test_ig_kernel_equals_the_public_function(m):
+    # the capital solve's prepared kernel and ig_ruin_probability are one
+    # computation: equal bit for bit, for a float u and for an array
+    k = derived_constants(m)
+    us = np.geomspace(1e-3, 2e3, 70)
+    for cm in (0.3, 0.9, 1.0, 1.0 - 5e-13, 1.0 + 5e-13, 1.2, 3.0):
+        c = cm / k.m_big
+        for t in (200.0, 1e5):
+            prob = _ig_prob(k, c, t, float(us[0]), float(us[-1]))
+            assert list(prob(us)) == list(ig_ruin_probability(m, us, c, t)), (cm, t)
+            for u in us.tolist():
+                v = prob(u)
+                assert type(v) is float and v == ig_ruin_probability(m, u, c, t), (cm, t, u)
+
+
 def test_ig_array_u_domain_errors():
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
@@ -204,14 +230,29 @@ def test_precondition_warning_for_missing_third_moment():
         capital_asymptotic_endpoints(m, 0.05, 200.0)
 
 
+# lam = u/(c^2 D^2) overflows at u = 1e308 and divides by zero at c = 1e-200;
+# the limit ct/u overflows at u = 1e-300, t = 1e300, and x/mu = (ct/u + 1)|1 - cM|
+# at c = 1e37
+IG_OVERFLOWS = ((1e308, 0.5, 200.0), (10.0, 1e-200, 200.0), (np.array([1.0, 1e308]), 0.5, 200.0),
+                (1e-300, 0.5, 1e300), (1e-180, 1e37, 1e58))
+
+
 def test_ig_raises_a_typed_error_when_its_shape_is_not_finite():
-    # lam = u/(c^2 D^2) overflows at u = 1e308 and divides by zero at c = 1e-200;
-    # the limit ct/u overflows at u = 1e-300, t = 1e300, and x/mu = (ct/u + 1)|1 - cM|
-    # at c = 1e37
-    for u, c, t in ((1e308, 0.5, 200.0), (10.0, 1e-200, 200.0),
-                    (np.array([1.0, 1e308]), 0.5, 200.0), (1e-300, 0.5, 1e300), (1e-180, 1e37, 1e58)):
+    for u, c, t in IG_OVERFLOWS:
         with pytest.raises(IntegrationError, match="not finite"):
             ig_ruin_probability(UNIT, u, c, t)
+
+
+def test_ig_overflow_raises_without_a_numpy_warning():
+    # NaN from x/mu overflowing is the typed error, not first a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u, c, t in IG_OVERFLOWS:
+            with pytest.raises(IntegrationError, match="not finite"):
+                ig_ruin_probability(UNIT, u, c, t)
+        for x in (1e300, np.array([1.0, 1e300])):
+            with pytest.raises(IntegrationError, match="not finite"):
+                inverse_gaussian_cdf(x, 1e-10, 1e-300)
 
 
 def test_cramer_extreme_constants_are_typed_errors():

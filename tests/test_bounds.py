@@ -44,6 +44,19 @@ def test_kappa_root_find_matches_mgf_equation():
     assert prod == pytest.approx(1.0, abs=1e-12)
 
 
+def test_lundberg_solve_evaluates_no_r_twice(monkeypatch):
+    # the sign checks' bracket ends and the residual at kappa, brentq's last
+    # iterate, are looked up, not evaluated again: 14 products, not 17
+    m, c = RiskModel(Erlang(1.6, 2), Exponential(0.6)), 2.0
+    seen, product = [], bounds._mgf_product
+    monkeypatch.setattr(bounds, "_mgf_product", lambda m, c, r: seen.append(r) or product(m, c, r))
+    kappa = adjustment_coefficient(m, c).kappa
+    assert len(seen) == len(set(seen)) == 14
+    # the unmemoised solve over the same bracket: the same kappa, bit for bit
+    plain = brentq(lambda r: product(m, c, r) - 1.0, 1e-12, 0.999999 * 0.6, xtol=1e-15, rtol=8.9e-16)
+    assert kappa == plain
+
+
 def test_kappa_erlang_polynomial_root():
     # for Y ~ Exp(rho), T ~ Erlang(mu, 2) Lundberg's equation reduces to
     # rho (mu + kappa c)^2 = (rho - kappa) mu^2 ... solved independently

@@ -27,9 +27,10 @@ from ruincapital.errors import (
     InfiniteCapitalError,
     IntegrationError,
     NoAdjustmentCoefficientError,
+    RuinCapitalError,
 )
 from ruincapital.exact import ExpPair, ruin_finite_exp
-from ruincapital.model import RiskModel, c_grid_range
+from ruincapital.model import RiskModel, c_grid_range, derived_constants
 from ruincapital.montecarlo import SimConfig
 
 UNIT = RiskModel(Exponential(1.0), Exponential(1.0))
@@ -66,7 +67,7 @@ class _Counting:
 @pytest.mark.parametrize("path", ["exact", "warm", "warm_miss", "scan"])
 def test_invert_evaluates_no_u_twice(path):
     c, t, alpha = 1.1, 200.0, 0.05
-    mb = _default_bracket(UNIT, alpha, t, c)
+    mb = _default_bracket(derived_constants(UNIT), alpha, t, c)
     if path == "scan":
         prob = _Counting(lambda u: approx.ig_ruin_probability(UNIT, u, c, t))
     else:
@@ -160,6 +161,57 @@ def test_ig_curve_cells_equal_per_rate_solves():
         assert table.column("nonruin") == [
             nonruin_capital(m, 0.05, 200.0, c, IG).value for c in cs
         ]
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        RiskModel(Erlang(1.6, 2), Exponential(0.6)),
+        RiskModel(MixtureExp2(1.0, 2.0, 2.0 / 3.0), Pareto(4.0, 0.35)),
+        RiskModel(Exponential(0.8), Kummer(5.0, 5.0)),
+    ],
+    ids=["iv", "heavy", "kummer"],
+)
+def test_ig_cells_equal_inverting_the_public_probability(m):
+    # a cell inverts one prepared kernel and checks the IG shape and limit
+    # once over the scan's range; inverting ig_ruin_probability, which
+    # checks every call, gives the same capitals and the same NA reasons.
+    # At c = 1e-200, c^2 D^2 is 0 and at c = 1e-160 u/(c^2 D^2) overflows.
+    cs = [1e-200, 1e-160, *c_grid_range(0.1, 2.5, 0.1)]
+    k = derived_constants(m)
+    for alpha in (0.01, 0.05):
+        for t in (200.0, 1000.0):
+            values, reasons = [], []
+            for c in cs:
+                prob = lambda u: approx.ig_ruin_probability(m, u, c, t)
+                try:
+                    pt = _invert(prob, alpha, _default_bracket(k, alpha, t, c), "nonruin", c, None, True)
+                except RuinCapitalError as exc:
+                    values.append(None)
+                    reasons.append(f"nonruin@c={c:g}: {exc}")
+                    continue
+                values.append(pt.value)
+                cell = nonruin_capital(m, alpha, t, c, IG)
+                assert cell.value == pt.value and cell.clamped == pt.clamped
+                if not cell.clamped:
+                    assert cell.residual == abs(approx.ig_ruin_probability(m, cell.value, c, t) - alpha)
+            table = capital_curve(m, alpha, t, cs, IG, kinds=("nonruin",))
+            assert table.column("nonruin") == values, (alpha, t)
+            assert table.metadata["warnings"] == reasons, (alpha, t)
+            assert values[:2] == [None, None] and "not finite" in reasons[1]
+
+
+def test_ig_cell_checks_its_whole_scan_range():
+    # at t = 1e-30 the upper bracket is about 2e-14, and at c = 3e152 the
+    # shape u/(c^2 D^2) is subnormal there but 0 at the first scan point,
+    # so only the bottom of the cell's range fails the check
+    m, c, t = RiskModel(Erlang(1.6, 2), Exponential(0.6)), 3e152, 1e-30
+    mb = _default_bracket(derived_constants(m), 0.05, t, c)
+    assert 0.0 <= approx.ig_ruin_probability(m, mb, c, t) <= 1.0
+    with pytest.raises(IntegrationError, match="shape"):
+        approx.ig_ruin_probability(m, mb * 1e-6, c, t)
+    with pytest.raises(IntegrationError, match="shape"):
+        nonruin_capital(m, 0.05, t, c, IG)
 
 
 def test_ig_clamps_when_scan_peak_is_below_alpha():
