@@ -121,7 +121,12 @@ class Exponential(Distribution):
         return -np.expm1(-self.rate * x)
 
     def draw(self, rng, n):
-        return -np.log1p(-rng.random(n)) / self.rate
+        # in place: log1p(-u) / (-rate) is -log1p(-u) / rate exactly
+        u = rng.random(n)
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        u /= -self.rate
+        return u
 
     def mgf(self, r):
         return self.rate / (self.rate - r)
@@ -164,9 +169,14 @@ class Erlang(Distribution):
     def draw(self, rng, n):
         # one row of uniforms at a time, so memory stays O(n) for any shape
         total = np.zeros(n)
+        u = np.empty(n)
         for _ in range(self.shape):
-            total += np.log1p(-rng.random(n))
-        return -total / self.rate
+            rng.random(out=u)
+            np.negative(u, out=u)
+            np.log1p(u, out=u)
+            total += u
+        total /= -self.rate
+        return total
 
     def mgf(self, r):
         try:
@@ -208,8 +218,10 @@ class MixtureExp2(Distribution):
     def draw(self, rng, n):
         branch = rng.random(n) < self.weight
         u = rng.random(n)
-        rates = np.where(branch, self.rate1, self.rate2)
-        return -np.log1p(-u) / rates
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        u /= np.where(branch, -self.rate1, -self.rate2)
+        return u
 
     def mgf(self, r):
         p, r1, r2 = self.weight, self.rate1, self.rate2
@@ -250,7 +262,11 @@ class Pareto(Distribution):
 
     def draw(self, rng, n):
         u = rng.random(n)
-        return ((1.0 - u) ** (-1.0 / self.shape) - 1.0) / self.scale
+        np.subtract(1.0, u, out=u)
+        u **= -1.0 / self.shape
+        u -= 1.0
+        u /= self.scale
+        return u
 
     def mgf(self, r):
         # r < 0: no closed form, so integrate e^{rx} against the density; only

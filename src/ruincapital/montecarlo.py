@@ -144,44 +144,81 @@ class PathSample:
 def simulate_paths(m: RiskModel, c_grid: Sequence[float], cfg: SimConfig) -> PathSample:
     """Simulate all configured paths at every premium rate of ``c_grid``.
 
-    ``c_grid`` is a 1-D grid of finite, nonnegative rates; row k of the
-    sample equals a sweep at ``c_grid[k]`` alone, bit for bit.  The two
-    arrays take 2 * len(c_grid) * n_paths * 8 bytes.
+    ``c_grid`` is a 1-D grid of finite, nonnegative rates; row i of the
+    sample equals a sweep at ``c_grid[i]`` alone, bit for bit.  The two
+    arrays take 2 * len(c_grid) * n_paths * 8 bytes.  The sweep's blocks
+    of claim epochs (below) take 3 * k * n_paths * 8 bytes; from three
+    rates on they fit in ``term`` and live in its memory until it is
+    filled, so they take no memory of their own.
 
     Deterministic for a fixed (seed, n_paths).  Claims are drawn for the
     paths still inside [0, t] only, so the draw sequence depends only on
     the T law and the horizon, which keeps draws common across premium
     rates (common random numbers): one sweep prices every rate of the
-    grid.  Each rate's running maximum is updated over all paths: a path
-    past the horizon keeps its claim total and gains arrival time, so for
-    c >= 0 its deficit cannot exceed its running maximum.
+    grid.  While every path is inside [0, t] a step updates whole arrays;
+    after the first exit it updates the active paths by index.  Each
+    claim epoch's (arrival, claim total) of all paths goes into a block
+    of k = min(8, max(1, len(c_grid) // 3)) epochs, and every k epochs
+    each rate's running maximum is folded over the block in one pass: the
+    same deficits, so the same maxima as folding epoch by epoch.  A path
+    past the horizon keeps its claim total and its first arrival past t,
+    so for c >= 0 its deficit cannot exceed its running maximum.
     """
     rates = check_real_array("c_grid", c_grid, at_least=0.0)
     if rates.ndim != 1:
         raise DomainError("premium rates c must be a 1-D grid")
     rng = np.random.Generator(np.random.Philox(key=cfg.seed << 64))
     n, t = cfg.n_paths, cfg.t
+    k = min(8, max(1, rates.size // 3))
     sup = np.zeros((rates.size, n))
     term = np.empty((rates.size, n))
-    arrival = np.zeros(n)
-    total = np.zeros(n)
-    deficit = np.empty(n)
+    # the blocks live in term's memory until term is filled, from three
+    # rates on; epochs[:, j] is (arrival, claim total) after the block's
+    # j-th epoch, and starts as a copy of epochs[:, j - 1], which for
+    # j = 0 is the last epoch of the block before
+    work = term.reshape(-1) if 3 * k <= rates.size else np.empty(3 * k * n)
+    epochs = work[: 2 * k * n].reshape(2, k, n)
+    epochs[:, -1] = 0.0
+    deficit = work[2 * k * n : 3 * k * n].reshape(k, n)
     active = np.ones(n, dtype=bool)
+    inside = True  # no path has left [0, t] yet
+    j = 0
     while active.any():
-        idx = np.nonzero(active)[0]
-        gaps = dist.sample(m.t_law, rng, idx.size)
-        sizes = dist.sample(m.y_law, rng, idx.size)
-        arrival[idx] += gaps
-        alive = arrival[idx] <= t
-        total[idx[alive]] += sizes[alive]
-        active[idx[~alive]] = False
-        for c, row in zip(rates, sup):
-            np.multiply(arrival, c, out=deficit)
-            np.subtract(total, deficit, out=deficit)
-            np.maximum(row, deficit, out=row)
+        if j == k:
+            _fold(rates, sup, epochs, deficit)
+            j = 0
+        np.copyto(epochs[:, j], epochs[:, j - 1])
+        arrival, total = epochs[:, j]
+        j += 1
+        if inside:
+            gaps = dist.sample(m.t_law, rng, n)
+            sizes = dist.sample(m.y_law, rng, n)
+            arrival += gaps
+            np.less_equal(arrival, t, out=active)
+            np.add(total, sizes, out=total, where=active)
+            inside = active.all()
+        else:
+            idx = np.nonzero(active)[0]
+            gaps = dist.sample(m.t_law, rng, idx.size)
+            sizes = dist.sample(m.y_law, rng, idx.size)
+            arrival[idx] += gaps
+            alive = arrival[idx] <= t
+            total[idx[alive]] += sizes[alive]
+            active[idx[~alive]] = False
+    _fold(rates, sup, epochs[:, :j], deficit[:j])
+    total = total.copy()  # term's rows overwrite the blocks
     for c, row in zip(rates, term):
         np.subtract(total, c * t, out=row)
     return PathSample(c=rates, sup=sup, term=term, cfg=cfg)
+
+
+def _fold(rates: np.ndarray, sup: np.ndarray, epochs: np.ndarray, deficit: np.ndarray) -> None:
+    """Raise each rate's running maximum to its deficits over a block of epochs."""
+    arrival, total = epochs
+    for c, row in zip(rates, sup):
+        np.multiply(arrival, c, out=deficit)
+        np.subtract(total, deficit, out=deficit)
+        np.maximum(row, deficit.max(axis=0), out=row)
 
 
 def simulate_curve(

@@ -113,6 +113,42 @@ def test_erlang_draw_sums_one_row_at_a_time():
         tracemalloc.stop()
 
 
+def _textbook_draws(law, rng, n):
+    """Each sampler's stream, written as the plain expression of its inversion."""
+    if isinstance(law, Exponential):
+        return -np.log1p(-rng.random(n)) / law.rate
+    if isinstance(law, MixtureExp2):
+        branch = rng.random(n) < law.weight  # the branch uniforms come first
+        u = rng.random(n)
+        return -np.log1p(-u) / np.where(branch, law.rate1, law.rate2)
+    u = rng.random(n)
+    return ((1.0 - u) ** (-1.0 / law.shape) - 1.0) / law.scale
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        Exponential(0.8),
+        Exponential(3.0),
+        MixtureExp2(1.0, 2.0, 2.0 / 3.0),
+        MixtureExp2(0.3, 7.0, 0.1),
+        Pareto(4.0, 0.35),
+        Pareto(1.0, 2.0),  # an exponent of exactly -1
+        Pareto(2.0, 1.0),
+    ],
+    ids=str,
+)
+def test_sampler_streams_are_the_textbook_expressions(law):
+    for n in (0, 1, 4001):
+        for key in (0, 9):
+            rng_a, rng_b = (np.random.Generator(np.random.Philox(key=key)) for _ in "ab")
+            textbook = _textbook_draws(law, rng_a, n)
+            drawn = sample(law, rng_b, n)
+            assert drawn.shape == (n,)
+            assert np.array_equal(drawn, textbook)
+            assert rng_a.random() == rng_b.random()  # and the same uniforms used
+
+
 def test_mixture_sample_matches_cdf():
     d = MixtureExp2(1.0, 2.0, 2.0 / 3.0)
     rng = np.random.Generator(np.random.Philox(key=7))

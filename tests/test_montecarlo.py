@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ruincapital import dist
-from ruincapital.dist import Exponential, MixtureExp2, Pareto
+from ruincapital.dist import Erlang, Exponential, MixtureExp2, Pareto
 from ruincapital.errors import DomainError
 from ruincapital.exact import ExpPair, ruin_finite_exp
 from ruincapital.model import RiskModel
@@ -40,13 +41,17 @@ def _per_rate_reference(m, c, cfg):
 
     The stream key (seed << 64) is the key earlier versions gave their
     first block of paths, so the draws stay theirs; a change of key fails
-    here.
+    here.  Also returns the claim epoch (1, 2, ...) at which each path
+    first arrives past t.
     """
     rng = np.random.Generator(np.random.Philox(key=cfg.seed << 64))
     n = cfg.n_paths
     arrival, total, sup = np.zeros(n), np.zeros(n), np.zeros(n)
+    exits = np.zeros(n, dtype=int)
     active = np.ones(n, dtype=bool)
+    epoch = 0
     while active.any():
+        epoch += 1
         idx = np.nonzero(active)[0]
         gaps = dist.sample(m.t_law, rng, idx.size)
         sizes = dist.sample(m.y_law, rng, idx.size)
@@ -56,19 +61,45 @@ def _per_rate_reference(m, c, cfg):
         total[j] += sizes[alive]
         sup[j] = np.maximum(sup[j], total[j] - c * arrival[j])
         active[idx[~alive]] = False
-    return sup, total - c * cfg.t
+        exits[idx[~alive]] = epoch
+    return sup, total - c * cfg.t, exits
+
+
+# every sampled family as the T law and as the Y law
+EXP_ERLANG = RiskModel(Exponential(1.0), Erlang(3.0, 3))
+ERLANG_MIX = RiskModel(Erlang(3.0, 3), MixtureExp2(1.0, 2.0, 2.0 / 3.0))
+PARETO_EXP = RiskModel(Pareto(3.5, 2.5), Exponential(1.0))
 
 
 @pytest.mark.parametrize(
-    "m, cfg, cs",
+    "m, n_paths, seed, t, cs, exits_at",
     [
-        (UNIT, SimConfig(n_paths=2000, seed=3, t=50.0), [0.0, 0.5, 1.0, 1.5]),
-        (UNIT, SimConfig(n_paths=1001, seed=4, t=50.0), [0.8, 1.0, 1.2]),
-        (HEAVY, SimConfig(n_paths=1000, seed=6, t=300.0), [0.0, 0.9, 1.2, 1.6]),
+        (UNIT, 2000, 3, 50.0, [0.0, 0.5, 1.0, 1.5], None),
+        (UNIT, 1001, 4, 50.0, [0.8, 1.0, 1.2], None),
+        (HEAVY, 1000, 6, 300.0, [0.0, 0.9, 1.2, 1.6], None),
+        # 25 rates fold 8 epochs at a time, the cap; 51 would fold 17 without it
+        (EXP_ERLANG, 300, 12, 30.0, np.linspace(0.0, 2.4, 25).tolist(), None),
+        (ERLANG_MIX, 200, 13, 20.0, np.linspace(0.0, 2.5, 51).tolist(), None),
+        (PARETO_EXP, 1, 14, 40.0, [0.0, 1.0, 5.0], None),
+        # every path arrives past t at its first claim
+        (PARETO_EXP, 500, 15, 1e-7, np.linspace(0.0, 2.4, 25).tolist(), (1, 1)),
+        # the first path leaves at epoch 5, inside the first block of 8; the last at 13
+        (ERLANG_MIX, 400, 16, 8.0, np.linspace(0.0, 2.4, 25).tolist(), (5, 13)),
     ],
-    ids=["unit-with-zero", "odd-count", "heavy"],
+    ids=[
+        "unit-with-zero",
+        "odd-count",
+        "heavy",
+        "exp-erlang-25-rates",
+        "erlang-mix-51-rates",
+        "pareto-exp-one-path",
+        "all-leave-at-first-claim",
+        "first-exit-in-first-block",
+    ],
 )
-def test_grid_sweep_equals_per_rate_calls(m, cfg, cs):
+@pytest.mark.filterwarnings("ignore:.*(fewer than 100 paths|expected tail paths):RuntimeWarning")
+def test_grid_sweep_equals_per_rate_calls(m, n_paths, seed, t, cs, exits_at):
+    cfg = SimConfig(n_paths=n_paths, seed=seed, t=t)
     sample = simulate_paths(m, cs, cfg)
     assert sample.sup.shape == sample.term.shape == (len(cs), cfg.n_paths)
     assert sample.c.tolist() == cs
@@ -77,15 +108,38 @@ def test_grid_sweep_equals_per_rate_calls(m, cfg, cs):
         assert single.sup.shape == single.term.shape == (1, cfg.n_paths)
         assert np.array_equal(sup_row, single.sup[0])
         assert np.array_equal(term_row, single.term[0])
-        ref_sup, ref_term = _per_rate_reference(m, c, cfg)
+        ref_sup, ref_term, exits = _per_rate_reference(m, c, cfg)
         assert np.array_equal(sup_row, ref_sup)
         assert np.array_equal(term_row, ref_term)
+    if exits_at is not None:  # the case's geometry: epochs of the first and last exits
+        assert (exits.min(), exits.max()) == exits_at
     for estimates in (
         lambda s: s.quantile("var", 0.05),
         lambda s: s.quantile("nonruin", 0.05),
         lambda s: s.ruin_prob(5.0),
     ):
         assert estimates(sample) == [estimates(single)[0] for single in singles]
+
+
+def test_sweep_memory_stays_below_the_earlier_engine():
+    # tracemalloc peaks of the epoch-by-epoch engine this one replaced, on
+    # these calls after the same warm-up: 2,442,568 bytes at (3 rates,
+    # 20,000 paths) and 3,562,432 at (51 rates, 4,000 paths), against sup
+    # and term's 960,000 and 3,264,000.  From three rates on the blocks of
+    # epochs live in term's memory, so they add nothing to the peak.
+    iv = RiskModel(Erlang(1.6, 2), Exponential(0.6))
+    for cs, cfg, earlier_peak in (
+        ([0.8, 1.0, 1.2], SimConfig(n_paths=20_000, seed=5, t=100.0), 2_442_568),
+        (np.linspace(0.0, 2.5, 51), SimConfig(n_paths=4000, seed=5, t=200.0), 3_562_432),
+    ):
+        # a first call allocates a few hundred bytes of caches once
+        simulate_paths(iv, cs, dataclasses.replace(cfg, n_paths=100))
+        tracemalloc.start()
+        try:
+            simulate_paths(iv, cs, cfg)
+            assert tracemalloc.get_traced_memory()[1] <= earlier_peak
+        finally:
+            tracemalloc.stop()
 
 
 def test_ruin_probability_matches_exact():
