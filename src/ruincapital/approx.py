@@ -19,13 +19,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import DomainError, ExcludedCaseError, IntegrationError, check_real, check_real_array
 from .exact import ExpPair, ruin_ultimate_exp
 from .model import DerivedConstants, RiskModel, check_alpha, derived_constants
 from .model import theorem_preconditions
-from .special import _ig_cdf, std_normal_quantile
+from .special import _ig_cdf, _scipy_special, std_normal_quantile
 
 __all__ = [
     "CramerConstants",
@@ -80,12 +79,13 @@ def _ig_prob(k: DerivedConstants, c: float, t: float, u_lo: float, u_hi: float):
         raise IntegrationError(f"inverse Gaussian limit ct/u is not finite at c = {c!r}")
     mu = math.inf if cm == 1.0 else 1.0 / abs(1.0 - cm)
     supercritical = cm > 1.0
+    sp = _scipy_special()
 
     def prob(u):
         lam = u / d
         scale = np.exp(-2.0 * lam / mu) if supercritical else 1.0
         with np.errstate(invalid="ignore", over="ignore"):
-            out = scale * (_ig_cdf(ct / u + 1.0, mu, lam) - _ig_cdf(1.0, mu, lam))
+            out = scale * (_ig_cdf(sp, ct / u + 1.0, mu, lam) - _ig_cdf(sp, 1.0, mu, lam))
         out = np.minimum(np.maximum(out, 0.0), 1.0)
         scalar = out.ndim == 0
         if math.isnan(out) if scalar else np.isnan(out).any():
@@ -173,7 +173,7 @@ def cramer_ruin_exp(p: ExpPair, u: float, c: float, t: float) -> float:
     var = k.d2 * u
     if not var > 0.0:
         raise DomainError(f"normal ruin approximation variance d2 u underflows at u = {u!r}")
-    return ruin_ultimate_exp(p, u, c) * float(sp.ndtr((t - k.m * u) / math.sqrt(var)))
+    return ruin_ultimate_exp(p, u, c) * float(_scipy_special().ndtr((t - k.m * u) / math.sqrt(var)))
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,9 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import DomainError, MomentUndefinedError, UnsupportedDistributionError, check_real
+from .special import _scipy_special
 
 __all__ = [
     "Exponential",
@@ -160,11 +160,11 @@ class Erlang(Distribution):
         if k == 1:
             return np.where(x >= 0.0, r * np.exp(-r * x), 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            logf = k * math.log(r) + (k - 1) * np.log(x) - r * x - sp.gammaln(k)
+            logf = k * math.log(r) + (k - 1) * np.log(x) - r * x - _scipy_special().gammaln(k)
         return np.where(x > 0.0, np.exp(logf), 0.0)
 
     def cdf(self, x):
-        return sp.gammainc(self.shape, self.rate * x)
+        return _scipy_special().gammainc(self.shape, self.rate * x)
 
     def draw(self, rng, n):
         # one row of uniforms at a time, so memory stays O(n) for any shape
@@ -296,6 +296,7 @@ class Kummer(Distribution):
 
     def _raw(self, j: int) -> float:
         # Gamma-ratio moment formula; requires 2j < l
+        sp = _scipy_special()
         lg = (
             sp.gammaln(self.k / 2.0 + j)
             + sp.gammaln(self.l / 2.0 - j)

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import IntegrationError, check_real, check_real_array
+from .special import _scipy_special
 
 __all__ = [
     "ExpPair",
@@ -77,7 +77,7 @@ def _clamp_probability(value: float, context: str) -> float:
 
 def _ncx2_cdf(x, df: float, nc):
     """scipy's noncentral chi-square CDF, NaN once x and nc both pass ~4e10: an error here."""
-    out = sp.chndtr(x, df, nc)
+    out = _scipy_special().chndtr(x, df, nc)
     if np.isnan(out).any():
         raise IntegrationError("noncentral chi-square CDF out of range (arguments ~4e10)")
     return out
@@ -113,7 +113,7 @@ def aggregate_pdf_exp(p: ExpPair, t, x):
     w = 2.0 * np.sqrt(delta * rho * t * x)
     out = (
         np.sqrt(delta * rho * t / x)
-        * sp.i1e(w)
+        * _scipy_special().i1e(w)
         * np.exp(-((np.sqrt(rho * x) - np.sqrt(t * delta)) ** 2))
     )
     if out.ndim == 0:

@@ -3,20 +3,23 @@
 The heavy lifting (the erf family) is delegated to :mod:`scipy.special`;
 this module pins down domains, overflow-safe compositions and the
 inverse-Gaussian distribution function, which scipy does not expose in
-the overflow-safe form needed here.  :func:`brentq`, Brent's method, is
-the one bracketed root finder of the capital and Lundberg solves, so the
-package imports :mod:`scipy.special` and not :mod:`scipy.optimize`.
+the overflow-safe form needed here.  :func:`_scipy_special` is the one
+place that imports :mod:`scipy.special`, on a kernel's first call, so
+importing the package and the routes without special functions (Monte
+Carlo, the Lundberg solves of light-tailed laws) never load it.
+:func:`brentq`, Brent's method, is the one bracketed root finder of the
+capital and Lundberg solves, so nothing imports :mod:`scipy.optimize`.
 
 All functions are pure and accept numpy arrays where it is natural.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import BracketError, DomainError, IntegrationError, check_real, check_real_array
 
@@ -24,6 +27,14 @@ __all__ = [
     "std_normal_quantile",
     "inverse_gaussian_cdf",
 ]
+
+
+@functools.cache
+def _scipy_special():
+    """:mod:`scipy.special`, imported on the first call: about half the package's import time."""
+    from scipy import special
+
+    return special
 
 
 def std_normal_quantile(p: float) -> float:
@@ -36,6 +47,7 @@ def std_normal_quantile(p: float) -> float:
         DomainError: unless 0 < p < 1.
     """
     p = check_real("p", p, above=0.0, below=1.0)
+    sp = _scipy_special()
     z = sp.ndtri(p)
     # One Newton step: z <- z - (Phi(z) - p) / phi(z)
     pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
@@ -52,9 +64,10 @@ def _positive(name: str, x):
     return check_real_array(name, x, above=0.0)
 
 
-def _ig_cdf(x, mu, lam):
+def _ig_cdf(sp, x, mu, lam):
     """The IG(mu, lam) distribution function on checked arguments, clamped to
-    [0, 1]; NaN where x/mu or 2 lam/mu overflows.
+    [0, 1]; NaN where x/mu or 2 lam/mu overflows.  ``sp`` is
+    :func:`_scipy_special`, fetched once by the caller.
 
     One expression for a float and for arrays of one broadcast shape: the
     body of :func:`inverse_gaussian_cdf` and of the inverse Gaussian ruin
@@ -95,7 +108,7 @@ def inverse_gaussian_cdf(x, mu, lam):
     if not (isinstance(mu, numbers.Real) and mu > 0.0):
         raise DomainError(f"mu must be a real number > 0 (inf included), got {mu!r}")
     with np.errstate(invalid="ignore", over="ignore"):
-        out = _ig_cdf(x, mu, lam)
+        out = _ig_cdf(_scipy_special(), x, mu, lam)
     if np.isnan(out).any():
         raise IntegrationError("inverse_gaussian_cdf is not finite: x/mu or 2 lam/mu overflows")
     return float(out) if out.ndim == 0 else out
