@@ -24,7 +24,7 @@ from .errors import DomainError, ExcludedCaseError, IntegrationError, check_real
 from .exact import ExpPair, ruin_ultimate_exp
 from .model import DerivedConstants, RiskModel, check_alpha, derived_constants
 from .model import theorem_preconditions
-from .special import _ig_cdf, _scipy_special, std_normal_quantile
+from .special import IG_NOT_FINITE, _ig_cdf, _scipy_special, std_normal_quantile
 
 __all__ = [
     "CramerConstants",
@@ -55,44 +55,62 @@ def var_clt(m: RiskModel, alpha: float, t: float, c: float) -> float:
     return max(0.0, _clt_capital(derived_constants(m), alpha, t, c))
 
 
-def _ig_prob(k: DerivedConstants, c: float, t: float, u_lo: float, u_hi: float):
-    """The IG ruin probability at fixed (model, c, t), as a function of u in
-    [u_lo, u_hi].
+def _ig_prob(k: DerivedConstants, c, t: float, u_lo, u_hi):
+    """The IG ruin probability at fixed (model, t) for a column of cells,
+    cell i a rate c[i] > 0, as a function of u in [u_lo[i], u_hi[i]].
 
     A difference of IG(mu, lam) distribution functions with mu = 1/|1 - cM|
     and lam = u/(c^2 D^2); supercritical rates reflect the drift and scale
-    the mass to exp(-2 lam/mu).  The constants are computed here, once, and
-    so is the check that the shape u/(c^2 D^2) is finite and positive and
-    the limit ct/u finite over the whole range: both are monotone in u, so
-    the ends decide (IntegrationError at extreme inputs, huge u or t, tiny
-    u or c).  The returned ``prob(u)`` runs the same ufuncs for a float u,
-    returning a float, and for an array; it raises IntegrationError where
-    x/mu or 2 lam/mu still overflows.  The caller checks c > 0, t and every
-    u, and evaluates ``prob`` only inside [u_lo, u_hi].
+    the mass to exp(-2 lam/mu).  Each cell's constants are computed here,
+    once, and so is its check that the shape u/(c^2 D^2) is finite and
+    positive and the limit ct/u finite over its whole range: both are
+    monotone in u, so the ends decide (an IntegrationError at extreme
+    inputs, huge u or t, tiny u or c).  ``c``, ``u_lo`` and ``u_hi`` are
+    1-D arrays of one length, or NumPy floats for a single cell.
+
+    Returns ``(prob, errors)``: ``errors[i]`` is cell i's IntegrationError
+    or None.  ``prob(u, rows)`` evaluates the cells ``rows`` (an index
+    array of cells whose check passed) at ``u``, whose leading axis runs
+    over ``rows``: one u per cell or a row of them; a single cell's
+    ``prob(u)`` takes a float or an array of u.  The result has u's shape
+    and is NaN where x/mu or 2 lam/mu still overflows, which the caller
+    reports as ``IntegrationError(IG_NOT_FINITE)``.  The caller checks t
+    and every u, and evaluates a cell only inside its range.
     """
-    cm = c * k.m_big
-    d = c * c * k.d2_big
-    ct = c * t
-    if d == 0.0 or math.isinf(u_hi / d) or u_lo / d == 0.0:
-        raise IntegrationError(f"inverse Gaussian shape u/(c^2 D^2) is not finite at c = {c!r}")
-    if math.isinf(ct / u_lo):
-        raise IntegrationError(f"inverse Gaussian limit ct/u is not finite at c = {c!r}")
-    mu = math.inf if cm == 1.0 else 1.0 / abs(1.0 - cm)
+    with np.errstate(divide="ignore", over="ignore"):  # a zero divisor or overflow gives inf
+        cm = c * k.m_big
+        d = c * c * k.d2_big
+        ct = c * t
+        bad_shape = (d == 0.0) | np.isinf(u_hi / d) | (u_lo / d == 0.0)
+        bad_limit = np.isinf(ct / u_lo)
+        mu = 1.0 / abs(1.0 - cm)  # inf, the zero-drift limit, at cM = 1
+    errors = [None] * c.size
+    if np.count_nonzero(bad_shape | bad_limit):  # a cell at extreme inputs
+        cells = zip(*(np.atleast_1d(v).tolist() for v in (c, bad_shape, bad_limit)))
+        for i, (ci, shape, limit) in enumerate(cells):
+            if shape or limit:
+                what = "shape u/(c^2 D^2)" if shape else "limit ct/u"
+                errors[i] = IntegrationError(f"inverse Gaussian {what} is not finite at c = {ci!r}")
     supercritical = cm > 1.0
     sp = _scipy_special()
 
-    def prob(u):
-        lam = u / d
-        scale = np.exp(-2.0 * lam / mu) if supercritical else 1.0
+    def prob(u, rows=None):
+        consts = mu, ct, d, supercritical
+        if rows is not None:
+            cell = (slice(None),) + (None,) * (np.ndim(u) - 1)
+            consts = (v[rows][cell] for v in consts)
+        mu_r, ct_r, d_r, super_r = consts
+        lam = u / d_r
         with np.errstate(invalid="ignore", over="ignore"):
-            out = scale * (_ig_cdf(sp, ct / u + 1.0, mu, lam) - _ig_cdf(sp, 1.0, mu, lam))
-        out = np.minimum(np.maximum(out, 0.0), 1.0)
-        scalar = out.ndim == 0
-        if math.isnan(out) if scalar else np.isnan(out).any():
-            raise IntegrationError("inverse_gaussian_cdf is not finite: x/mu or 2 lam/mu overflows")
-        return float(out) if scalar else out
+            out = _ig_cdf(sp, ct_r / u + 1.0, mu_r, lam) - _ig_cdf(sp, 1.0, mu_r, lam)
+            n_super = np.count_nonzero(super_r)
+            if n_super == super_r.size:  # no select when every cell is supercritical
+                out = np.exp(-2.0 * lam / mu_r) * out
+            elif n_super:
+                out = np.where(super_r, np.exp(-2.0 * lam / mu_r), 1.0) * out
+        return np.minimum(np.maximum(out, 0.0), 1.0)
 
-    return prob
+    return prob, errors
 
 
 def ig_ruin_probability(m: RiskModel, u, c: float, t: float):
@@ -116,8 +134,14 @@ def ig_ruin_probability(m: RiskModel, u, c: float, t: float):
     if t == 0.0:
         return 0.0 if scalar else np.zeros_like(u)
     k = derived_constants(m)
-    u_lo, u_hi = (u, u) if scalar else (float(u.min(initial=math.inf)), float(u.max(initial=0.0)))
-    return _ig_prob(k, c, t, u_lo, u_hi)(u)
+    u_lo, u_hi = (u, u) if scalar else (u.min(initial=math.inf), u.max(initial=0.0))
+    prob, (error,) = _ig_prob(k, np.float64(c), t, np.float64(u_lo), np.float64(u_hi))
+    if error is not None:
+        raise error
+    out = prob(u)
+    if math.isnan(out) if scalar else np.isnan(out).any():
+        raise IntegrationError(IG_NOT_FINITE)
+    return float(out) if scalar else out
 
 
 @dataclass(frozen=True)

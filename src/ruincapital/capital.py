@@ -12,19 +12,22 @@ Every var and nonruin cell, whether from ``var_capital``,
 ``clt`` backend evaluates its closed form, ``monte_carlo`` takes empirical
 quantiles of simulated deficits, and ``exact_exp`` and
 ``inverse_gaussian`` invert their probability in u with one bracketed
-root-finder.  Each backend probability is nonincreasing in u beyond the
-lower bracket, so the root-finder converges unconditionally.  For
-``exact_exp`` the lower bracket is u = 0.  The inverse Gaussian
-approximation vanishes at u = 0, so one array evaluation of an 80-point
-scan in u finds its peak and brackets the root between two neighbouring
-scan points beyond it; the cell prepares its probability once, constants
-and overflow checks included, and every evaluation reuses it.  When even
-the lower bracket satisfies the target the capital is 0 by definition and
-the result carries a "clamped" flag.
+root-finder: Brent's method.  Each backend probability is nonincreasing
+in u beyond the lower bracket, so the root-finder converges
+unconditionally.  For ``exact_exp`` the lower bracket is u = 0.  The
+inverse Gaussian approximation vanishes at u = 0, so an 80-point scan in u
+finds its peak and brackets the root between two neighbouring scan points
+beyond it.  Inverse Gaussian cells are independent, so a column of them
+is one array problem: one prepared kernel holds every cell's constants
+and overflow checks, one 2-D call evaluates every scan, and
+``special.brentq_columns`` runs Brent's method on the open cells in
+lockstep, each cell bit for bit its own scalar solve; a single cell is a
+column of one.  When even the lower bracket satisfies the target the
+capital is 0 by definition and the result carries a "clamped" flag.
 ``capital_curve`` warm-starts each exact root solve from the previous rate
-(inverse Gaussian cells take no warm start) and prices a Monte Carlo grid
-from one path sweep; ``ruin_curve`` tabulates ruin probabilities at a fixed
-capital, and both fill cells through one loop.
+and prices a Monte Carlo grid from one path sweep; ``ruin_curve``
+tabulates ruin probabilities at a fixed capital, and both fill cells
+through one loop.
 """
 
 from __future__ import annotations
@@ -41,13 +44,14 @@ from .errors import (
     BracketError,
     DomainError,
     InfiniteCapitalError,
+    IntegrationError,
     RuinCapitalError,
     check_real,
 )
 from .exact import ExpPair
 from .model import DerivedConstants, RiskModel, check_alpha, check_c_grid, derived_constants
 from .montecarlo import SimConfig
-from .special import brentq
+from .special import IG_NOT_FINITE, brentq, brentq_columns
 from .table import CurveTable
 
 __all__ = [
@@ -109,9 +113,10 @@ class CapitalPoint:
     ci95: Optional[tuple[float, float]] = None
 
 
-def _default_bracket(k: DerivedConstants, alpha: float, t: float, c: float) -> float:
-    """The asymptotic band's upper end at min(c, c*) plus ten of its sqrt(t) spreads."""
-    upper = approx._clt_capital(k, alpha / 2.0, t, min(c, k.c_star))
+def _default_bracket(k: DerivedConstants, alpha: float, t: float, c):
+    """The asymptotic band's upper end at min(c, c*) plus ten of its sqrt(t)
+    spreads, for one rate c or, element by element, an array of them."""
+    upper = approx._clt_capital(k, alpha / 2.0, t, np.minimum(c, k.c_star))
     return upper + 10.0 * (k.capital_scale * math.sqrt(t))
 
 
@@ -130,47 +135,83 @@ def _invert(
     kind: str,
     c: float,
     warm_hi: Optional[float],
-    scan: bool,
 ) -> CapitalPoint:
-    """Solve prob(u) = alpha for u >= 0 by bracketed root-finding.
+    """Solve prob(u) = alpha for u >= 0 by bracketed root-finding: the exact route.
 
-    Without ``scan`` the lower bracket is u = 0, and ``warm_hi`` is tried as
-    the upper bracket before ``max_bracket``, each evaluated only when needed.
-    With ``scan`` one array call ``prob(us)`` evaluates the 80-point geometric
-    scan ``max_bracket * _SCAN`` of [1e-6, 1] * max_bracket: the inverse
-    Gaussian approximation rises from 0 over the first few money units (a
-    small-u artifact of the large-u theory) and the root relevant to the
-    capital sits on its decreasing side, so the bracket is the first scan
-    point beyond the peak where prob < alpha and the point before it.  The
-    capital is 0 ("clamped") when prob is below alpha at u = 0 or at the
-    peak.  Every value of prob is kept by u, so the bracket ends, which
-    ``brentq`` evaluates first, and the residual at its root, one of its
-    own iterates, are looked up, never evaluated again.
+    The lower bracket is u = 0, and ``warm_hi`` is tried as the upper
+    bracket before ``max_bracket``, each evaluated only when needed.  The
+    capital is 0 ("clamped") when prob is below alpha at u = 0.  Every value
+    of prob is kept by u, so the bracket ends, which ``brentq`` evaluates
+    first, and the residual at its root, one of its own iterates, are looked
+    up, never evaluated again.
     """
     known: dict[float, float] = {}
     f = lambda u: known[u] if u in known else known.setdefault(u, prob(u))
-    if scan:
-        us = max_bracket * _SCAN
-        vals = prob(us)
-        known.update(zip(us.tolist(), vals.tolist()))
-        peak = int(np.argmax(vals))
-        p_lo, below = vals[peak], peak + np.flatnonzero(vals[peak:] < alpha)
-    else:
-        lo, p_lo = 0.0, f(0.0)
-    if p_lo < alpha:
+    if f(0.0) < alpha:
         return CapitalPoint(kind=kind, c=c, value=0.0, clamped=True)
-    hi = None
-    if scan:
-        if below.size:
-            lo, hi = float(us[below[0] - 1]), float(us[below[0]])
-    elif warm_hi is not None and lo < warm_hi <= max_bracket and f(warm_hi) < alpha:
+    if warm_hi is not None and 0.0 < warm_hi <= max_bracket and f(warm_hi) < alpha:
         hi = warm_hi
     elif f(max_bracket) < alpha:
         hi = max_bracket
-    if hi is None:
+    else:
         raise BracketError(f"no solution below max_bracket = {max_bracket:.6g}")
-    u = brentq(lambda x: f(x) - alpha, lo, hi, xtol=_U_TOLERANCE)
+    u = brentq(lambda x: f(x) - alpha, 0.0, hi, xtol=_U_TOLERANCE)
     return CapitalPoint(kind=kind, c=c, value=u, residual=abs(f(u) - alpha))
+
+
+def _ig_column(m: RiskModel, alpha: float, t: float, cs: list[float]) -> list:
+    """Inverse Gaussian non-ruin capitals at the rates ``cs`` (each > 0), solved together.
+
+    One ``CapitalPoint`` or one ``RuinCapitalError`` per rate, each cell
+    independent of the others.  The IG approximation vanishes at u = 0 and
+    rises over the first few money units (a small-u artifact of the
+    large-u theory); the root relevant to the capital sits on its
+    decreasing side.  One 2-D call evaluates every cell's 80-point
+    geometric scan ``mb * _SCAN`` of [1e-6, 1] * mb, mb its upper bracket;
+    a cell whose scan peak is below alpha is clamped to 0, and otherwise
+    its bracket is the first scan point beyond the peak where prob < alpha
+    and the point before it.  ``brentq_columns`` then runs Brent's method on
+    the open cells in lockstep, starting from the scan's values at the
+    bracket ends; the residual is read off the last iterate, so no u of a
+    cell is evaluated twice.  A cell whose shape or limit check fails or
+    whose probability overflows gets the kernel's IntegrationError, one
+    with no bracket or no convergence a BracketError.
+    """
+    k, c = derived_constants(m), np.array(cs)
+    mbs = _default_bracket(k, alpha, t, c)
+    # the scan and every brentq iterate of cell i lie in [mbs[i] * _SCAN[0], mbs[i]]
+    prob, out = approx._ig_prob(k, c, t, mbs * _SCAN[0], mbs)
+    rows = np.array([i for i, e in enumerate(out) if e is None], dtype=np.intp)
+    us = mbs[rows, None] * _SCAN
+    vals = prob(us, rows)
+    peak = vals.argmax(axis=1)
+    below = (vals < alpha) & (np.arange(_SCAN.size) >= peak[:, None])
+    first = below.argmax(axis=1)
+    nan = np.isnan(vals).any(axis=1)
+    clamped = vals[np.arange(rows.size), peak] < alpha
+    bracketed = below.any(axis=1)
+    for i, bad, low, ok in zip(rows.tolist(), nan.tolist(), clamped.tolist(), bracketed.tolist()):
+        if bad:
+            out[i] = IntegrationError(IG_NOT_FINITE)
+        elif low:
+            out[i] = CapitalPoint(kind="nonruin", c=cs[i], value=0.0, clamped=True)
+        elif not ok:
+            out[i] = BracketError(f"no solution below max_bracket = {mbs[i]:.6g}")
+    solve = ~nan & ~clamped & bracketed
+    rows, lo, hi = rows[solve], (first - 1)[solve], first[solve]
+    at = np.flatnonzero(solve)
+    roots, f_roots, errors = brentq_columns(
+        lambda x, j: prob(x, rows[j]) - alpha,
+        us[at, lo], us[at, hi],
+        vals[at, lo] - alpha, vals[at, hi] - alpha,
+        _U_TOLERANCE,
+    )
+    for i, u, fu, error in zip(rows.tolist(), roots.tolist(), f_roots.tolist(), errors):
+        if error is None:
+            out[i] = CapitalPoint(kind="nonruin", c=cs[i], value=u, residual=abs(fu))
+        else:
+            out[i] = IntegrationError(IG_NOT_FINITE) if math.isnan(fu) else error
+    return out
 
 
 def _check_sim(sim: Optional[SimConfig], t: float) -> SimConfig:
@@ -195,9 +236,8 @@ def _solve(
 
     ``prev_value`` is the solution at the previous, smaller rate of a grid:
     the curves are nonincreasing in c, so it (plus a safety margin) bounds
-    this solution from above and warm-starts an ``exact_exp`` bracket.  The
-    inverse Gaussian solve takes no warm start: one array scan brackets its
-    root.
+    this solution from above and warm-starts an ``exact_exp`` bracket.  An
+    inverse Gaussian cell takes no warm start: it is a column of one.
     """
     backend = spec.backend
     if backend == "clt":
@@ -225,21 +265,17 @@ def _solve(
             redirect = "exact_exp" if m.is_exponential_pair() else "clt"
             point = _solve(m, alpha, t, 0.0, replace(spec, backend=redirect), "var")
             return replace(point, kind="nonruin")
-        k = derived_constants(m)
-        mb = _default_bracket(k, alpha, t, c)
-        # the scan and every brentq iterate lie in [mb * _SCAN[0], mb]
-        prob = approx._ig_prob(k, c, t, mb * float(_SCAN[0]), mb)
-        return _invert(prob, alpha, mb, kind, c, None, True)
+        return _settled(_ig_column(m, alpha, t, [c])[0])
     p = _require_exp_pair(m, f"backend {backend!r}")
     if kind == "var":
         prob = lambda u: 1.0 - exact.aggregate_cdf_exp(p, t, u + c * t)
     else:
         prob = lambda u: exact.ruin_finite_exp(p, u, c, t)
-    mb = _default_bracket(derived_constants(m), alpha, t, c)
+    mb = float(_default_bracket(derived_constants(m), alpha, t, c))
     warm = None
     if prev_value is not None and prev_value > 0.0:
         warm = min(mb, prev_value * 1.01 + 1.0)
-    return _invert(prob, alpha, mb, kind, c, warm, False)
+    return _invert(prob, alpha, mb, kind, c, warm)
 
 
 def var_capital(
@@ -313,6 +349,29 @@ def _failing(exc: RuinCapitalError) -> Cell:
     return cell
 
 
+def _settled(point):
+    """A solved cell's ``CapitalPoint``; its ``RuinCapitalError`` is raised."""
+    if isinstance(point, RuinCapitalError):
+        raise point
+    return point
+
+
+def _ig_cells(m: RiskModel, alpha: float, t: float, c_grid: list[float], spec: SolveSpec) -> Cell:
+    """An inverse Gaussian non-ruin column: its rates c > 0 solved by one
+    ``_ig_column``, a c = 0 cell by its per-rate redirect."""
+    at = [i for i, c in enumerate(c_grid) if c > 0.0]
+    try:
+        points = dict(zip(at, _ig_column(m, alpha, t, [c_grid[i] for i in at])))
+    except RuinCapitalError as exc:  # derived_constants fails every cell alike
+        points = dict.fromkeys(at, exc)
+
+    def cell(i: int, c: float) -> float:
+        point = points[i] if i in points else _solve(m, alpha, t, c, spec, "nonruin")
+        return _settled(point).value
+
+    return cell
+
+
 def _warm_cells(m: RiskModel, alpha: float, t: float, spec: SolveSpec, kind: str) -> Cell:
     """A var or nonruin column, each solve given the last solved rate's capital."""
     prev: Optional[float] = None
@@ -357,7 +416,8 @@ def capital_curve(
 
     Each ``exact_exp`` root solve warm-starts its bracket from the previous
     grid point's solution (the curves are continuous and nonincreasing in
-    c); an ``inverse_gaussian`` cell is the per-rate solve.  Under
+    c); an ``inverse_gaussian`` non-ruin column is solved in one pass over
+    its rates, each cell equal to its per-rate solve bit for bit.  Under
     ``monte_carlo`` one ``PathSample`` prices the var and nonruin columns at
     every rate, each cell equal to its per-rate solve bit for bit, and
     ``metadata["mc_stderr"]`` maps each of these kinds to the standard
@@ -394,6 +454,8 @@ def capital_curve(
             ests = {k: sample.quantile(k, alpha) for k in horizon_kinds}
             cells.update({k: _listed([e.point for e in ests[k]]) for k in horizon_kinds})
             table.metadata["mc_stderr"] = {k: [e.stderr for e in ests[k]] for k in horizon_kinds}
+    if spec.backend == "inverse_gaussian" and "nonruin" in kinds:
+        cells["nonruin"] = _ig_cells(m, alpha, t, c_grid, spec)
     # any other var or nonruin column is solved cell by cell
     return _cell_loop(
         table, c_grid, [(k, cells.get(k) or _warm_cells(m, alpha, t, spec, k)) for k in kinds]

@@ -23,6 +23,7 @@ error, 3 numeric failure, 4 model incompatibility.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -117,8 +118,8 @@ def _sim_config(args, t: float, methods: list):
         if args.paths is not None or args.seed is not None:
             raise DomainError("--paths and --seed are read only with method mc")
         return None
-    n_paths = 1000 if args.paths is None else args.paths
-    seed = 20240817 if args.seed is None else args.seed
+    n_paths = presets.DEFAULT_PATHS if args.paths is None else args.paths
+    seed = presets.DEFAULT_SEED if args.seed is None else args.seed
     return SimConfig(n_paths=n_paths, seed=seed, t=t)
 
 
@@ -161,8 +162,8 @@ def cmd_constants(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    n_paths = args.paths if args.paths is not None else 1000
-    seed = args.seed if args.seed is not None else 20240817
+    n_paths = presets.DEFAULT_PATHS if args.paths is None else args.paths
+    seed = presets.DEFAULT_SEED if args.seed is None else args.seed
     files, sidecar = presets.run_preset(args.preset, n_paths=n_paths, seed=seed)
     outdir = Path(args.out) if args.out else Path.cwd()
     outdir.mkdir(parents=True, exist_ok=True)
@@ -267,7 +268,15 @@ def _add_flags(p, *names):
         p.add_argument(name, **_FLAGS[name])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it.
+
+    ``parse_args`` keeps no state between calls (each returns a new
+    namespace).  A build costs about a millisecond, mostly in argparse's
+    help formatter, so the parser is built once per process, and not at
+    import.
+    """
     parser = argparse.ArgumentParser(
         prog="ruincapital",
         description="risk capitals and ruin probabilities for compound "

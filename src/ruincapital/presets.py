@@ -27,6 +27,10 @@ from .table import CurveTable
 
 __all__ = ["PRESET_IDS", "run_preset", "constants_table", "TABLE1_MODELS"]
 
+# the Monte Carlo size and stream of a preset or CLI run that names none
+DEFAULT_PATHS = 1000
+DEFAULT_SEED = 20240817
+
 _EXP_UNIT = RiskModel(Exponential(1.0), Exponential(1.0))
 _MODEL_I = RiskModel(Exponential(4.0 / 5.0), Exponential(3.0 / 5.0))
 _MODEL_IV = RiskModel(Erlang(8.0 / 5.0, 2), Exponential(3.0 / 5.0))
@@ -348,7 +352,7 @@ _PRESETS = {
 PRESET_IDS = tuple(_PRESETS)
 
 
-def run_preset(preset_id: str, n_paths: int = 1000, seed: int = 20240817):
+def run_preset(preset_id: str, n_paths: int = DEFAULT_PATHS, seed: int = DEFAULT_SEED):
     """Build the tables and sidecar for one preset id.
 
     Returns (files, sidecar) where files maps a short curve name to a

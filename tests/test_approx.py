@@ -135,18 +135,24 @@ IG_MODELS = [
 
 @pytest.mark.parametrize("m", IG_MODELS, ids=["unit", "model_iv", "mixture_pareto"])
 def test_ig_kernel_equals_the_public_function(m):
-    # the capital solve's prepared kernel and ig_ruin_probability are one
-    # computation: equal bit for bit, for a float u and for an array
+    # the capital solve's prepared kernel, one column of cells, and
+    # ig_ruin_probability are one computation: equal bit for bit, for one u
+    # per cell, for a row of u per cell and for any subset of the cells
     k = derived_constants(m)
     us = np.geomspace(1e-3, 2e3, 70)
-    for cm in (0.3, 0.9, 1.0, 1.0 - 5e-13, 1.0 + 5e-13, 1.2, 3.0):
-        c = cm / k.m_big
-        for t in (200.0, 1e5):
-            prob = _ig_prob(k, c, t, float(us[0]), float(us[-1]))
-            assert list(prob(us)) == list(ig_ruin_probability(m, us, c, t)), (cm, t)
-            for u in us.tolist():
-                v = prob(u)
-                assert type(v) is float and v == ig_ruin_probability(m, u, c, t), (cm, t, u)
+    cs = [cm / k.m_big for cm in (0.3, 0.9, 1.0, 1.0 - 5e-13, 1.0 + 5e-13, 1.2, 3.0)]
+    n = len(cs)
+    for t in (200.0, 1e5):
+        prob, errors = _ig_prob(k, np.array(cs), t, np.full(n, us[0]), np.full(n, us[-1]))
+        assert errors == [None] * n
+        rows = np.arange(n)
+        grid = prob(np.tile(us, (n, 1)), rows)
+        for i, c in enumerate(cs):
+            assert list(grid[i]) == list(ig_ruin_probability(m, us, c, t)), (c, t)
+        for j, u in enumerate(us.tolist()):
+            sub = rows[j % 2 :: 2]
+            want = [ig_ruin_probability(m, u, cs[i], t) for i in sub.tolist()]
+            assert prob(np.full(sub.size, u), sub).tolist() == want, (t, u)
 
 
 def test_ig_array_u_domain_errors():

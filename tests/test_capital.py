@@ -1,6 +1,6 @@
 import inspect
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from scipy import optimize
 
 from ruincapital import approx, montecarlo, presets
 from ruincapital.capital import (
+    _SCAN,
     _U_TOLERANCE,
     CapitalPoint,
     SolveSpec,
@@ -23,6 +24,7 @@ from ruincapital.capital import (
 from ruincapital.dist import Erlang, Exponential, Kummer, MixtureExp2, Pareto
 from ruincapital.errors import (
     BackendIncompatibleError,
+    BracketError,
     DomainError,
     InfiniteCapitalError,
     IntegrationError,
@@ -32,6 +34,7 @@ from ruincapital.errors import (
 from ruincapital.exact import ExpPair, ruin_finite_exp
 from ruincapital.model import RiskModel, c_grid_range, derived_constants
 from ruincapital.montecarlo import SimConfig
+from ruincapital.special import brentq
 
 UNIT = RiskModel(Exponential(1.0), Exponential(1.0))
 EXACT = SolveSpec(backend="exact_exp")
@@ -64,25 +67,53 @@ class _Counting:
         return self.prob(u)
 
 
-@pytest.mark.parametrize("path", ["exact", "warm", "warm_miss", "scan"])
+@pytest.mark.parametrize("path", ["exact", "warm", "warm_miss"])
 def test_invert_evaluates_no_u_twice(path):
     c, t, alpha = 1.1, 200.0, 0.05
     mb = _default_bracket(derived_constants(UNIT), alpha, t, c)
-    if path == "scan":
-        prob = _Counting(lambda u: approx.ig_ruin_probability(UNIT, u, c, t))
-    else:
-        prob = _Counting(lambda u: ruin_finite_exp(ExpPair(1.0, 1.0), u, c, t))
+    prob = _Counting(lambda u: ruin_finite_exp(ExpPair(1.0, 1.0), u, c, t))
     root = nonruin_capital(UNIT, alpha, t, c, EXACT).value
     warm = {"warm": root * 1.01 + 1.0, "warm_miss": 0.5 * root}.get(path)
-    pt = _invert(prob, alpha, mb, "nonruin", c, warm, path == "scan")
-    assert len(set(prob.scalars)) == len(prob.scalars)
-    assert not set(prob.scalars) & {u for a in prob.arrays for u in a.tolist()}
+    pt = _invert(prob, alpha, mb, "nonruin", c, warm)
+    assert len(set(prob.scalars)) == len(prob.scalars) and not prob.arrays
     assert pt.residual == abs(prob.prob(pt.value) - alpha)
-    if path != "scan":
-        # brentq sees the same floats as without the cache: the same root
-        hi = warm if path == "warm" else mb
-        plain = optimize.brentq(lambda u: prob.prob(u) - alpha, 0.0, hi, xtol=_U_TOLERANCE)
-        assert pt.value == plain
+    # brentq sees the same floats as without the cache: the same root
+    hi = warm if path == "warm" else mb
+    plain = optimize.brentq(lambda u: prob.prob(u) - alpha, 0.0, hi, xtol=_U_TOLERANCE)
+    assert pt.value == plain
+
+
+def test_ig_column_evaluates_no_u_twice(monkeypatch):
+    # every u a cell's kernel is asked for, scan and Brent iterates alike
+    asked: dict[int, list] = {}
+    prepare = approx._ig_prob
+
+    def recording(*args):
+        prob, errors = prepare(*args)
+
+        def rec(u, rows):
+            for r, us in zip(rows.tolist(), np.reshape(u, (rows.size, -1)).tolist()):
+                asked.setdefault(r, []).extend(us)
+            return prob(u, rows)
+
+        return rec, errors
+
+    cs, t, alpha = c_grid_range(0.1, 2.5, 0.1), 200.0, 0.05
+    monkeypatch.setattr(approx, "_ig_prob", recording)
+    column = capital_curve(UNIT, alpha, t, cs, IG, kinds=("nonruin",)).column("nonruin")
+    monkeypatch.undo()
+    assert sorted(asked) == list(range(len(cs)))
+    for i, c in enumerate(cs):
+        us = asked[i]
+        assert len(set(us)) == len(us)
+        pt = nonruin_capital(UNIT, alpha, t, c, IG)
+        assert pt.value == column[i]
+        if pt.clamped:
+            assert len(us) == len(_SCAN)
+        else:
+            # the root is one of the cell's own iterates
+            assert pt.value in us
+            assert pt.residual == abs(approx.ig_ruin_probability(UNIT, pt.value, c, t) - alpha)
 
 
 def test_var_equals_nonruin_at_zero_premium():
@@ -163,7 +194,31 @@ def test_ig_curve_cells_equal_per_rate_solves():
         ]
 
 
-@pytest.mark.parametrize(
+def _ig_oracle(m, alpha, t, c):
+    """An inverse Gaussian non-ruin cell, one rate at a time, by the public
+    ig_ruin_probability: the 80-point scan (one array call, whose values are
+    its scalar calls'), its bracket beyond the peak, then special.brentq on
+    scalar calls, every probability evaluated once."""
+    if c == 0.0:  # the redirect: at c = 0 ruin by t is a terminal shortfall
+        return replace(var_capital(m, alpha, t, 0.0, SolveSpec(backend="clt")), kind="nonruin")
+    mb = _default_bracket(derived_constants(m), alpha, t, c)
+    us = mb * _SCAN
+    vals = approx.ig_ruin_probability(m, us, c, t).tolist()
+    us = us.tolist()
+    known = dict(zip(us, vals))
+    prob = lambda u: approx.ig_ruin_probability(m, u, c, t)
+    f = lambda u: known[u] if u in known else known.setdefault(u, prob(u))
+    peak = int(np.argmax(vals))
+    if vals[peak] < alpha:
+        return CapitalPoint(kind="nonruin", c=c, value=0.0, clamped=True)
+    below = next((j for j in range(peak, len(us)) if vals[j] < alpha), None)
+    if below is None:
+        raise BracketError(f"no solution below max_bracket = {mb:.6g}")
+    u = brentq(lambda x: f(x) - alpha, us[below - 1], us[below], xtol=_U_TOLERANCE)
+    return CapitalPoint(kind="nonruin", c=c, value=u, residual=abs(f(u) - alpha))
+
+
+IG_MODELS = pytest.mark.parametrize(
     "m",
     [
         RiskModel(Erlang(1.6, 2), Exponential(0.6)),
@@ -172,33 +227,62 @@ def test_ig_curve_cells_equal_per_rate_solves():
     ],
     ids=["iv", "heavy", "kummer"],
 )
-def test_ig_cells_equal_inverting_the_public_probability(m):
-    # a cell inverts one prepared kernel and checks the IG shape and limit
-    # once over the scan's range; inverting ig_ruin_probability, which
-    # checks every call, gives the same capitals and the same NA reasons.
-    # At c = 1e-200, c^2 D^2 is 0 and at c = 1e-160 u/(c^2 D^2) overflows.
-    cs = [1e-200, 1e-160, *c_grid_range(0.1, 2.5, 0.1)]
-    k = derived_constants(m)
+
+
+def _assert_ig_columns_equal_the_oracle(m, cs):
+    """Each (alpha, t) column, and each cell solved alone, equals the oracle bit
+    for bit, with the same NA reasons; returns each column's values and reasons."""
+    logged = []
     for alpha in (0.01, 0.05):
         for t in (200.0, 1000.0):
             values, reasons = [], []
             for c in cs:
-                prob = lambda u: approx.ig_ruin_probability(m, u, c, t)
                 try:
-                    pt = _invert(prob, alpha, _default_bracket(k, alpha, t, c), "nonruin", c, None, True)
+                    pt = _ig_oracle(m, alpha, t, c)
                 except RuinCapitalError as exc:
                     values.append(None)
                     reasons.append(f"nonruin@c={c:g}: {exc}")
                     continue
                 values.append(pt.value)
-                cell = nonruin_capital(m, alpha, t, c, IG)
-                assert cell.value == pt.value and cell.clamped == pt.clamped
-                if not cell.clamped:
-                    assert cell.residual == abs(approx.ig_ruin_probability(m, cell.value, c, t) - alpha)
+                assert nonruin_capital(m, alpha, t, c, IG) == pt
+                if not pt.clamped and c > 0.0:
+                    assert pt.residual == abs(approx.ig_ruin_probability(m, pt.value, c, t) - alpha)
             table = capital_curve(m, alpha, t, cs, IG, kinds=("nonruin",))
             assert table.column("nonruin") == values, (alpha, t)
             assert table.metadata["warnings"] == reasons, (alpha, t)
-            assert values[:2] == [None, None] and "not finite" in reasons[1]
+            logged.append((values, reasons))
+    return logged
+
+
+@IG_MODELS
+def test_ig_cells_equal_inverting_the_public_probability(m):
+    # a column prepares one kernel and checks each cell's IG shape and limit
+    # once over its scan's range; inverting ig_ruin_probability, which
+    # checks every call, gives the same capitals and the same NA reasons.
+    # At c = 1e-200, c^2 D^2 is 0 and at c = 1e-160 u/(c^2 D^2) overflows.
+    cs = [1e-200, 1e-160, *c_grid_range(0.1, 2.5, 0.1)]
+    for values, reasons in _assert_ig_columns_equal_the_oracle(m, cs):
+        assert values[:2] == [None, None] and "not finite" in reasons[1]
+
+
+@IG_MODELS
+def test_ig_columns_of_the_benchmark_equal_the_oracle(m):
+    # the rates of `capital --kind nonruin --method ig --c-start 0
+    # --c-stop 2.5 --c-step 0.05`, the c = 0 redirect cell included
+    _assert_ig_columns_equal_the_oracle(m, c_grid_range(0.0, 2.5, 0.05))
+
+
+def test_ig_column_mixes_failed_clamped_and_solved_cells():
+    # one column whose cells fail their check, clamp at the scan peak or
+    # solve: each outcome is the oracle's, whatever its neighbours
+    columns = _assert_ig_columns_equal_the_oracle(UNIT, [1e-200, 0.5, 1.0, 5.0, 6.0])
+    for values, reasons in columns:
+        assert values[0] is None and values[1] > 0.0
+        assert reasons == [
+            "nonruin@c=1e-200: inverse Gaussian shape u/(c^2 D^2) is not finite at c = 1e-200"
+        ]
+    # at alpha = 0.05 and t = 200 the two largest rates clamp
+    assert columns[2][0][-2:] == [0.0, 0.0]
 
 
 def test_ig_cell_checks_its_whole_scan_range():

@@ -71,6 +71,23 @@ def test_capital_command_exact_and_clt(config_path, tmp_path):
     assert table.metadata["config"] == UNIT_CONFIG
 
 
+def test_consecutive_calls_share_no_flag_values(config_path, tmp_path):
+    # one parser serves every call of a process; each call reads only its own flags
+    assert build_parser() is build_parser()
+    grid = ["--c-start", "0.5", "--c-stop", "1.5", "--c-step", "0.5"]
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    argv = ["capital", "--config", config_path, "--kind", "var", "--method", "clt",
+            "--alpha", "0.01", "--t", "100", "--paths", "500"]
+    assert main([*argv, *grid, "--out", str(first)]) == 2  # --paths without mc
+    assert main([*argv[:-2], *grid, "--out", str(first)]) == 0
+    assert main(["capital", "--config", config_path, *grid, "--out", str(second)]) == 0
+    meta = CurveTable.read_csv(second).metadata
+    assert (meta["alpha"], meta["t"], meta["kind"]) == (0.05, 200.0, "nonruin")
+    assert sorted(meta["flags"]) == ["c_start", "c_step", "c_stop", "command", "config", "out"]
+    expected = capital_curve(UNIT, 0.05, 200.0, [0.5, 1.0, 1.5], SolveSpec(), kinds=("nonruin",))
+    assert CurveTable.read_csv(second).column("nonruin_exact") == expected.column("nonruin")
+
+
 def test_capital_command_equals_library_curves(config_path, tmp_path):
     grid = [0.0, 0.5, 1.0, 1.5]
     sim = SimConfig(n_paths=1000, seed=5, t=100.0)

@@ -8,7 +8,7 @@ from scipy import optimize, stats
 from scipy import special as sp
 
 from ruincapital.errors import BracketError, DomainError, IntegrationError
-from ruincapital.special import brentq, inverse_gaussian_cdf, std_normal_quantile
+from ruincapital.special import brentq, brentq_columns, inverse_gaussian_cdf, std_normal_quantile
 
 
 def test_cdf_matches_reference_points():
@@ -146,3 +146,94 @@ def test_brentq_raises_a_bracket_error():
         brentq(lambda x: math.copysign(1.0, x - 0.5), -1e300, 1e300)
     with pytest.raises(RuntimeError):
         optimize.brentq(lambda x: math.copysign(1.0, x - 0.5), -1e300, 1e300)
+
+
+def _drawn(x0, p, k, w, e, down, cap, nan_from):
+    """A fresh drawn monotone function, root x0, as in the brentq test above;
+    from its call number ``nan_from`` on (when not None) it returns NaN."""
+    scale = (-1.0 if down else 1.0) * 10.0**e
+    calls = []  # (x, f(x)) in call order
+
+    def f(x):
+        d = x - x0
+        y = scale * max(-cap, min(cap, math.copysign(abs(d) ** p, d) + w * math.expm1(k * d)))
+        if nan_from is not None and len(calls) >= nan_from:
+            y = math.nan
+        calls.append((x, y))
+        return y
+
+    return f, calls
+
+
+# (x0, p, k, w, e, down, cap, nan_from) and the bracket [x0 + da, x0 + db]:
+# mostly around the root, sometimes on one side of it, sometimes NaN
+PROBLEMS = st.tuples(
+    st.tuples(
+        st.floats(-5.0, 5.0), st.floats(0.2, 3.0), st.floats(0.1, 5.0), st.floats(0.0, 2.0),
+        st.floats(-250.0, 250.0), st.booleans(), st.sampled_from([math.inf, 1.0]),
+        st.sampled_from([None, None, None, 0, 1, 4]),
+    ),
+    st.floats(-40.0, 5.0),
+    st.floats(-5.0, 40.0),
+)
+UNIT_ROOT = (0.0, 1.0, 1.0, 0.0, 0.0, False, math.inf, None)
+
+
+def _brentq_columns_case(problems, xtol):
+    """brentq_columns on the drawn problems against one brentq call each."""
+    a = [fn[0] + da for fn, da, db in problems]
+    b = [fn[0] + db for fn, da, db in problems]
+    want = []
+    for (fn, _, _), ai, bi in zip(problems, a, b):
+        f, calls = _drawn(*fn)
+        try:
+            want.append((brentq(f, ai, bi, xtol), None, calls))
+        except BracketError as exc:
+            want.append((None, str(exc), calls))
+    drawn = [_drawn(*fn) for fn, _, _ in problems]
+    column = lambda x, rows: np.array([drawn[i][0](xi) for i, xi in zip(rows.tolist(), x.tolist())])
+    # f at the ends first, in brentq's order: b is not evaluated after a NaN at a
+    fa = [f(ai) for (f, _), ai in zip(drawn, a)]
+    fb = [math.nan if math.isnan(y) else f(bi) for (f, _), y, bi in zip(drawn, fa, b)]
+    x, fx, errors = brentq_columns(column, a, b, fa, fb, xtol)
+    for (root, message, calls), (_, got), xi, fxi, error in zip(want, drawn, x, fx, errors):
+        # the same evaluations, in the same order, and f at the returned x
+        assert got == calls
+        y = dict(calls)[xi]
+        assert fxi == y or math.isnan(fxi) and math.isnan(y)
+        if message is None:
+            assert error is None and xi == root
+        else:
+            assert str(error) == message and xi == calls[-1][0]
+            assert math.isnan(fxi) == ("NaN" in message)
+
+
+XTOLS = [1e-6, 1e-12, 1e-15]
+
+
+@given(st.lists(PROBLEMS, min_size=1, max_size=6), st.sampled_from(XTOLS))
+@example([(UNIT_ROOT, 0.0, 1.0)], XTOLS[0])  # f(a) = 0
+@example([(UNIT_ROOT, -1.0, 0.0)], XTOLS[0])  # f(b) = 0
+@example([(UNIT_ROOT, -1.0, 2.0), (UNIT_ROOT[:-1] + (2,), -1.0, 2.0)], XTOLS[0])  # NaN
+def test_brentq_columns_is_brentq_element_by_element(problems, xtol):
+    # each element has brentq's root bits, its error and its evaluations,
+    # whatever the other elements do
+    _brentq_columns_case(problems, xtol)
+
+
+def test_brentq_columns_early_returns_and_nan_fail_one_element_each():
+    # f(a) = 0, f(b) = 0, a NaN at the first iterate, and one regular root
+    g = lambda i, x: math.nan if i == 2 and 0.0 < x < 2.0 else x - 1.0
+    f = lambda x, rows: np.array([g(i, xi) for i, xi in zip(rows.tolist(), x.tolist())])
+    a, b = [1.0, 0.0, 0.0, 0.0], [3.0, 1.0, 2.0, 3.0]
+    x, fx, errors = brentq_columns(f, a, b, np.subtract(a, 1.0), np.subtract(b, 1.0), 2e-12)
+    assert x[:2].tolist() == [1.0, 1.0] and fx[:2].tolist() == [0.0, 0.0]
+    assert errors[:2] == [None, None]
+    assert isinstance(errors[2], BracketError) and "NaN" in str(errors[2]) and math.isnan(fx[2])
+    assert errors[3] is None and x[3] == brentq(lambda u: u - 1.0, 0.0, 3.0)
+    # the ends' values, given, are not evaluated again
+    asked = []
+    g = lambda x, rows: asked.extend(x.tolist()) or x - 1.0
+    x, _, _ = brentq_columns(g, [0.0, 0.5], [3.0, 4.0], [-1.0, -0.5], [2.0, 3.0], 2e-12)
+    assert x.tolist() == [brentq(lambda u: u - 1.0, 0.0, 3.0), brentq(lambda u: u - 1.0, 0.5, 4.0)]
+    assert asked and not {0.0, 3.0, 0.5, 4.0} & set(asked)
