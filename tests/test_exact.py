@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy import special as sp
 
 from ruincapital.errors import DomainError, IntegrationError
 from ruincapital.exact import (
     ExpPair,
+    _clamp_probability,
+    _composite_gl,
     _log_envelope,
     _oscillatory_integral,
+    _oscillatory_rule,
     _ruin_finite_seal,
     _seal_rule,
     aggregate_cdf_exp,
@@ -19,6 +24,7 @@ from ruincapital.exact import (
 )
 
 UNIT = ExpPair(1.0, 1.0)
+MODEL_I = ExpPair(0.8, 0.6)
 
 
 def _poisson_gamma_cdf(p: ExpPair, t: float, x: float, kmax: int = 400) -> float:
@@ -240,3 +246,119 @@ def test_zero_capital_zero_horizon_limits():
     # at u = 0 and c = 0 ruin happens at the first claim before t
     val = ruin_finite_exp(UNIT, 0.0, 0.0, 2.0)
     assert val == pytest.approx(1.0 - math.exp(-2.0), rel=1e-9)
+
+
+def _oscillatory_oracle(p: ExpPair, u: float, c: float, t: float) -> float:
+    # the oscillatory sum as one expression, every array built per call:
+    # the cached per-rate rule must reproduce it bit for bit
+    delta, rho = p.delta, p.rho
+    q = delta / (c * rho)
+    sq = math.sqrt(q)
+    freq = u * rho * sq
+    x, w = _composite_gl(np.linspace(0.0, math.pi, max(64, int(1.0 + freq)) + 1))
+    denom = 1.0 + q - 2.0 * sq * np.cos(x)
+    osc = np.cos(freq * np.sin(x)) - np.cos(freq * np.sin(x) + 2.0 * x)
+    vals = np.exp(u * rho * (sq * np.cos(x) - 1.0) - t * c * rho * denom) * (q / denom * osc)
+    if not np.all(np.isfinite(vals)):
+        raise IntegrationError("ruin_finite_exp integrand not finite")
+    return float(vals @ w) / math.pi
+
+
+def _in_oscillatory_domain(p: ExpPair, u: float, c: float, t: float) -> bool:
+    q = p.delta / (c * p.rho)
+    return abs(q - 1.0) >= 0.03 and _log_envelope(p, u, c, t) <= 14.0
+
+
+# c from c*/4 to 4 c*, as a multiple of c* = delta / rho
+rate_factors = st.floats(0.25, 4.0)
+
+
+@given(
+    delta=st.floats(0.1, 10.0),
+    rho=st.floats(0.1, 10.0),
+    rates=st.lists(st.tuples(rate_factors, st.floats(0.5, 2000.0)), min_size=2, max_size=2),
+    # (which rate, u rho sqrt(q), repeat the previous u at that rate):
+    # below 63 every call takes the 64-panel rule, above it up to 2001 panels
+    steps=st.lists(
+        st.tuples(
+            st.integers(0, 1),
+            st.one_of(st.floats(0.01, 63.0), st.floats(63.0, 2000.0)),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_oscillatory_integral_equals_the_oracle_bit_for_bit(delta, rho, rates, steps):
+    p = ExpPair(delta, rho)
+    last = {}
+    for which, freq, repeat in steps:
+        f, t = rates[which]
+        c = f * delta / rho
+        u = last[which] if repeat and which in last else freq / (rho * math.sqrt(delta / (c * rho)))
+        last[which] = u
+        if _in_oscillatory_domain(p, u, c, t):
+            assert _oscillatory_integral(p, u, c, t) == _oscillatory_oracle(p, u, c, t)
+
+
+def test_oscillatory_rule_is_built_once_per_rate():
+    # two rules are kept: a third rate evicts the one used least recently
+    a, b, d = (1.5, 200.0), (2.0, 200.0), (0.5, 50.0)
+    calls = [(a, 10.0), (a, 20.0), (b, 10.0), (a, 30.0), (d, 5.0), (b, 10.0), (a, 800.0)]
+    _oscillatory_rule.cache_clear()
+    for (c, t), u in calls:
+        assert _oscillatory_integral(UNIT, u, c, t) == _oscillatory_oracle(UNIT, u, c, t)
+    info = _oscillatory_rule.cache_info()
+    # a, a (hit), b, a (hit), d (evicts b), b (evicts a), a at 654 panels
+    assert (info.hits, info.misses, info.currsize) == (2, 5, 2)
+    # every call at a rate shares its arrays, so none may be written
+    assert not any(a.flags.writeable for a in _oscillatory_rule(1.0, 1.0, 1.5, 200.0, 64))
+
+
+@pytest.mark.parametrize("u", [1e9, 1e15, 1e300])
+def test_far_tail_returns_the_ultimate_term_without_building_a_rule(u):
+    # the panel count grows as u rho sqrt(q): at u = 1e15 the rule would
+    # need petabytes, at 1e300 more nodes than an array can hold
+    assert _log_envelope(UNIT, u, 2.0, 10.0) < -746.0
+    _oscillatory_rule.cache_clear()
+    assert ruin_finite_exp(UNIT, u, 2.0, 10.0) == 0.0
+    assert _oscillatory_rule.cache_info().misses == 0
+
+
+@given(
+    pair=st.sampled_from([UNIT, MODEL_I, ExpPair(5.0, 0.2)]),
+    f=rate_factors,
+    t=st.floats(0.5, 2000.0),
+    log_envelope=st.floats(-1000.0, -746.0),
+)
+def test_far_tail_exit_equals_the_full_sum(pair, f, t, log_envelope):
+    # place u where the envelope exponent is in [-1000, -746]: every term
+    # of the sum underflows to 0.0, so the exit changes no bit
+    c = f * pair.delta / pair.rho
+    q = pair.delta / (c * pair.rho)
+    assume(abs(q - 1.0) >= 0.03)
+    decay = t * (math.sqrt(c * pair.rho) - math.sqrt(pair.delta)) ** 2
+    u = (log_envelope + decay) / (pair.rho * (math.sqrt(q) - 1.0))
+    assume(u > 0.0 and -1000.0 <= _log_envelope(pair, u, c, t) < -746.0)
+    full = ruin_ultimate_exp(pair, u, c) - _oscillatory_oracle(pair, u, c, t)
+    assert ruin_finite_exp(pair, u, c, t) == _clamp_probability(full, "oracle")
+
+
+@given(
+    pair=st.sampled_from([UNIT, MODEL_I]),
+    u=st.floats(0.5, 400.0),
+    f=rate_factors,
+    t=st.floats(5.0, 2000.0),
+)
+@example(pair=MODEL_I, u=146.5, f=0.994 * 0.6 / 0.8, t=88.5)
+@example(pair=UNIT, u=335.16702717850296, f=0.9125324152302732, t=1157.0019334212998)
+@example(pair=MODEL_I, u=322.45516777502604, f=0.8210429457835469, t=881.4684935767486)
+def test_oscillatory_and_seal_routes_agree(pair, u, f, t):
+    # Both routes subtract O(1) terms.  Over 10,000 uniform draws of this
+    # domain the largest gap was 3.8e-11 up to an envelope exponent of 10;
+    # between 10 and 14, where Seal takes over, the oscillatory sum's
+    # cancellation costs up to 2.0e-9 (the last two examples)
+    c = f * pair.delta / pair.rho
+    assume(_in_oscillatory_domain(pair, u, c, t))
+    bound = 5e-10 if _log_envelope(pair, u, c, t) <= 10.0 else 5e-9
+    assert abs(ruin_finite_exp(pair, u, c, t) - _ruin_finite_seal(pair, u, c, t)) <= bound
