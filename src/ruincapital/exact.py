@@ -2,10 +2,10 @@
 
 When both T and Y are exponential (rates delta and rho) the aggregate
 claim amount's distribution function is a Skellam probability, i.e. a
-noncentral chi-square CDF, and so is Takacs' zero-capital survival
-phi(0, t); the finite-horizon ruin probability at u > 0 has a
-single-integral closed form.  These are the library's exact oracles for
-every approximation.
+noncentral chi-square CDF; Takacs' zero-capital survival phi(0, t) is one
+such CDF plus two Skellam masses in scaled Bessel functions (i0e, i1e);
+the finite-horizon ruin probability at u > 0 has a single-integral closed
+form.  These are the library's exact oracles for every approximation.
 
 The oscillatory single integral cancels an envelope of size
 ``exp(u rho (sqrt(q) - 1) - t (sqrt(c rho) - sqrt(delta))^2)``, q =
@@ -15,10 +15,11 @@ cancel, and near c* (q close to 1) the integrand has structure narrower
 than its panels, so :func:`ruin_finite_exp` switches to Seal's survival
 formula there, which composes only probabilities and densities and is
 stable everywhere.  Both routes are fixed-node composite Gauss-Legendre
-sums; Seal's takes phi(0, .) at its nodes from Takacs' formula.  Where
-both apply, 10,000 drawn cases on two pairs agree to 4e-11 up to an
-envelope of exp(10) and to 2e-9 above it, where the oscillatory sum's
-cancellation dominates.
+sums; Seal's takes phi(0, .) at its nodes from Takacs' formula, one
+chi-square CDF per node (:func:`_survival_zero`), in a rule kept per rate
+and horizon.  Where both apply, 10,000 drawn cases on two pairs agree to
+4e-11 up to an envelope of exp(10) and to 2e-9 above it, where the
+oscillatory sum's cancellation dominates.
 
 The oscillatory route's arrays that do not depend on u form a per-rate
 rule (:func:`_oscillatory_rule`), kept for the last two rates, since a
@@ -48,6 +49,7 @@ __all__ = [
 ]
 
 _CLAMP_WARN = 1e-7
+_TINY = np.finfo(float).tiny  # the smallest normal double
 
 # Above this envelope exponent the oscillatory integral loses too many
 # digits to cancellation and the Seal route takes over.
@@ -58,6 +60,10 @@ _OSC_MIN_LOG_ENVELOPE = -746.0
 # Within this distance of q = 1 the routes agree to ~3e-12; closer in the
 # oscillatory route errs by up to 2.5e-3 and Seal takes over.
 _OSC_MIN_ABS_Q_GAP = 0.03
+# Takacs' phi(0, .) for 1 < q <= this takes its cheaper one-call form, which
+# loses up to about 4 (q - 1) 2**-52 absolute (at most 3.95 (q - 1) 2**-52
+# against 50-digit values); twice that stays below 1e-13 up to here (~57).
+_TAKACS_MAX_Q = 1.0 + 1e-13 / (8.0 * 2.0**-52)
 
 # 16-point Gauss-Legendre rule on [-1, 1], shared by both routes.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -87,8 +93,13 @@ def _clamp_probability(value: float, context: str) -> float:
 
 
 def _ncx2_cdf(x, df: float, nc):
-    """scipy's noncentral chi-square CDF, NaN once x and nc both pass ~4e10: an error here."""
-    out = _scipy_special().chndtr(x, df, nc)
+    """scipy's noncentral chi-square CDF, NaN once x and nc both pass ~4e10: an error here.
+
+    A subnormal noncentrality is taken as 0, which moves the CDF by less than
+    1e-307: chndtr errs there by up to 7e-2 (chndtr(6, 4, 3e-323) = 0.867,
+    against 0.801 at nc = 0).
+    """
+    out = _scipy_special().chndtr(x, df, np.where(nc < _TINY, 0.0, nc))
     if np.isnan(out).any():
         raise IntegrationError("noncentral chi-square CDF out of range (arguments ~4e10)")
     return out
@@ -191,12 +202,47 @@ def _survival_zero(p: ExpPair, c: float, tau):
     """phi(0, tau), survival to tau > 0 from zero capital (vectorized in tau).
 
     Takacs' ballot formula E[(1 - V_tau/(c tau))^+].  With N ~ Poisson(delta tau),
-    K ~ Poisson(rho c tau) and q = delta/(c rho) it is P{N <= K} - q P{K >= N + 2}
-    = 1 - chndtr(2 delta tau, 2, 2 rho c tau) - q chndtr(2 rho c tau, 4, 2 delta tau).
+    K ~ Poisson(rho c tau), q = delta/(c rho), lam = 2 delta tau and
+    mu = 2 rho c tau it is P{N <= K} - q P{K >= N + 2}, where
+    P{N <= K} = 1 - chndtr(lam, 2, mu) and P{K >= N + 2} = chndtr(mu, 4, lam).
+    Two identities give the Skellam masses B = P{K = N} + P{K = N + 1} with no
+    chi-square call: the Marcum-Q symmetry Q1(a, b) + Q1(b, a) =
+    1 + exp(-(a^2 + b^2)/2) I0(ab) (Nuttall 1975) the first, and the degree
+    recurrence F4 = F2 - 2 f4 (Abramowitz & Stegun 26.4) the second.  With
+    z = sqrt(lam mu), B = exp(-(sqrt(lam) - sqrt(mu))^2 / 2) (i0e(z) +
+    sqrt(mu/lam) i1e(z)) and phi(0, tau) = B - (q - 1) P{K >= N + 2} =
+    q B - (q - 1) P{N <= K}.  So each node takes one chi-square call, the one
+    whose noncentrality is the smaller of lam and mu (the cheaper), up to
+    _TAKACS_MAX_Q:
+
+    * q <= 1: B - (q - 1) chndtr(mu, 4, lam), a sum of nonnegative terms;
+    * 1 < q <= _TAKACS_MAX_Q: q B - (q - 1) (1 - chndtr(lam, 2, mu)), which
+      cancels two terms of size about q and loses up to about 4 (q - 1) 2**-52
+      absolute, 5e-14 at _TAKACS_MAX_Q;
+    * above it the first form again, as accurate as the two-call sum.
+
+    Raises IntegrationError where chndtr gives NaN (arguments ~4e10) or a
+    rate times tau overflows.
     """
     lam, mu = 2.0 * p.delta * tau, 2.0 * p.rho * c * tau
     q = p.delta / (c * p.rho)
-    return 1.0 - _ncx2_cdf(lam, 2.0, mu) - q * _ncx2_cdf(mu, 4.0, lam)
+    special = _scipy_special()
+    root_lam, root_mu = np.sqrt(lam), np.sqrt(mu)
+    z = root_lam * root_mu
+    # sqrt(mu/lam) i1e(z) is taken as mu i1e(z)/z: at z = 0 (lam or mu
+    # underflowed) its 0/0 gives way to the limit mu/2, and inf * 0 once lam
+    # or mu overflows is caught below
+    with np.errstate(invalid="ignore"):
+        b = np.exp(-0.5 * (root_lam - root_mu) ** 2) * (
+            special.i0e(z) + mu * np.where(z > 0.0, special.i1e(z) / z, 0.5)
+        )
+        if 1.0 < q <= _TAKACS_MAX_Q:
+            phi0 = q * b - (q - 1.0) * (1.0 - _ncx2_cdf(lam, 2.0, mu))
+        else:
+            phi0 = b - (q - 1.0) * _ncx2_cdf(mu, 4.0, lam)
+    if not np.all(np.isfinite(phi0)):
+        raise IntegrationError("zero-capital survival not finite (rate times tau overflows)")
+    return phi0
 
 
 @lru_cache(maxsize=64)
@@ -204,8 +250,8 @@ def _seal_rule(delta: float, rho: float, c: float, t: float):
     """Seal's quadrature nodes s in [0, t], their weights, and phi(0, t - s).
 
     The zero-capital survival phi(0, tau) comes from Takacs' ballot
-    formula in noncentral chi-square CDFs (:func:`_survival_zero`), so no
-    integral is needed at the nodes.
+    formula, one noncentral chi-square CDF and two scaled Bessel functions
+    per node (:func:`_survival_zero`), so no integral is needed at the nodes.
     """
     # f_V(u + c s, s) near s = 0 and phi(0, tau) near tau = 0 move on the
     # time scale 1/max(delta, c rho), and the integrand is slow in between:

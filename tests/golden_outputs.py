@@ -2,8 +2,10 @@
 
 Run from the repository root at the commit whose outputs are the reference:
 
-    PYTHONPATH=src python3 tests/golden_outputs.py           # re-record
-    PYTHONPATH=src python3 tests/golden_outputs.py --check   # compare only
+    python3 tests/golden_outputs.py           # re-record
+    python3 tests/golden_outputs.py --check   # compare only
+
+The script puts the repository's ``src`` first on ``sys.path`` itself.
 
 Recording writes ``tests/golden/``:
 
@@ -33,6 +35,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 GOLDEN = ROOT / "tests" / "golden"
 DEMOS = ROOT / "demos"
 PRESET_PATHS = 500

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given
@@ -7,8 +9,10 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy import special as sp
 
+from ruincapital import exact
 from ruincapital.errors import DomainError, IntegrationError
 from ruincapital.exact import (
+    _TAKACS_MAX_Q,
     ExpPair,
     _clamp_probability,
     _composite_gl,
@@ -17,6 +21,7 @@ from ruincapital.exact import (
     _oscillatory_rule,
     _ruin_finite_seal,
     _seal_rule,
+    _survival_zero,
     aggregate_cdf_exp,
     aggregate_pdf_exp,
     ruin_finite_exp,
@@ -362,3 +367,130 @@ def test_oscillatory_and_seal_routes_agree(pair, u, f, t):
     assume(_in_oscillatory_domain(pair, u, c, t))
     bound = 5e-10 if _log_envelope(pair, u, c, t) <= 10.0 else 5e-9
     assert abs(ruin_finite_exp(pair, u, c, t) - _ruin_finite_seal(pair, u, c, t)) <= bound
+
+
+def _survival_zero_oracle(p: ExpPair, c: float, tau):
+    # Takacs' formula as the plain two-call sum P{N <= K} - q P{K >= N + 2}
+    lam, mu = 2.0 * p.delta * tau, 2.0 * p.rho * c * tau
+    q = p.delta / (c * p.rho)
+    return 1.0 - sp.chndtr(lam, 2.0, mu) - q * sp.chndtr(mu, 4.0, lam)
+
+
+def _survival_zero_50_digits(p: ExpPair, c: float, tau: float) -> float:
+    # sum over n of P{N = n} (P{K >= n} - q P{K >= n + 2}) in 50-digit
+    # arithmetic, with N ~ Poisson(delta tau), K ~ Poisson(rho c tau), until
+    # P{N = n} is far below 1e-40
+    with mpmath.workdps(50):
+        delta, rho, c_, tau_ = map(mpmath.mpf, (p.delta, p.rho, c, tau))
+        b, a, q = delta * tau_, rho * c_ * tau_, delta / (c_ * rho)
+        n_max = int(b + 15 * mpmath.sqrt(b) + 100)
+        tail, pk = [mpmath.mpf(1)], mpmath.exp(-a)
+        for k in range(n_max + 2):
+            tail.append(tail[-1] - pk)
+            pk *= a / (k + 1)
+        pn, total = mpmath.exp(-b), mpmath.mpf(0)
+        for n in range(n_max + 1):
+            total += pn * (tail[n] - q * tail[n + 2])
+            pn *= b / (n + 1)
+        return float(total)
+
+
+@given(
+    pair=st.sampled_from([UNIT, MODEL_I, ExpPair(5.0, 0.2)]),
+    log_q=st.floats(-3.0, 6.0),
+    taus=st.lists(st.floats(math.log(1e-2), math.log(2e3)).map(math.exp), min_size=1, max_size=8),
+)
+def test_survival_zero_equals_the_two_call_oracle(pair, log_q, taus):
+    # q log-uniform over [1e-3, 1e6] crosses all three regimes of the kernel
+    c = pair.delta / (10.0**log_q * pair.rho)
+    got = _survival_zero(pair, c, np.array(taus))
+    assert np.max(np.abs(got - _survival_zero_oracle(pair, c, np.array(taus)))) <= 1e-13
+    # the u = 0 dispatch calls it on one float: the same bits as the array
+    assert float(_survival_zero(pair, c, taus[0])) == got[0]
+
+
+@pytest.mark.parametrize(
+    "q", [1e-3, 0.5, 1.0, 2.0, pytest.param(0.999 * _TAKACS_MAX_Q, id="Q"), 1e6]
+)
+@pytest.mark.parametrize("pair", [UNIT, ExpPair(5.0, 0.2)], ids=["unit", "5_0.2"])
+def test_survival_zero_against_50_digits(pair, q):
+    # just below _TAKACS_MAX_Q the one-call form for q > 1 loses the most
+    c = pair.delta / (q * pair.rho)
+    taus = [0.01, 0.3, 4.0, 60.0, 700.0]
+    got = _survival_zero(pair, c, np.array(taus))
+    for tau, value in zip(taus, got):
+        assert abs(value - _survival_zero_50_digits(pair, c, tau)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "q,df", [(0.5, 4.0), (1.0, 4.0), (2.0, 2.0), (50.0, 2.0), (1e3, 4.0)]
+)
+def test_a_seal_rule_build_makes_one_chi_square_call(monkeypatch, q, df):
+    # the one call's noncentrality is the smaller of lam and mu (4 degrees of
+    # freedom take lam, 2 take mu), except above _TAKACS_MAX_Q
+    calls = []
+    real = exact._ncx2_cdf
+    monkeypatch.setattr(exact, "_ncx2_cdf", lambda *args: calls.append(args) or real(*args))
+    _seal_rule.cache_clear()
+    _seal_rule(1.0, 1.0, 1.0 / q, 200.0)
+    assert [args[1] for args in calls] == [df]
+
+
+@pytest.mark.parametrize("u", [0.0, 3.0])
+@pytest.mark.parametrize(
+    "pair,c,t,want",
+    [
+        (ExpPair(1e-300, 1.0), 1.0, 1e-30, 0.0),  # lam underflows to 0, so z = 0
+        (ExpPair(1.0, 1e-300), 1.0, 1e-30, 0.0),  # mu underflows to 0
+        (ExpPair(5e-324, 1.0), 1.0, 3.0, 0.0),  # lam subnormal: chndtr errs by 7e-2
+        (UNIT, 1.0, 1e11, IntegrationError),  # chndtr gives NaN
+    ],
+    ids=["lam_underflows", "mu_underflows", "lam_subnormal", "chndtr_nan"],
+)
+def test_survival_zero_is_finite_or_a_typed_error(pair, c, t, want, u):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a clamp of a wrong phi(0, .) warns
+        if want is IntegrationError:
+            with pytest.raises(IntegrationError):
+                ruin_finite_exp(pair, u, c, t)
+            return
+        assert ruin_finite_exp(pair, u, c, t) == pytest.approx(want, abs=1e-15)
+        phi0 = _seal_rule(pair.delta, pair.rho, c, t)[2]
+    assert np.all((phi0 >= 0.0) & (phi0 <= 1.0 + 1e-15))
+
+
+def test_survival_zero_overflow_is_a_typed_error():
+    # mu = 2 rho c tau overflows to inf, and the Skellam masses to inf * 0
+    with pytest.raises(IntegrationError):
+        ruin_finite_exp(ExpPair(1.0, 1.7e308), 0.0, 1.0, 2.0)
+
+
+def test_aggregate_cdf_at_a_subnormal_claim_total():
+    # 2 rho x subnormal: the atom e^{-delta t}, not chndtr's error there
+    assert aggregate_cdf_exp(UNIT, 3.0, 1.5e-323) == pytest.approx(math.exp(-3.0), abs=1e-15)
+
+
+@given(
+    delta=st.floats(0.1, 10.0),
+    rho=st.floats(0.1, 10.0),
+    # c/c*, with the band |q - 1| < 0.03 where Seal answers drawn on its own
+    f=st.one_of(rate_factors, st.floats(0.97, 1.03)),
+    v=st.one_of(st.just(0.0), st.floats(0.0, 400.0)),  # u rho
+    s=st.floats(0.5, 2000.0),  # t delta
+    step=st.one_of(st.floats(1e-6, 1e-3), st.floats(0.0, 0.5)),
+)
+def test_finite_ruin_is_monotone_in_capital_rate_and_horizon(delta, rho, f, v, s, step):
+    # psi(u, t) falls as u or c grows and rises with t.  Both routes are
+    # accurate to the bounds of test_oscillatory_and_seal_routes_agree, and
+    # a step may cross from one route to the other
+    p = ExpPair(delta, rho)
+    u, c, t = v / rho, f * delta / rho, s / delta
+    base = ruin_finite_exp(p, u, c, t)
+    for (u2, c2, t2), sign in [
+        ((u * (1.0 + step) + step / rho, c, t), 1.0),
+        ((u, c * (1.0 + step), t), 1.0),
+        ((u, c, t * (1.0 + step)), -1.0),
+    ]:
+        worst = max(_log_envelope(p, u, c, t), _log_envelope(p, u2, c2, t2))
+        bound = 5e-10 if worst <= 10.0 else 5e-9
+        assert sign * (ruin_finite_exp(p, u2, c2, t2) - base) <= bound
