@@ -14,7 +14,9 @@ quantiles of simulated deficits, and ``exact_exp`` and
 ``inverse_gaussian`` invert their probability in u with one bracketed
 root-finder: Brent's method.  Each backend probability is nonincreasing
 in u beyond the lower bracket, so the root-finder converges
-unconditionally.  For ``exact_exp`` the lower bracket is u = 0.  The
+unconditionally.  For ``exact_exp`` Brent runs on log prob - log alpha,
+from u = 0 for a single cell; inside a column the straight line through
+the last two roots, extrapolated to the new rate, gives its bracket.  The
 inverse Gaussian approximation vanishes at u = 0, so an 80-point scan in u
 finds its peak and brackets the root between two neighbouring scan points
 beyond it.  Inverse Gaussian cells are independent, so a column of them
@@ -24,8 +26,8 @@ and overflow checks, one 2-D call evaluates every scan, and
 lockstep, each cell bit for bit its own scalar solve; a single cell is a
 column of one.  When even the lower bracket satisfies the target the
 capital is 0 by definition and the result carries a "clamped" flag.
-``capital_curve`` warm-starts each exact root solve from the previous rate
-and prices a Monte Carlo grid from one path sweep; ``ruin_curve``
+``capital_curve`` warm-starts each exact root solve from the previous two
+rates and prices a Monte Carlo grid from one path sweep; ``ruin_curve``
 tabulates ruin probabilities at a fixed capital, and both fill cells
 through one loop.
 """
@@ -48,7 +50,7 @@ from .errors import (
     RuinCapitalError,
     check_real,
 )
-from .exact import ExpPair
+from .exact import _TINY, ExpPair
 from .model import DerivedConstants, RiskModel, check_alpha, check_c_grid, derived_constants
 from .montecarlo import SimConfig
 from .special import IG_NOT_FINITE, brentq, brentq_columns
@@ -135,27 +137,35 @@ def _invert(
     kind: str,
     c: float,
     warm_hi: Optional[float],
+    column: tuple[float, ...] = (),
 ) -> CapitalPoint:
-    """Solve prob(u) = alpha for u >= 0 by bracketed root-finding: the exact route.
+    """Solve prob(u) = alpha for u >= 0 by Brent's method on log prob(u) - log alpha.
 
-    The lower bracket is u = 0, and ``warm_hi`` is tried as the upper
-    bracket before ``max_bracket``, each evaluated only when needed.  The
-    capital is 0 ("clamped") when prob is below alpha at u = 0.  Every value
-    of prob is kept by u, so the bracket ends, which ``brentq`` evaluates
-    first, and the residual at its root, one of its own iterates, are looked
-    up, never evaluated again.
+    prob is nonincreasing in u, so each u evaluated narrows the bracket
+    [lo, hi] with prob(lo) >= alpha > prob(hi).  The u's tried are, in
+    order, ``column`` (a bracket extrapolated along a capital column, lower
+    end first), u = 0, ``warm_hi`` and ``max_bracket``, each only if it lies
+    inside the bracket so far: a column bracket that holds skips u = 0, and
+    otherwise this is the path from u = 0 with a warm upper bracket.  The
+    capital is 0 ("clamped") when prob is below alpha at u = 0.  prob decays
+    about exponentially in u, so log prob is close to linear and Brent's
+    secant steps land near the root; prob is floored at the smallest normal
+    double, since it is 0.0 far out.  Every value of prob is kept by u, so
+    the bracket ends and the residual |prob(u) - alpha| at the root, one of
+    Brent's own iterates, are looked up, never evaluated again.
     """
     known: dict[float, float] = {}
     f = lambda u: known[u] if u in known else known.setdefault(u, prob(u))
-    if f(0.0) < alpha:
+    lo, hi = -math.inf, math.inf
+    for u in (*column, 0.0, warm_hi, max_bracket):
+        if u is not None and lo < u < hi and 0.0 <= u <= max_bracket:
+            lo, hi = (u, hi) if f(u) >= alpha else (lo, u)
+    if lo < 0.0:
         return CapitalPoint(kind=kind, c=c, value=0.0, clamped=True)
-    if warm_hi is not None and 0.0 < warm_hi <= max_bracket and f(warm_hi) < alpha:
-        hi = warm_hi
-    elif f(max_bracket) < alpha:
-        hi = max_bracket
-    else:
+    if hi == math.inf:
         raise BracketError(f"no solution below max_bracket = {max_bracket:.6g}")
-    u = brentq(lambda x: f(x) - alpha, 0.0, hi, xtol=_U_TOLERANCE)
+    log_alpha = math.log(alpha)
+    u = brentq(lambda x: math.log(max(f(x), _TINY)) - log_alpha, lo, hi, xtol=_U_TOLERANCE)
     return CapitalPoint(kind=kind, c=c, value=u, residual=abs(f(u) - alpha))
 
 
@@ -230,14 +240,17 @@ def _solve(
     c: float,
     spec: SolveSpec,
     kind: str,
-    prev_value: Optional[float] = None,
+    prev: tuple[tuple[float, float], ...] = (),
 ) -> CapitalPoint:
     """One "var" or "nonruin" capital at premium rate c; inputs already checked.
 
-    ``prev_value`` is the solution at the previous, smaller rate of a grid:
-    the curves are nonincreasing in c, so it (plus a safety margin) bounds
-    this solution from above and warm-starts an ``exact_exp`` bracket.  An
-    inverse Gaussian cell takes no warm start: it is a column of one.
+    ``prev`` holds the (rate, capital) cells solved last in a grid, at
+    smaller rates, the latest first.  The curves are nonincreasing in c, so
+    the latest capital u1 > 0 bounds this solution from above: an
+    ``exact_exp`` solve tries u1 first, preceded, once there are two cells,
+    by the straight line through both extrapolated to c, and takes u1 plus
+    a safety margin as its warm upper bracket.  An inverse Gaussian cell
+    takes no warm start: it is a column of one.
     """
     backend = spec.backend
     if backend == "clt":
@@ -272,10 +285,11 @@ def _solve(
     else:
         prob = lambda u: exact.ruin_finite_exp(p, u, c, t)
     mb = float(_default_bracket(derived_constants(m), alpha, t, c))
-    warm = None
-    if prev_value is not None and prev_value > 0.0:
-        warm = min(mb, prev_value * 1.01 + 1.0)
-    return _invert(prob, alpha, mb, kind, c, warm)
+    if not prev or prev[0][1] == 0.0:
+        return _invert(prob, alpha, mb, kind, c, None)
+    (c1, u1), *older = prev
+    column = [u1 + (u1 - u2) * (c - c1) / (c1 - c2) for c2, u2 in older]
+    return _invert(prob, alpha, mb, kind, c, min(mb, u1 * 1.01 + 1.0), (*column, u1))
 
 
 def var_capital(
@@ -373,13 +387,14 @@ def _ig_cells(m: RiskModel, alpha: float, t: float, c_grid: list[float], spec: S
 
 
 def _warm_cells(m: RiskModel, alpha: float, t: float, spec: SolveSpec, kind: str) -> Cell:
-    """A var or nonruin column, each solve given the last solved rate's capital."""
-    prev: Optional[float] = None
+    """A var or nonruin column, each solve given the last two solved (rate, capital) cells."""
+    prev: tuple[tuple[float, float], ...] = ()
 
     def cell(i: int, c: float) -> float:
         nonlocal prev
-        prev = _solve(m, alpha, t, c, spec, kind, prev).value
-        return prev
+        u = _solve(m, alpha, t, c, spec, kind, prev).value
+        prev = ((c, u), *prev[:1])
+        return u
 
     return cell
 
@@ -415,8 +430,8 @@ def capital_curve(
     """Solve the requested capitals on a strictly increasing premium grid.
 
     Each ``exact_exp`` root solve warm-starts its bracket from the previous
-    grid point's solution (the curves are continuous and nonincreasing in
-    c); an ``inverse_gaussian`` non-ruin column is solved in one pass over
+    two grid points' solutions (the curves are continuous and nonincreasing
+    in c); an ``inverse_gaussian`` non-ruin column is solved in one pass over
     its rates, each cell equal to its per-rate solve bit for bit.  Under
     ``monte_carlo`` one ``PathSample`` prices the var and nonruin columns at
     every rate, each cell equal to its per-rate solve bit for bit, and

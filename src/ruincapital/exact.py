@@ -64,6 +64,9 @@ _OSC_MIN_ABS_Q_GAP = 0.03
 # loses up to about 4 (q - 1) 2**-52 absolute (at most 3.95 (q - 1) 2**-52
 # against 50-digit values); twice that stays below 1e-13 up to here (~57).
 _TAKACS_MAX_Q = 1.0 + 1e-13 / (8.0 * 2.0**-52)
+# Once both chndtr arguments pass this, an element takes milliseconds, and
+# from ~4e10 on it is NaN: a Seal rule probes its largest tau first.
+_NCX2_PROBE = 1e9
 
 # 16-point Gauss-Legendre rule on [-1, 1], shared by both routes.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -261,7 +264,10 @@ def _seal_rule(delta: float, rho: float, c: float, t: float):
     s, w = _composite_gl(np.concatenate([
         np.linspace(0.0, a, 17), np.linspace(a, t - a, 33)[1:], np.linspace(t - a, t, 17)[1:]
     ]))
-    return s, w, _survival_zero(ExpPair(delta, rho), c, t - s)
+    p, tau = ExpPair(delta, rho), t - s
+    if 2.0 * min(delta, c * rho) * tau[0] > _NCX2_PROBE:
+        _survival_zero(p, c, tau[:1])  # the largest tau alone: raises where chndtr is NaN
+    return s, w, _survival_zero(p, c, tau)
 
 
 def _ruin_finite_seal(p: ExpPair, u: float, c: float, t: float) -> float:
@@ -300,7 +306,9 @@ def ruin_finite_exp(p: ExpPair, u: float, c: float, t: float) -> float:
     is below exp(-746) the sum is 0.0 and the ultimate ruin probability
     is returned.  At u = 0 it is 1 - phi(0, t) from Takacs' ballot
     formula.  For c = 0 the claim surplus is nondecreasing, so ruin by t
-    is exactly ``V_t > u`` and the aggregate CDF identity applies.
+    is exactly ``V_t > u`` and the aggregate CDF identity applies.  An
+    envelope that is NaN (q or a rate product overflows) raises
+    IntegrationError.
     """
     u = check_real("u", u, at_least=0.0)
     c = check_real("c", c, at_least=0.0)
@@ -310,6 +318,8 @@ def ruin_finite_exp(p: ExpPair, u: float, c: float, t: float) -> float:
     if u == 0.0:
         return _clamp_probability(1.0 - float(_survival_zero(p, c, t)), "ruin_finite_exp")
     log_envelope = _log_envelope(p, u, c, t)
+    if math.isnan(log_envelope):  # inf - inf or 0 * inf: q or a rate product overflows
+        raise IntegrationError("ruin_finite_exp: the integrand's envelope is not finite")
     near_c_star = abs(p.delta / (c * p.rho) - 1.0) < _OSC_MIN_ABS_Q_GAP
     if near_c_star or log_envelope > _OSC_MAX_LOG_ENVELOPE:
         return _ruin_finite_seal(p, u, c, t)

@@ -4,10 +4,11 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import optimize
 
-from ruincapital import approx, montecarlo, presets
+from ruincapital import approx, capital, montecarlo, presets
 from ruincapital.capital import (
     _SCAN,
     _U_TOLERANCE,
@@ -31,7 +32,7 @@ from ruincapital.errors import (
     NoAdjustmentCoefficientError,
     RuinCapitalError,
 )
-from ruincapital.exact import ExpPair, ruin_finite_exp
+from ruincapital.exact import ExpPair, aggregate_cdf_exp, ruin_finite_exp
 from ruincapital.model import RiskModel, c_grid_range, derived_constants
 from ruincapital.montecarlo import SimConfig
 from ruincapital.special import brentq
@@ -67,20 +68,84 @@ class _Counting:
         return self.prob(u)
 
 
-@pytest.mark.parametrize("path", ["exact", "warm", "warm_miss"])
+@pytest.mark.parametrize("path", ["exact", "warm", "warm_miss", "column", "column_miss"])
 def test_invert_evaluates_no_u_twice(path):
     c, t, alpha = 1.1, 200.0, 0.05
     mb = _default_bracket(derived_constants(UNIT), alpha, t, c)
     prob = _Counting(lambda u: ruin_finite_exp(ExpPair(1.0, 1.0), u, c, t))
     root = nonruin_capital(UNIT, alpha, t, c, EXACT).value
-    warm = {"warm": root * 1.01 + 1.0, "warm_miss": 0.5 * root}.get(path)
-    pt = _invert(prob, alpha, mb, "nonruin", c, warm)
+    warm = {"exact": None, "warm_miss": 0.5 * root}.get(path, root * 1.01 + 1.0)
+    column = {"column": (root - 1.0, root + 1.0), "column_miss": (root + 1.0, root + 2.0)}
+    pt = _invert(prob, alpha, mb, "nonruin", c, warm, column.get(path, ()))
     assert len(set(prob.scalars)) == len(prob.scalars) and not prob.arrays
+    # the residual is read off the root, one of the solve's own iterates
+    assert pt.value in prob.scalars
     assert pt.residual == abs(prob.prob(pt.value) - alpha)
-    # brentq sees the same floats as without the cache: the same root
-    hi = warm if path == "warm" else mb
-    plain = optimize.brentq(lambda u: prob.prob(u) - alpha, 0.0, hi, xtol=_U_TOLERANCE)
-    assert pt.value == plain
+    # each u tried narrows the bracket; a column bracket that holds skips u = 0
+    lo, hi = {
+        "exact": (0.0, mb),
+        "warm": (0.0, warm),
+        "warm_miss": (warm, mb),
+        "column": column["column"],
+        "column_miss": (0.0, root + 1.0),
+    }[path]
+    assert (0.0 in prob.scalars) == (path != "column")
+    # Brent on log prob - log alpha sees the same floats as without the cache
+    g = lambda u: math.log(max(prob.prob(u), np.finfo(float).tiny)) - math.log(alpha)
+    assert pt.value == optimize.brentq(g, lo, hi, xtol=_U_TOLERANCE)
+
+
+@given(
+    delta=st.floats(0.2, 5.0),
+    rho=st.floats(0.2, 5.0),
+    alpha=st.floats(0.01, 0.1),
+    s=st.floats(20.0, 400.0),  # delta t
+    kind=st.sampled_from(["var", "nonruin"]),
+    start=st.one_of(st.just(0.0), st.floats(0.05, 1.5)),  # the first rate over c*
+    # rate steps over c*: one repeated (a uniform grid) or each drawn, up to
+    # 8 c* apiece so that a grid can cross c* and reach the clamped region
+    steps=st.lists(st.floats(0.005, 8.0), min_size=2, max_size=5),
+    uniform=st.booleans(),
+)
+def test_exact_column_cells_are_their_roots(delta, rho, alpha, s, kind, start, steps, uniform):
+    # a column cell starts from a bracket extrapolated along the column; it
+    # must still be the cell's own root, the single-cell solve to within both
+    # tolerances, and the column nonincreasing in c (Brent stops within
+    # xtol + 4 eps |u| of a root)
+    m, p, t = RiskModel(Exponential(delta), Exponential(rho)), ExpPair(delta, rho), s / delta
+    c_star = delta / rho
+    cs = list(c_star * (start + np.cumsum([0.0, *([steps[0]] * len(steps) if uniform else steps)])))
+    column = capital_curve(m, alpha, t, cs, EXACT, kinds=(kind,)).column(kind)
+    if kind == "var":
+        prob = lambda u, c: 1.0 - aggregate_cdf_exp(p, t, u + c * t)
+    else:
+        prob = lambda u, c: ruin_finite_exp(p, u, c, t)
+    solve = {"var": var_capital, "nonruin": nonruin_capital}[kind]
+    for c, u in zip(cs, column):
+        root = 0.0
+        if prob(0.0, c) >= alpha:
+            mb = _default_bracket(derived_constants(m), alpha, t, c)
+            root = optimize.brentq(lambda x: prob(x, c) - alpha, 0.0, mb, xtol=1e-12)
+        assert abs(u - root) <= _U_TOLERANCE + 1e-12 + 1e-15 * root
+        assert abs(u - solve(m, alpha, t, c, EXACT).value) <= 2.0 * _U_TOLERANCE
+    assert all(b <= a + 2.0 * _U_TOLERANCE for a, b in zip(column, column[1:]))
+
+
+def test_exact_grid_columns_take_at_most_five_calls_per_cell(monkeypatch):
+    # the benchmark's exact curves: unit var and nonruin, model I nonruin,
+    # each on 51 rates from 0 to 2.5
+    calls = []
+    invert = capital._invert
+
+    def counting(prob, *args):
+        return invert(lambda u: calls.append(u) or prob(u), *args)
+
+    monkeypatch.setattr(capital, "_invert", counting)
+    cs = [0.05 * i for i in range(51)]
+    capital_curve(UNIT, 0.05, 200.0, cs, EXACT, kinds=("var", "nonruin"))
+    model_i = RiskModel(Exponential(0.8), Exponential(0.6))
+    capital_curve(model_i, 0.05, 200.0, cs, EXACT, kinds=("nonruin",))
+    assert len(calls) <= 5 * 3 * len(cs)
 
 
 def test_ig_column_evaluates_no_u_twice(monkeypatch):

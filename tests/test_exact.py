@@ -444,8 +444,10 @@ def test_a_seal_rule_build_makes_one_chi_square_call(monkeypatch, q, df):
         (ExpPair(1.0, 1e-300), 1.0, 1e-30, 0.0),  # mu underflows to 0
         (ExpPair(5e-324, 1.0), 1.0, 3.0, 0.0),  # lam subnormal: chndtr errs by 7e-2
         (UNIT, 1.0, 1e11, IntegrationError),  # chndtr gives NaN
+        # q = inf, and the envelope inf - inf: no oscillatory panel count
+        (ExpPair(1.7e308, 5e-324), 1.0, 2.0, IntegrationError),
     ],
-    ids=["lam_underflows", "mu_underflows", "lam_subnormal", "chndtr_nan"],
+    ids=["lam_underflows", "mu_underflows", "lam_subnormal", "chndtr_nan", "q_overflows"],
 )
 def test_survival_zero_is_finite_or_a_typed_error(pair, c, t, want, u):
     with warnings.catch_warnings():
@@ -457,6 +459,19 @@ def test_survival_zero_is_finite_or_a_typed_error(pair, c, t, want, u):
         assert ruin_finite_exp(pair, u, c, t) == pytest.approx(want, abs=1e-15)
         phi0 = _seal_rule(pair.delta, pair.rho, c, t)[2]
     assert np.all((phi0 >= 0.0) & (phi0 <= 1.0 + 1e-15))
+
+
+@pytest.mark.parametrize("t", [1e11, 1e12, 1e13])
+def test_a_seal_rule_past_the_chi_square_range_fails_on_one_node(monkeypatch, t):
+    # near its NaN range chndtr takes milliseconds an element, so the rule
+    # evaluates its largest tau alone first and raises before the full call
+    sizes = []
+    real = exact._ncx2_cdf
+    monkeypatch.setattr(exact, "_ncx2_cdf", lambda x, *a: sizes.append(np.size(x)) or real(x, *a))
+    _seal_rule.cache_clear()
+    with pytest.raises(IntegrationError):
+        ruin_finite_exp(UNIT, 3.0, 1.0, t)
+    assert sizes == [1]
 
 
 def test_survival_zero_overflow_is_a_typed_error():
