@@ -10,8 +10,9 @@ from scipy import integrate, stats
 from scipy import special as sp
 
 from ruincapital import exact
-from ruincapital.errors import DomainError, IntegrationError
+from ruincapital.errors import DomainError, IntegrationError, RuinCapitalError
 from ruincapital.exact import (
+    _OSC_MAX_LOG_ENVELOPE,
     _TAKACS_MAX_Q,
     ExpPair,
     _clamp_probability,
@@ -269,9 +270,11 @@ def _oscillatory_oracle(p: ExpPair, u: float, c: float, t: float) -> float:
     return float(vals @ w) / math.pi
 
 
-def _in_oscillatory_domain(p: ExpPair, u: float, c: float, t: float) -> bool:
+def _in_oscillatory_domain(
+    p: ExpPair, u: float, c: float, t: float, max_log_envelope: float = _OSC_MAX_LOG_ENVELOPE
+) -> bool:
     q = p.delta / (c * p.rho)
-    return abs(q - 1.0) >= 0.03 and _log_envelope(p, u, c, t) <= 14.0
+    return abs(q - 1.0) >= 0.03 and _log_envelope(p, u, c, t) <= max_log_envelope
 
 
 # c from c*/4 to 4 c*, as a multiple of c* = delta / rho
@@ -302,7 +305,8 @@ def test_oscillatory_integral_equals_the_oracle_bit_for_bit(delta, rho, rates, s
         c = f * delta / rho
         u = last[which] if repeat and which in last else freq / (rho * math.sqrt(delta / (c * rho)))
         last[which] = u
-        if _in_oscillatory_domain(p, u, c, t):
+        # the sum itself, also between exp(10) and exp(14) where Seal answers
+        if _in_oscillatory_domain(p, u, c, t, max_log_envelope=14.0):
             assert _oscillatory_integral(p, u, c, t) == _oscillatory_oracle(p, u, c, t)
 
 
@@ -360,13 +364,52 @@ def test_far_tail_exit_equals_the_full_sum(pair, f, t, log_envelope):
 @example(pair=MODEL_I, u=322.45516777502604, f=0.8210429457835469, t=881.4684935767486)
 def test_oscillatory_and_seal_routes_agree(pair, u, f, t):
     # Both routes subtract O(1) terms.  Over 10,000 uniform draws of this
-    # domain the largest gap was 3.8e-11 up to an envelope exponent of 10;
-    # between 10 and 14, where Seal takes over, the oscillatory sum's
-    # cancellation costs up to 2.0e-9 (the last two examples)
+    # domain the largest gap was 5.3e-11 up to an envelope exponent of 10;
+    # between 10 and 14, where Seal answers, the oscillatory sum's
+    # cancellation costs up to 3.1e-9 (2.0e-9 at the last two examples), so
+    # there the sum itself is held to Seal
     c = f * pair.delta / pair.rho
-    assume(_in_oscillatory_domain(pair, u, c, t))
-    bound = 5e-10 if _log_envelope(pair, u, c, t) <= 10.0 else 5e-9
-    assert abs(ruin_finite_exp(pair, u, c, t) - _ruin_finite_seal(pair, u, c, t)) <= bound
+    assume(_in_oscillatory_domain(pair, u, c, t, max_log_envelope=14.0))
+    if _log_envelope(pair, u, c, t) <= 10.0:
+        got, bound = ruin_finite_exp(pair, u, c, t), 5e-10
+    else:
+        got, bound = ruin_ultimate_exp(pair, u, c) - _oscillatory_integral(pair, u, c, t), 5e-9
+    assert abs(got - _ruin_finite_seal(pair, u, c, t)) <= bound
+
+
+@given(
+    delta=st.floats(0.1, 10.0),
+    rho=st.floats(0.1, 10.0),
+    f=rate_factors,
+    v=st.floats(0.01, 2000.0),  # u rho
+    t=st.floats(math.log(5.0), math.log(1e5)).map(math.exp),
+)
+@example(delta=5.1592, rho=2.1324, f=2.5635 * 2.1324 / 5.1592, v=3.640 * 2.1324, t=69486.7)
+def test_seal_agrees_with_the_oscillatory_sum_at_long_horizons(delta, rho, f, v, t):
+    # Seal's graded rule against the oscillatory sum wherever the sum is
+    # accurate, out to t = 1e5; a uniform middle of 32 panels misses the
+    # example by 1.06e-4
+    p = ExpPair(delta, rho)
+    u, c = v / rho, f * delta / rho
+    assume(_in_oscillatory_domain(p, u, c, t))
+    osc = ruin_ultimate_exp(p, u, c) - _oscillatory_integral(p, u, c, t)
+    assert abs(_ruin_finite_seal(p, u, c, t) - _clamp_probability(osc, "oscillatory")) <= 5e-10
+
+
+def test_seal_route_at_a_long_horizon():
+    # near c*, where Seal answers alone: 128-panel end layers and a middle
+    # ratio of 1.07, and an adaptive quad of the same integral, give
+    # 0.99225180752516 to within 4e-15; a uniform middle of 32 panels gives 0.99221632
+    p = ExpPair(2.2535, 1.6053)
+    assert ruin_finite_exp(p, 0.1484, 1.4126, 89426.7) == pytest.approx(0.99225180752516, abs=1e-12)
+
+
+def test_finite_ruin_at_c_star_follows_the_inverse_square_root_law():
+    # at c = c* the survival probability falls as t**-0.5 (the reflection
+    # principle), so a hundredfold horizon divides it by ten; with a uniform
+    # middle of 32 panels psi(3, 1, t) falls past t = 1e7 and this reads 3.07
+    survival = [1.0 - ruin_finite_exp(UNIT, 3.0, 1.0, t) for t in (1e5, 1e7)]
+    assert survival[0] / survival[1] == pytest.approx(10.0, rel=0.01)
 
 
 def _survival_zero_oracle(p: ExpPair, c: float, tau):
@@ -472,6 +515,21 @@ def test_a_seal_rule_past_the_chi_square_range_fails_on_one_node(monkeypatch, t)
     with pytest.raises(IntegrationError):
         ruin_finite_exp(UNIT, 3.0, 1.0, t)
     assert sizes == [1]
+
+
+@pytest.mark.parametrize(
+    "pair,t",
+    [(UNIT, 5e-324), (ExpPair(1e300, 1e300), 1e300)],
+    ids=["t_over_3_underflows", "t_over_2a_overflows"],
+)
+def test_a_seal_rule_at_an_extreme_horizon_is_a_typed_error(pair, t):
+    # the rule counts its middle panels as log2(t / 2a), with a =
+    # min(t/3, 64/max(delta, c rho)): a may underflow to 0 and t / 2a may
+    # overflow, so the count is taken in logs
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
+        with pytest.raises(RuinCapitalError):
+            ruin_finite_exp(pair, 3.0, pair.delta / pair.rho, t)
 
 
 def test_survival_zero_overflow_is_a_typed_error():
