@@ -7,29 +7,24 @@ initial capital u:
 * the non-ruin capital: P{ruin within [0, t]} = alpha;
 * the ultimate capital: P{ruin ever} = alpha (finite only for c > c*).
 
-Every var and nonruin cell, whether from ``var_capital``,
-``nonruin_capital`` or ``capital_curve``, goes through one solve: the
-``clt`` backend evaluates its closed form, ``monte_carlo`` takes empirical
-quantiles of simulated deficits, and ``exact_exp`` and
-``inverse_gaussian`` invert their probability in u with one bracketed
-root-finder: Brent's method.  Each backend probability is nonincreasing
-in u beyond the lower bracket, so the root-finder converges
-unconditionally.  For ``exact_exp`` Brent runs on log prob - log alpha,
-from u = 0 for a single cell; inside a column the straight line through
-the last two roots, extrapolated to the new rate, gives its bracket.  The
-inverse Gaussian approximation vanishes at u = 0, so an 80-point scan in u
-finds its peak and brackets the root between two neighbouring scan points
-beyond it.  Inverse Gaussian cells are independent, so a column of them
-is one array problem: one prepared kernel holds every cell's constants
-and overflow checks, one 2-D call evaluates every scan, and
-``special.brentq_columns`` runs Brent's method on the open cells in
-lockstep, each cell bit for bit its own scalar solve; a single cell is a
-column of one.  When even the lower bracket satisfies the target the
+Var and nonruin capitals are solved by the column: ``_BACKENDS`` maps each
+backend name to one function that prices whole columns, one
+``CapitalPoint`` or ``RuinCapitalError`` per rate and kind, and a single
+cell is a column of one.  ``clt`` evaluates its closed form, and
+``monte_carlo`` takes empirical quantiles of one sweep of simulated
+deficits for every kind.  ``exact_exp`` and ``inverse_gaussian`` invert
+their probability in u by Brent's method; each is nonincreasing in u
+beyond the lower bracket, so the root-finder converges unconditionally.
+For ``exact_exp`` Brent runs on log prob - log alpha, each cell bracketed
+by the line through its column's last two roots.  The inverse Gaussian
+probability vanishes at u = 0, so an 80-point scan in u finds its peak
+and brackets the root beyond it, and a column is one array problem:
+every scan in one 2-D call, then ``special.brentq_columns`` on the open
+cells in lockstep.  When even the lower bracket satisfies the target the
 capital is 0 by definition and the result carries a "clamped" flag.
-``capital_curve`` warm-starts each exact root solve from the previous two
-rates and prices a Monte Carlo grid from one path sweep; ``ruin_curve``
-tabulates ruin probabilities at a fixed capital, and both fill cells
-through one loop.
+``capital_curve`` and ``ruin_curve`` (ruin probabilities at a fixed
+capital) fill their tables row by row through one loop, which turns an
+error cell into NA and a logged reason.
 """
 
 from __future__ import annotations
@@ -66,7 +61,6 @@ __all__ = [
     "ruin_curve",
 ]
 
-_BACKENDS = ("exact_exp", "inverse_gaussian", "monte_carlo", "clt")
 _RUIN_METHODS = ("exact", "ig", "cramer", "mc")
 # bracket width at which a root solve stops, in money units
 _U_TOLERANCE = 1e-6
@@ -81,19 +75,18 @@ class SolveSpec:
     """Which probability backend answers a var or nonruin cell.
 
     ``sim`` is required only by the monte_carlo backend, and its horizon
-    ``sim.t`` must be the solve's t.  Root solves stop
-    at a bracket width of 1e-6 money units, with an upper bracket derived
-    from the asymptotic capital scale.
+    ``sim.t`` must be the solve's t.  Root solves stop at a bracket width of
+    1e-6 money units, with an upper bracket derived from the asymptotic
+    capital scale.
     """
 
     backend: str = "exact_exp"
     sim: Optional[SimConfig] = None
 
     def __post_init__(self):
-        if self.backend not in _BACKENDS:
-            raise DomainError(
-                f"unknown backend {self.backend!r}; expected one of {_BACKENDS}"
-            )
+        names = tuple(_BACKENDS)
+        if self.backend not in names:
+            raise DomainError(f"unknown backend {self.backend!r}; expected one of {names}")
 
 
 @dataclass(frozen=True)
@@ -128,6 +121,20 @@ def _require_exp_pair(m: RiskModel, route: str) -> ExpPair:
             f"{route} requires exponential inter-claim times and claim sizes"
         )
     return ExpPair(m.t_law.rate, m.y_law.rate)
+
+
+def _cell(solve: Callable, *args):
+    """``solve(*args)``, or the RuinCapitalError it raises, kept without the
+    traceback whose frames would hold the solve's arrays alive."""
+    try:
+        return solve(*args)
+    except RuinCapitalError as exc:
+        return exc.with_traceback(None)
+
+
+def _failed(exc: RuinCapitalError, cs: list) -> list:
+    """A column whose every cell is the one error ``exc``."""
+    return [exc.with_traceback(None)] * len(cs)
 
 
 def _invert(
@@ -169,7 +176,65 @@ def _invert(
     return CapitalPoint(kind=kind, c=c, value=u, residual=abs(f(u) - alpha))
 
 
-def _ig_column(m: RiskModel, alpha: float, t: float, cs: list[float]) -> list:
+def _exact_cell(p: ExpPair, k: DerivedConstants, alpha, t, c, kind, prev) -> CapitalPoint:
+    """One ``exact_exp`` cell at rate c, given ``prev``: the (rate, capital)
+    cells solved last in its column, at smaller rates, the latest first.  The
+    curves are nonincreasing in c, so the latest capital u1 > 0 bounds this
+    solution: the solve tries u1, preceded, once there are two cells, by the
+    line through both extrapolated to c, with u1 plus a margin as its warm
+    upper bracket."""
+    if kind == "var":
+        prob = lambda u: 1.0 - exact.aggregate_cdf_exp(p, t, u + c * t)
+    else:
+        prob = lambda u: exact.ruin_finite_exp(p, u, c, t)
+    mb = float(_default_bracket(k, alpha, t, c))
+    if not prev or prev[0][1] == 0.0:
+        return _invert(prob, alpha, mb, kind, c, None)
+    (c1, u1), *older = prev
+    column = [u1 + (u1 - u2) * (c - c1) / (c1 - c2) for c2, u2 in older]
+    return _invert(prob, alpha, mb, kind, c, min(mb, u1 * 1.01 + 1.0), (*column, u1))
+
+
+def _exact_column(m: RiskModel, alpha: float, t: float, cs: list, kinds, sim) -> dict:
+    """``exact_exp``: each kind's cells in grid order, each warm-started from
+    the last two cells of its column that solved."""
+    try:
+        p, k = _require_exp_pair(m, "backend 'exact_exp'"), derived_constants(m)
+    except RuinCapitalError as exc:
+        return {kind: _failed(exc, cs) for kind in kinds}
+    out = {}
+    for kind in kinds:
+        prev, out[kind] = (), []
+        for c in cs:
+            point = _cell(_exact_cell, p, k, alpha, t, c, kind, prev)
+            if isinstance(point, CapitalPoint):
+                prev = ((c, point.value), *prev[:1])
+            out[kind].append(point)
+    return out
+
+
+def _ig_column(m: RiskModel, alpha: float, t: float, cs: list, kinds, sim) -> dict:
+    """``inverse_gaussian``: the non-ruin column by ``_ig_solve``, but at c = 0
+    (only a grid's first rate), where ruin by t is exactly a terminal
+    shortfall, by the Value-at-Risk solve of the same equation: exact for an
+    exponential pair, CLT otherwise.  A var cell is refused."""
+    refused = BackendIncompatibleError(
+        "the inverse Gaussian approximation targets the ruin "
+        "probability, not the terminal shortfall; use backend 'clt'"
+    )
+    out = {kind: _failed(refused, cs) for kind in kinds if kind != "nonruin"}
+    if "nonruin" in kinds:
+        head = []
+        if cs and cs[0] == 0.0:
+            redirect = _BACKENDS["exact_exp" if m.is_exponential_pair() else "clt"]
+            var = redirect(m, alpha, t, [0.0], ("var",), sim)["var"][0]
+            head = [var if isinstance(var, RuinCapitalError) else replace(var, kind="nonruin")]
+            cs = cs[1:]
+        out["nonruin"] = head + (_ig_solve(m, alpha, t, cs) if cs else [])
+    return out
+
+
+def _ig_solve(m: RiskModel, alpha: float, t: float, cs: list) -> list:
     """Inverse Gaussian non-ruin capitals at the rates ``cs`` (each > 0), solved together.
 
     One ``CapitalPoint`` or one ``RuinCapitalError`` per rate, each cell
@@ -187,7 +252,11 @@ def _ig_column(m: RiskModel, alpha: float, t: float, cs: list[float]) -> list:
     whose probability overflows gets the kernel's IntegrationError, one
     with no bracket or no convergence a BracketError.
     """
-    k, c = derived_constants(m), np.array(cs)
+    try:
+        k = derived_constants(m)
+    except RuinCapitalError as exc:  # fails every cell alike
+        return _failed(exc, cs)
+    c = np.array(cs)
     mbs = _default_bracket(k, alpha, t, c)
     # the scan and every brentq iterate of cell i lie in [mbs[i] * _SCAN[0], mbs[i]]
     prob, out = approx._ig_prob(k, c, t, mbs * _SCAN[0], mbs)
@@ -233,63 +302,56 @@ def _check_sim(sim: Optional[SimConfig], t: float) -> SimConfig:
     return sim
 
 
-def _solve(
-    m: RiskModel,
-    alpha: float,
-    t: float,
-    c: float,
-    spec: SolveSpec,
-    kind: str,
-    prev: tuple[tuple[float, float], ...] = (),
-) -> CapitalPoint:
-    """One "var" or "nonruin" capital at premium rate c; inputs already checked.
+def _mc_column(m: RiskModel, alpha: float, t: float, cs: list, kinds, sim) -> dict:
+    """``monte_carlo``: every kind's cells from the quantiles of one sweep of
+    ``sim`` over the rates ``cs``; a missing ``sim``, or one whose horizon is
+    not t, raises DomainError."""
+    sim = _check_sim(sim, t)
+    try:
+        sample = montecarlo.simulate_paths(m, cs, sim)
+    except RuinCapitalError as exc:
+        return {kind: _failed(exc, cs) for kind in kinds}
+    return {
+        kind: [
+            CapitalPoint(kind=kind, c=c, value=e.point, clamped=(e.point == 0.0), ci95=e.ci95)
+            for c, e in zip(cs, sample.quantile(kind, alpha))
+        ]
+        for kind in kinds
+    }
 
-    ``prev`` holds the (rate, capital) cells solved last in a grid, at
-    smaller rates, the latest first.  The curves are nonincreasing in c, so
-    the latest capital u1 > 0 bounds this solution from above: an
-    ``exact_exp`` solve tries u1 first, preceded, once there are two cells,
-    by the straight line through both extrapolated to c, and takes u1 plus
-    a safety margin as its warm upper bracket.  An inverse Gaussian cell
-    takes no warm start: it is a column of one.
-    """
-    backend = spec.backend
-    if backend == "clt":
-        if kind == "nonruin":
-            raise BackendIncompatibleError(
-                "the CLT backend approximates the terminal shortfall only; "
-                "use it through var_capital"
-            )
+
+def _clt_column(m: RiskModel, alpha: float, t: float, cs: list, kinds, sim) -> dict:
+    """``clt``: the closed-form Value-at-Risk capital at each rate."""
+
+    def var(c: float) -> CapitalPoint:
         v = approx.var_clt(m, alpha, t, c)
         return CapitalPoint(kind="var", c=c, value=v, clamped=(v == 0.0))
-    if backend == "monte_carlo":
-        sim = _check_sim(spec.sim, t)
-        est = montecarlo.simulate_paths(m, [c], sim).quantile(kind, alpha)[0]
-        return CapitalPoint(
-            kind=kind, c=c, value=est.point, clamped=(est.point == 0.0), ci95=est.ci95
-        )
-    if backend == "inverse_gaussian":
-        if kind == "var":
-            raise BackendIncompatibleError(
-                "the inverse Gaussian approximation targets the ruin "
-                "probability, not the terminal shortfall; use backend 'clt'"
-            )
-        if c == 0.0:
-            # at c = 0 ruin by t is exactly a terminal shortfall
-            redirect = "exact_exp" if m.is_exponential_pair() else "clt"
-            point = _solve(m, alpha, t, 0.0, replace(spec, backend=redirect), "var")
-            return replace(point, kind="nonruin")
-        return _settled(_ig_column(m, alpha, t, [c])[0])
-    p = _require_exp_pair(m, f"backend {backend!r}")
-    if kind == "var":
-        prob = lambda u: 1.0 - exact.aggregate_cdf_exp(p, t, u + c * t)
-    else:
-        prob = lambda u: exact.ruin_finite_exp(p, u, c, t)
-    mb = float(_default_bracket(derived_constants(m), alpha, t, c))
-    if not prev or prev[0][1] == 0.0:
-        return _invert(prob, alpha, mb, kind, c, None)
-    (c1, u1), *older = prev
-    column = [u1 + (u1 - u2) * (c - c1) / (c1 - c2) for c2, u2 in older]
-    return _invert(prob, alpha, mb, kind, c, min(mb, u1 * 1.01 + 1.0), (*column, u1))
+
+    refused = BackendIncompatibleError(
+        "the CLT backend approximates the terminal shortfall only; use it through var_capital"
+    )
+    return {k: [_cell(var, c) for c in cs] if k == "var" else _failed(refused, cs) for k in kinds}
+
+
+# The backends, by name: each prices whole columns,
+# (m, alpha, t, cs, kinds, sim) -> {kind: [CapitalPoint | RuinCapitalError per rate]}.
+_BACKENDS: dict[str, Callable[..., dict]] = {
+    "exact_exp": _exact_column,
+    "inverse_gaussian": _ig_column,
+    "monte_carlo": _mc_column,
+    "clt": _clt_column,
+}
+
+
+def _one_cell(m: RiskModel, alpha, t, c, spec: SolveSpec, kind: str) -> CapitalPoint:
+    """The ``kind`` capital at one rate: a column of one, its error raised."""
+    alpha = check_alpha(alpha)
+    t = check_real("t", t, above=0.0)
+    c = check_real("c", c, at_least=0.0)
+    point = _BACKENDS[spec.backend](m, alpha, t, [c], (kind,), spec.sim)[kind][0]
+    if isinstance(point, RuinCapitalError):
+        raise point
+    return point
 
 
 def var_capital(
@@ -301,10 +363,7 @@ def var_capital(
     ``exact_exp`` inverts the aggregate-claims distribution function;
     ``monte_carlo`` takes the empirical quantile of terminal deficits.
     """
-    alpha = check_alpha(alpha)
-    t = check_real("t", t, above=0.0)
-    c = check_real("c", c, at_least=0.0)
-    return _solve(m, alpha, t, c, spec, "var")
+    return _one_cell(m, alpha, t, c, spec, "var")
 
 
 def nonruin_capital(
@@ -317,10 +376,7 @@ def nonruin_capital(
     solve with the same defining equation: exact for an exponential pair,
     CLT otherwise.
     """
-    alpha = check_alpha(alpha)
-    t = check_real("t", t, above=0.0)
-    c = check_real("c", c, at_least=0.0)
-    return _solve(m, alpha, t, c, spec, "nonruin")
+    return _one_cell(m, alpha, t, c, spec, "nonruin")
 
 
 def ultimate_capital(m: RiskModel, alpha: float, c: float) -> CapitalPoint:
@@ -347,74 +403,21 @@ def ultimate_capital(m: RiskModel, alpha: float, c: float) -> CapitalPoint:
     )
 
 
-Cell = Callable[[int, float], Optional[float]]
+def _fill(table: CurveTable, c_grid: list[float], columns: dict[str, list]) -> CurveTable:
+    """Append one row per rate: c, then the cell of each of the table's
+    columns at that rate, a ``CapitalPoint`` as its value.
 
-
-def _listed(values: list) -> Cell:
-    return lambda i, c: values[i]
-
-
-def _failing(exc: RuinCapitalError) -> Cell:
-    """A cell that reports its column's grid-wide error."""
-
-    def cell(i: int, c: float) -> Optional[float]:
-        raise exc
-
-    return cell
-
-
-def _settled(point):
-    """A solved cell's ``CapitalPoint``; its ``RuinCapitalError`` is raised."""
-    if isinstance(point, RuinCapitalError):
-        raise point
-    return point
-
-
-def _ig_cells(m: RiskModel, alpha: float, t: float, c_grid: list[float], spec: SolveSpec) -> Cell:
-    """An inverse Gaussian non-ruin column: its rates c > 0 solved by one
-    ``_ig_column``, a c = 0 cell by its per-rate redirect."""
-    at = [i for i, c in enumerate(c_grid) if c > 0.0]
-    try:
-        points = dict(zip(at, _ig_column(m, alpha, t, [c_grid[i] for i in at])))
-    except RuinCapitalError as exc:  # derived_constants fails every cell alike
-        points = dict.fromkeys(at, exc)
-
-    def cell(i: int, c: float) -> float:
-        point = points[i] if i in points else _solve(m, alpha, t, c, spec, "nonruin")
-        return _settled(point).value
-
-    return cell
-
-
-def _warm_cells(m: RiskModel, alpha: float, t: float, spec: SolveSpec, kind: str) -> Cell:
-    """A var or nonruin column, each solve given the last two solved (rate, capital) cells."""
-    prev: tuple[tuple[float, float], ...] = ()
-
-    def cell(i: int, c: float) -> float:
-        nonlocal prev
-        u = _solve(m, alpha, t, c, spec, kind, prev).value
-        prev = ((c, u), *prev[:1])
-        return u
-
-    return cell
-
-
-def _cell_loop(
-    table: CurveTable, c_grid: list[float], cells: list[tuple[str, Cell]]
-) -> CurveTable:
-    """Append one row per rate: c, then each named cell's value at (index, c).
-
-    A ``RuinCapitalError`` makes the cell NA and is logged in
-    ``table.metadata["warnings"]`` as "<name>@c=<c:g>: <reason>".
+    A ``RuinCapitalError`` cell becomes NA and is logged in
+    ``table.metadata["warnings"]`` as "<name>@c=<c:g>: <reason>", row by row.
     """
     for i, c in enumerate(c_grid):
         row: list[Optional[float]] = [c]
-        for name, cell in cells:
-            try:
-                row.append(cell(i, c))
-            except RuinCapitalError as exc:
-                table.metadata["warnings"].append(f"{name}@c={c:g}: {exc}")
-                row.append(None)
+        for name in table.columns[1:]:
+            cell = columns[name][i]
+            if isinstance(cell, RuinCapitalError):
+                table.metadata["warnings"].append(f"{name}@c={c:g}: {cell}")
+                cell = None
+            row.append(cell.value if isinstance(cell, CapitalPoint) else cell)
         table.append(row)
     return table
 
@@ -429,18 +432,17 @@ def capital_curve(
 ) -> CurveTable:
     """Solve the requested capitals on a strictly increasing premium grid.
 
-    Each ``exact_exp`` root solve warm-starts its bracket from the previous
-    two grid points' solutions (the curves are continuous and nonincreasing
-    in c); an ``inverse_gaussian`` non-ruin column is solved in one pass over
-    its rates, each cell equal to its per-rate solve bit for bit.  Under
-    ``monte_carlo`` one ``PathSample`` prices the var and nonruin columns at
-    every rate, each cell equal to its per-rate solve bit for bit, and
+    The var and nonruin columns are the backend's column solve: each cell
+    equals its single-cell solve, bit for bit except under ``exact_exp``,
+    whose root solves warm-start their brackets from the previous two grid
+    points' solutions (the curves are continuous and nonincreasing in c).
+    Under ``monte_carlo`` one ``PathSample`` prices both columns, and
     ``metadata["mc_stderr"]`` maps each of these kinds to the standard
-    errors of its cells.  A cell whose solve raises a
-    ``RuinCapitalError`` becomes NA and its reason is logged in
-    ``metadata["warnings"]`` as "<kind>@c=<c:g>: <reason>"; an error of the
-    sweep is logged against every cell it prices.  Invalid inputs shared by
-    every cell (alpha, the grid, a kind, a horizon t that is not finite and
+    errors of its cells.  A ``RuinCapitalError`` cell becomes NA and its
+    reason is logged in ``metadata["warnings"]`` as "<kind>@c=<c:g>:
+    <reason>"; an error of a whole column, such as a failed sweep, is
+    logged against each cell it prices.  Invalid inputs shared by every
+    cell (alpha, the grid, a kind, a horizon t that is not finite and
     positive, whatever the kinds, and under ``monte_carlo`` a missing
     ``spec.sim`` or one whose horizon is not t) raise DomainError up front.
     """
@@ -450,31 +452,25 @@ def capital_curve(
         if kind not in ("var", "nonruin", "ultimate"):
             raise DomainError(f"unknown capital kind {kind!r}")
     t = check_real("t", t, above=0.0)
-    horizon_kinds = [kind for kind in kinds if kind != "ultimate"]
+    horizon = tuple(dict.fromkeys(kind for kind in kinds if kind != "ultimate"))
 
     table = CurveTable(
         columns=["c", *kinds],
         metadata={"alpha": alpha, "t": t, "backend": spec.backend, "warnings": []},
     )
-    cells: dict[str, Cell] = {
-        "ultimate": lambda i, c: ultimate_capital(m, alpha, c).value
+    points = _BACKENDS[spec.backend](m, alpha, t, c_grid, horizon, spec.sim) if horizon else {}
+    if "ultimate" in kinds:
+        points["ultimate"] = [_cell(ultimate_capital, m, alpha, c) for c in c_grid]
+    # a simulated cell carries its 95% interval, whose half width over 1.96
+    # is the quantile's standard error (PathSample.quantile)
+    stderr = {
+        kind: [(p.ci95[1] - p.ci95[0]) / (2.0 * 1.96) for p in points[kind]]
+        for kind in horizon
+        if c_grid and all(isinstance(p, CapitalPoint) and p.ci95 for p in points[kind])
     }
-    if spec.backend == "monte_carlo" and horizon_kinds:
-        sim = _check_sim(spec.sim, t)
-        try:
-            sample = montecarlo.simulate_paths(m, c_grid, sim)
-        except RuinCapitalError as exc:
-            cells.update(dict.fromkeys(horizon_kinds, _failing(exc)))
-        else:
-            ests = {k: sample.quantile(k, alpha) for k in horizon_kinds}
-            cells.update({k: _listed([e.point for e in ests[k]]) for k in horizon_kinds})
-            table.metadata["mc_stderr"] = {k: [e.stderr for e in ests[k]] for k in horizon_kinds}
-    if spec.backend == "inverse_gaussian" and "nonruin" in kinds:
-        cells["nonruin"] = _ig_cells(m, alpha, t, c_grid, spec)
-    # any other var or nonruin column is solved cell by cell
-    return _cell_loop(
-        table, c_grid, [(k, cells.get(k) or _warm_cells(m, alpha, t, spec, k)) for k in kinds]
-    )
+    if stderr:
+        table.metadata["mc_stderr"] = stderr
+    return _fill(table, c_grid, points)
 
 
 def ruin_curve(
@@ -500,20 +496,19 @@ def ruin_curve(
 
     table = CurveTable(columns=["c", *methods], metadata={"u": u, "t": t, "warnings": []})
     pair = lambda name: _require_exp_pair(m, f"method {name!r}")
-    cells: dict[str, Cell] = {
-        "exact": lambda i, c: exact.ruin_finite_exp(pair("exact"), u, c, t),
-        "ig": lambda i, c: approx.ig_ruin_probability(m, u, c, t),
-        "cramer": lambda i, c: approx.cramer_ruin_exp(pair("cramer"), u, c, t),
+    per_rate = {
+        "exact": lambda c: exact.ruin_finite_exp(pair("exact"), u, c, t),
+        "ig": lambda c: approx.ig_ruin_probability(m, u, c, t),
+        "cramer": lambda c: approx.cramer_ruin_exp(pair("cramer"), u, c, t),
     }
+    columns = {mth: [_cell(per_rate[mth], c) for c in c_grid] for mth in methods if mth != "mc"}
     if "mc" in methods:
         table.columns.append("mc_stderr")
         table.metadata.update(seed=sim.seed, n_paths=sim.n_paths)
         try:
             ests = montecarlo.simulate_paths(m, c_grid, sim).ruin_prob(u)
         except RuinCapitalError as exc:  # logged against the mc cells only
-            cells.update(mc=_failing(exc), mc_stderr=lambda i, c: None)
+            columns.update(mc=_failed(exc, c_grid), mc_stderr=[None] * len(c_grid))
         else:
-            cells.update(
-                mc=_listed([e.point for e in ests]), mc_stderr=_listed([e.stderr for e in ests])
-            )
-    return _cell_loop(table, c_grid, [(name, cells[name]) for name in table.columns[1:]])
+            columns.update(mc=[e.point for e in ests], mc_stderr=[e.stderr for e in ests])
+    return _fill(table, c_grid, columns)

@@ -269,6 +269,8 @@ def _seal_rule(delta: float, rho: float, c: float, t: float):
     s, w = _composite_gl(np.concatenate([
         np.linspace(0.0, a, 9), mid[1:], t - mid[-2::-1], np.linspace(t - a, t, 9)[1:]
     ]))
+    if s[0] == 0.0:  # t so small that nodes round to 0, where f_V(., s) is 0
+        s, w = s[s > 0.0], w[s > 0.0]
     p, tau = ExpPair(delta, rho), t - s
     if 2.0 * min(delta, c * rho) * tau[0] > _NCX2_PROBE:
         _survival_zero(p, c, tau[:1])  # the largest tau alone: raises where chndtr is NaN

@@ -1,5 +1,6 @@
 import inspect
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -131,6 +132,54 @@ def test_exact_column_cells_are_their_roots(delta, rho, alpha, s, kind, start, s
     assert all(b <= a + 2.0 * _U_TOLERANCE for a, b in zip(column, column[1:]))
 
 
+@given(
+    delta=st.floats(0.2, 5.0),
+    rho=st.floats(0.2, 5.0),
+    alpha=st.floats(0.01, 0.1),
+    s=st.floats(20.0, 400.0),  # delta t
+    # rates over c*, increasing: a grid that may cross c* and reach the
+    # clamped region
+    steps=st.lists(st.floats(0.01, 2.0), min_size=1, max_size=5),
+)
+def test_exact_capitals_are_ordered(delta, rho, alpha, s, steps):
+    # ruin by t includes a terminal shortfall, and ruin ever includes ruin
+    # by t, so var <= nonruin at every rate and nonruin <= ultimate above
+    # c*, each within the solves' tolerances
+    m, t = RiskModel(Exponential(delta), Exponential(rho)), s / delta
+    c_star = derived_constants(m).c_star  # the ultimate capital's own threshold
+    cs = list(c_star * np.cumsum(steps))
+    kinds = ("var", "nonruin", "ultimate")
+    table = capital_curve(m, alpha, t, cs, EXACT, kinds=kinds)
+    for c, var, nonruin, ultimate in table.rows:
+        assert var <= nonruin + 2.0 * _U_TOLERANCE
+        if c > c_star:
+            assert nonruin <= ultimate + 2.0 * _U_TOLERANCE
+    assert [w.partition("@")[0] for w in table.metadata["warnings"]] == [
+        "ultimate" for c in cs if c <= c_star
+    ]
+
+
+@given(
+    delta=st.floats(0.2, 5.0),
+    rho=st.floats(0.2, 5.0),
+    alpha=st.floats(0.01, 0.1),
+    s=st.floats(5.0, 50.0),  # delta t
+    steps=st.lists(st.floats(0.01, 2.0), max_size=4),  # rates over c*, from c = 0
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_monte_carlo_var_is_at_most_nonruin(delta, rho, alpha, s, steps, seed):
+    # on one sample every path's supremum deficit is at least its terminal
+    # deficit, so each order statistic, and each quantile, is too
+    m, t = RiskModel(Exponential(delta), Exponential(rho)), s / delta
+    cs = list(delta / rho * np.cumsum([0.0, *steps]))
+    spec = SolveSpec(backend="monte_carlo", sim=SimConfig(n_paths=200, seed=seed, t=t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # few tail paths at small alpha
+        table = capital_curve(m, alpha, t, cs, spec)
+    for c, var, nonruin in table.rows:
+        assert var <= nonruin
+
+
 def test_exact_grid_columns_take_at_most_five_calls_per_cell(monkeypatch):
     # the benchmark's exact curves: unit var and nonruin, model I nonruin,
     # each on 51 rates from 0 to 2.5
@@ -247,16 +296,34 @@ def test_ig_solution_satisfies_defining_equation():
         assert pt.residual is not None and pt.residual <= 2e-6
 
 
-def test_ig_curve_cells_equal_per_rate_solves():
-    # inverse Gaussian cells take no warm start, so a curve cell is the
-    # per-rate solve (the c = 0 cell is the redirected VaR solve)
+@pytest.mark.filterwarnings("ignore:only .* expected tail paths:RuntimeWarning")
+@pytest.mark.parametrize("kind", ["var", "nonruin"])
+@pytest.mark.parametrize("backend", ["exact_exp", "inverse_gaussian", "monte_carlo", "clt"])
+def test_curve_cells_equal_their_single_cell_calls(backend, kind):
+    # a single cell is a column of one, so a curve cell is its single-cell
+    # call: bit for bit, except under exact_exp, whose column cells start
+    # from a bracket warm-started along the column and agree to within both
+    # solves' tolerances.  An NA cell logs the error the single call raises.
+    # The c = 0 inverse Gaussian cell is the redirected VaR solve.
     heavy = RiskModel(MixtureExp2(1.0, 2.0, 2.0 / 3.0), Pareto(4.0, 0.35))
+    spec = SolveSpec(backend=backend, sim=SimConfig(n_paths=400, seed=5, t=200.0))
+    solve = {"var": var_capital, "nonruin": nonruin_capital}[kind]
     cs = c_grid_range(0.0, 2.5, 0.1)
     for m in (UNIT, heavy):
-        table = capital_curve(m, 0.05, 200.0, cs, IG, kinds=("nonruin",))
-        assert table.column("nonruin") == [
-            nonruin_capital(m, 0.05, 200.0, c, IG).value for c in cs
-        ]
+        table = capital_curve(m, 0.05, 200.0, cs, spec, kinds=(kind,))
+        reasons = iter(table.metadata["warnings"])
+        for c, value in zip(cs, table.column(kind)):
+            try:
+                single = solve(m, 0.05, 200.0, c, spec).value
+            except RuinCapitalError as exc:
+                assert value is None and next(reasons) == f"{kind}@c={c:g}: {exc}"
+                continue
+            assert value is not None
+            if backend == "exact_exp":
+                assert abs(value - single) <= 2.0 * _U_TOLERANCE
+            else:
+                assert value == single
+        assert next(reasons, None) is None
 
 
 def _ig_oracle(m, alpha, t, c):
