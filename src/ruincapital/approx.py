@@ -47,12 +47,15 @@ def _clt_capital(k: DerivedConstants, alpha: float, t: float, c: float) -> float
     return (k.c_star - c) * t + k.capital_scale * math.sqrt(t) * std_normal_quantile(1.0 - alpha)
 
 
-def var_clt(m: RiskModel, alpha: float, t: float, c: float) -> float:
-    """CLT approximation of the Value-at-Risk capital: ``max{0, _clt_capital(alpha)}``."""
+def var_clt(m: RiskModel, alpha: float, t: float, c):
+    """CLT Value-at-Risk capital ``max{0, _clt_capital(alpha)}``; c may be a NumPy array."""
     alpha = check_alpha(alpha)
     t = check_real("t", t, above=0.0)
-    c = check_real("c", c, at_least=0.0)
-    return max(0.0, _clt_capital(derived_constants(m), alpha, t, c))
+    array = isinstance(c, np.ndarray)
+    c = check_real_array("c", c, at_least=0.0) if array else check_real("c", c, at_least=0.0)
+    with np.errstate(over="ignore"):  # an overflow is -inf or inf, as in float arithmetic
+        v = _clt_capital(derived_constants(m), alpha, t, c)
+    return np.where(v > 0.0, v, 0.0) if array else max(0.0, v)  # both give 0 for NaN
 
 
 def _ig_prob(k: DerivedConstants, c, t: float, u_lo, u_hi):

@@ -321,16 +321,15 @@ def _mc_column(m: RiskModel, alpha: float, t: float, cs: list, kinds, sim) -> di
 
 
 def _clt_column(m: RiskModel, alpha: float, t: float, cs: list, kinds, sim) -> dict:
-    """``clt``: the closed-form Value-at-Risk capital at each rate."""
-
-    def var(c: float) -> CapitalPoint:
-        v = approx.var_clt(m, alpha, t, c)
-        return CapitalPoint(kind="var", c=c, value=v, clamped=(v == 0.0))
-
+    """``clt``: the closed-form Value-at-Risk capitals of the column, from one array call."""
     refused = BackendIncompatibleError(
         "the CLT backend approximates the terminal shortfall only; use it through var_capital"
     )
-    return {k: [_cell(var, c) for c in cs] if k == "var" else _failed(refused, cs) for k in kinds}
+    vs = _cell(approx.var_clt, m, alpha, t, np.array(cs, float)) if "var" in kinds else refused
+    var = _failed(vs, cs) if isinstance(vs, RuinCapitalError) else [
+        CapitalPoint(kind="var", c=c, value=v, clamped=(v == 0.0)) for c, v in zip(cs, vs.tolist())
+    ]
+    return {k: var if k == "var" else _failed(refused, cs) for k in kinds}
 
 
 # The backends, by name: each prices whole columns,

@@ -64,10 +64,10 @@ class InfiniteCapitalError(RuinCapitalError):
     """The ultimate capital u_alpha(c) is infinite for c <= c*."""
 
 
-def _bad_argument(name: str, x, noun: str, above, at_least, below) -> DomainError:
+def _bad_argument(name: str, got: str, noun: str, above, at_least, below) -> DomainError:
     bounds = ((">", above), (">=", at_least), ("<", below))
     rule = ", ".join(["finite", *(f"{op} {b:g}" for op, b in bounds if math.isfinite(b))])
-    return DomainError(f"{name} must be {noun} ({rule}), got {x!r}")
+    return DomainError(f"{name} must be {noun} ({rule}), got {got}")
 
 
 def check_real(name: str, x, above=-math.inf, at_least=-math.inf, below=math.inf) -> float:
@@ -85,16 +85,21 @@ def check_real(name: str, x, above=-math.inf, at_least=-math.inf, below=math.inf
             v = math.nan
     if above < v < below and v >= at_least:
         return v
-    raise _bad_argument(name, x, "a real number", above, at_least, below)
+    raise _bad_argument(name, repr(x), "a real number", above, at_least, below)
 
 
 def check_real_array(name: str, x, above=-math.inf, at_least=-math.inf, below=math.inf):
-    """``x`` as a float array; DomainError unless it has an integer or float
-    dtype and every entry lies in the range of :func:`check_real`."""
+    """``x`` as a float array; DomainError, naming the first bad entry, unless it
+    has an integer or float dtype and every entry lies in the range of :func:`check_real`."""
     try:
         a = np.asarray(x)
     except ValueError:  # a ragged nesting: made an object array, rejected below
         a = np.asarray(None)
-    if a.dtype.kind in "iuf" and ((above < a) & (a < below) & (a >= at_least)).all():
+    ok = (above < a) & (a < below) & (a >= at_least) if a.dtype.kind in "iuf" else np.False_
+    if ok.all():
         return np.asarray(a, dtype=float)
-    raise _bad_argument(name, x, "an array of real numbers", above, at_least, below)
+    if not ok.ndim:  # a scalar, or not an array of numbers
+        raise _bad_argument(name, repr(x), "an array of real numbers", above, at_least, below)
+    i = np.unravel_index(ok.argmin(), a.shape)  # the first entry out of range
+    got = f"{name}[{', '.join(map(str, i))}] = {a[i].item()!r} in an array of shape {a.shape}"
+    raise _bad_argument(name, got, "an array of real numbers", above, at_least, below)

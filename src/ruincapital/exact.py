@@ -22,11 +22,13 @@ drawn cases on two pairs (t <= 2000) the routes agree to 5.3e-11 up to an
 envelope of exp(10), above which Seal answers: to exp(14) the oscillatory
 sum's cancellation costs up to 3.1e-9.
 
-The oscillatory route's arrays that do not depend on u form a per-rate
-rule (:func:`_oscillatory_rule`), kept for the last two rates, since a
-capital solve calls the route a few times at one rate.  Its panel count
-grows with u, so below an envelope of exp(-746), where every term of the
-sum is 0.0, the ultimate ruin probability is returned without a rule.
+The oscillatory route's arrays that do not depend on u form a per-rate rule
+(:func:`_oscillatory_rule`), kept for the last two rates, since a capital solve
+calls the route a few times at one rate.  It spans only [0, x_cut], past which
+every term is below 2**-60 (L = 60 ln 2) of its bound at any u; on 4,000 cells
+with t <= 1e5 the sum is within 4.8e-14 of that bound from 8,192 uniform panels
+on [0, pi].  Its panel count grows with u, so below an envelope of exp(-746)
+(every term 0.0) the ultimate ruin probability is returned without a rule.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ _OSC_MIN_LOG_ENVELOPE = -746.0
 # Within this distance of q = 1 the routes agree to ~3e-12; closer in the
 # oscillatory route errs by up to 2.5e-3 and Seal takes over.
 _OSC_MIN_ABS_Q_GAP = 0.03
+_OSC_CUT_LOG = 60.0 * math.log(2.0)  # L: past x_cut each term is below 2**-60 of its bound
 # Takacs' phi(0, .) for 1 < q <= this takes its cheaper one-call form, which
 # loses up to about 4 (q - 1) 2**-52 absolute (at most 3.95 (q - 1) 2**-52
 # against 50-digit values); twice that stays below 1e-13 up to here (~57).
@@ -171,35 +174,35 @@ def _composite_gl(edges):
 
 @lru_cache(maxsize=2)
 def _oscillatory_rule(delta: float, rho: float, c: float, t: float, n: int):
-    """The oscillatory sum's arrays that do not depend on u, on n panels over [0, pi].
+    """The oscillatory sum's u-free arrays on panels at most pi/n wide over [0, x_cut].
 
-    Returns sin x, 2x, sqrt(q) cos x - 1, t c rho denom, q / denom and the
-    weights, with denom = 1 + q - 2 sqrt(q) cos x.  A capital solve calls
-    the route at one rate a few times, so two rules are kept.
+    x_cut = 2 asin(sqrt(L / (2 a0))), a0 = 2 t c rho sqrt(q), is pi once L >= 2 a0: at
+    any u the exponent is below E(0) - a0 (1 - cos x), q/denom (denom = 1 + q - 2 sqrt(q)
+    cos x) below its value at 0 and the oscillating factor at most 2 in size, so past
+    x_cut every term is below 2**-60 of 2q/(1 - sqrt(q))**2 e^E(0).
     """
     q = delta / (c * rho)
     sq = math.sqrt(q)
-    x, w = _composite_gl(np.linspace(0.0, math.pi, n + 1))
-    cos_x = np.cos(x)
+    x_cut = 2.0 * math.asin(math.sqrt(_OSC_CUT_LOG / max(_OSC_CUT_LOG, 4.0 * t * c * rho * sq)))
+    x, w = _composite_gl(np.linspace(0.0, x_cut, max(1, math.ceil(n * (x_cut / math.pi))) + 1))
+    sin_x, cos_x = np.sin(x), np.cos(x)
     denom = 1.0 + q - 2.0 * sq * cos_x
-    rule = (np.sin(x), 2.0 * x, sq * cos_x - 1.0, t * c * rho * denom, q / denom, w)
+    coef = 2.0 * q * sin_x / (math.pi * denom) * w
+    rule = (sin_x, x, sq * cos_x - 1.0, t * c * rho * denom, coef)
     for a in rule:
         a.flags.writeable = False  # shared by every call at this rate
     return rule
 
 
 def _oscillatory_integral(p: ExpPair, u: float, c: float, t: float) -> float:
-    """(1/pi) * integral over [0, pi] of the closed-form defect term."""
+    """(1/pi) * integral over [0, pi] of the defect term, as 2 sin x sin(phi + x)."""
     delta, rho = p.delta, p.rho
-    freq = u * rho * math.sqrt(delta / (c * rho))  # frequency of cos(u rho sqrt(q) sin x)
-    sin_x, two_x, drift, decay, weight, w = _oscillatory_rule(
-        delta, rho, c, t, max(64, int(1.0 + freq))
-    )
-    phase = freq * sin_x
-    vals = np.exp(u * rho * drift - decay) * (weight * (np.cos(phase) - np.cos(phase + two_x)))
+    freq = u * rho * math.sqrt(delta / (c * rho))  # frequency of sin(u rho sqrt(q) sin x + x)
+    sin_x, x, drift, decay, coef = _oscillatory_rule(delta, rho, c, t, max(64, int(1.0 + freq)))
+    vals = np.exp(u * rho * drift - decay) * np.sin(freq * sin_x + x)
     if not np.all(np.isfinite(vals)):
         raise IntegrationError("ruin_finite_exp integrand not finite")
-    return float(vals @ w) / math.pi
+    return float(vals @ coef)
 
 
 def _survival_zero(p: ExpPair, c: float, tau):
@@ -305,10 +308,10 @@ def ruin_finite_exp(p: ExpPair, u: float, c: float, t: float) -> float:
     """P{ruin within [0, t]} for the exponential pair.
 
     For c > 0 and u > 0 this is the ultimate ruin probability minus an
-    oscillatory integral over [0, pi], evaluated by composite
-    Gauss-Legendre quadrature with the panel count scaled to the
-    oscillation frequency; when the integrand's envelope is too large for
-    that cancellation to be done in doubles, or c lies within 3% of c*
+    oscillatory integral over [0, pi], summed by composite Gauss-Legendre
+    quadrature over its non-negligible part [0, x_cut] on panels scaled to
+    the oscillation frequency; when the integrand's envelope is too large
+    for that cancellation to be done in doubles, or c lies within 3% of c*
     (|q - 1| < 0.03), Seal's formula is used instead; when the envelope
     is below exp(-746) the sum is 0.0 and the ultimate ruin probability
     is returned.  At u = 0 it is 1 - phi(0, t) from Takacs' ballot

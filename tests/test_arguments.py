@@ -175,6 +175,17 @@ def test_numpy_arguments_give_equal_results(name, arg):
         assert _same(case.call(**{**valid, arg: value}), expected), (arg, value)
 
 
+def test_an_array_error_names_the_entry_not_the_array():
+    # a message as long as the array helps nobody, and past 1,000 entries
+    # NumPy's repr elides the middle, where the bad entry may sit
+    x = np.linspace(1.0, 2.0, 5000)
+    x[3217] = math.nan
+    with pytest.raises(DomainError) as info:
+        exact.aggregate_pdf_exp(PAIR, 50.0, x)
+    message = str(info.value)
+    assert len(message) < 200 and "x[3217] = nan" in message and "(5000,)" in message, message
+
+
 def test_no_hand_written_range_checks():
     """Every range check goes through errors.check_real or check_real_array."""
     hits = [
