@@ -7,24 +7,25 @@ initial capital u:
 * the non-ruin capital: P{ruin within [0, t]} = alpha;
 * the ultimate capital: P{ruin ever} = alpha (finite only for c > c*).
 
-Var and nonruin capitals are solved by the column: ``_BACKENDS`` maps each
-backend name to one function that prices whole columns, one
+Var and nonruin capitals are solved by the column: ``_BACKENDS`` maps
+each backend name to one function that prices whole columns, one
 ``CapitalPoint`` or ``RuinCapitalError`` per rate and kind, and a single
 cell is a column of one.  ``clt`` evaluates its closed form, and
 ``monte_carlo`` takes empirical quantiles of one sweep of simulated
 deficits for every kind.  ``exact_exp`` and ``inverse_gaussian`` invert
-their probability in u by Brent's method; each is nonincreasing in u
-beyond the lower bracket, so the root-finder converges unconditionally.
-For ``exact_exp`` Brent runs on log prob - log alpha, each cell bracketed
-by the line through its column's last two roots.  The inverse Gaussian
-probability vanishes at u = 0, so an 80-point scan in u finds its peak
-and brackets the root beyond it, and a column is one array problem:
-every scan in one 2-D call, then ``special.brentq_columns`` on the open
-cells in lockstep.  When even the lower bracket satisfies the target the
-capital is 0 by definition and the result carries a "clamped" flag.
-``capital_curve`` and ``ruin_curve`` (ruin probabilities at a fixed
-capital) fill their tables row by row through one loop, which turns an
-error cell into NA and a logged reason.
+their probability by Brent's method; each is nonincreasing beyond the
+lower bracket, so the root-finder converges unconditionally.  The
+Value-at-Risk capital is (x - c t)+, x the (1 - alpha)-quantile of V_t,
+so ``exact_exp`` solves a var column once; it runs Brent on log prob -
+log alpha, each non-ruin cell bracketed by the line through its column's
+last two roots.  The inverse Gaussian probability vanishes at u = 0, so an
+80-point scan in u finds its peak and brackets the root beyond it, and a
+column is one array problem: every scan in one 2-D call, then
+``special.brentq_columns`` on the open cells in lockstep.  When even the
+lower bracket satisfies the target the capital is 0 by definition and the
+result carries a "clamped" flag.  ``capital_curve`` and ``ruin_curve``
+(ruin probabilities at a fixed capital) fill their tables row by row
+through one loop, which turns an error cell into NA and a logged reason.
 """
 
 from __future__ import annotations
@@ -176,40 +177,46 @@ def _invert(
     return CapitalPoint(kind=kind, c=c, value=u, residual=abs(f(u) - alpha))
 
 
-def _exact_cell(p: ExpPair, k: DerivedConstants, alpha, t, c, kind, prev) -> CapitalPoint:
-    """One ``exact_exp`` cell at rate c, given ``prev``: the (rate, capital)
-    cells solved last in its column, at smaller rates, the latest first.  The
-    curves are nonincreasing in c, so the latest capital u1 > 0 bounds this
-    solution: the solve tries u1, preceded, once there are two cells, by the
-    line through both extrapolated to c, with u1 plus a margin as its warm
-    upper bracket."""
-    if kind == "var":
-        prob = lambda u: 1.0 - exact.aggregate_cdf_exp(p, t, u + c * t)
-    else:
-        prob = lambda u: exact.ruin_finite_exp(p, u, c, t)
+def _exact_cell(p: ExpPair, k: DerivedConstants, alpha, t, c, prev) -> CapitalPoint:
+    """One ``exact_exp`` non-ruin cell at rate c, given ``prev``: the (rate,
+    capital) cells solved last in its column, at smaller rates, the latest
+    first.  The curve is nonincreasing in c, so the latest capital u1 > 0
+    bounds this solution: the solve tries u1, preceded, once there are two
+    cells, by the line through both extrapolated to c, with u1 plus a margin
+    as its warm upper bracket."""
+    prob = lambda u: exact.ruin_finite_exp(p, u, c, t)
     mb = float(_default_bracket(k, alpha, t, c))
     if not prev or prev[0][1] == 0.0:
-        return _invert(prob, alpha, mb, kind, c, None)
+        return _invert(prob, alpha, mb, "nonruin", c, None)
     (c1, u1), *older = prev
     column = [u1 + (u1 - u2) * (c - c1) / (c1 - c2) for c2, u2 in older]
-    return _invert(prob, alpha, mb, kind, c, min(mb, u1 * 1.01 + 1.0), (*column, u1))
+    return _invert(prob, alpha, mb, "nonruin", c, min(mb, u1 * 1.01 + 1.0), (*column, u1))
 
 
 def _exact_column(m: RiskModel, alpha: float, t: float, cs: list, kinds, sim) -> dict:
-    """``exact_exp``: each kind's cells in grid order, each warm-started from
+    """``exact_exp``: the var column from one solve of P{V_t > x} = alpha, each
+    cell (x - c t)+; the non-ruin cells in grid order, each warm-started from
     the last two cells of its column that solved."""
     try:
         p, k = _require_exp_pair(m, "backend 'exact_exp'"), derived_constants(m)
     except RuinCapitalError as exc:
         return {kind: _failed(exc, cs) for kind in kinds}
     out = {}
-    for kind in kinds:
-        prev, out[kind] = (), []
+    if "var" in kinds:
+        # Cantelli: V_t has mean c* t and variance D_V^2 t, so P{V_t > mb} <= alpha/(1 + alpha)
+        mb = k.c_star * t + k.capital_scale * math.sqrt(t / alpha)
+        tail = lambda x: 1.0 - exact.aggregate_cdf_exp(p, t, x)
+        x = _cell(_invert, tail, alpha, mb, "var", 0.0, None)
+        out["var"] = _failed(x, cs) if isinstance(x, RuinCapitalError) else [
+            replace(x, c=c, value=max(0.0, x.value - c * t), clamped=x.value <= c * t) for c in cs
+        ]
+    if "nonruin" in kinds:
+        prev, out["nonruin"] = (), []
         for c in cs:
-            point = _cell(_exact_cell, p, k, alpha, t, c, kind, prev)
+            point = _cell(_exact_cell, p, k, alpha, t, c, prev)
             if isinstance(point, CapitalPoint):
                 prev = ((c, point.value), *prev[:1])
-            out[kind].append(point)
+            out["nonruin"].append(point)
     return out
 
 
@@ -359,7 +366,7 @@ def var_capital(
     """Value-at-Risk capital: the u >= 0 with P{V_t > u + c t} = alpha.
 
     Backends: ``clt`` evaluates the closed normal-approximation formula;
-    ``exact_exp`` inverts the aggregate-claims distribution function;
+    ``exact_exp`` subtracts c t from the aggregate-claims quantile;
     ``monte_carlo`` takes the empirical quantile of terminal deficits.
     """
     return _one_cell(m, alpha, t, c, spec, "var")
@@ -432,9 +439,9 @@ def capital_curve(
     """Solve the requested capitals on a strictly increasing premium grid.
 
     The var and nonruin columns are the backend's column solve: each cell
-    equals its single-cell solve, bit for bit except under ``exact_exp``,
-    whose root solves warm-start their brackets from the previous two grid
-    points' solutions (the curves are continuous and nonincreasing in c).
+    equals its single-cell solve, bit for bit except for ``exact_exp``
+    nonruin cells, warm-started from the previous two grid points' roots
+    (the curve is continuous and nonincreasing in c).
     Under ``monte_carlo`` one ``PathSample`` prices both columns, and
     ``metadata["mc_stderr"]`` maps each of these kinds to the standard
     errors of its cells.  A ``RuinCapitalError`` cell becomes NA and its

@@ -34,14 +34,7 @@ class ConstantsUnavailableError(RuinCapitalError):
 
 
 class IntegrationError(RuinCapitalError):
-    """Quadrature failed to reach the requested accuracy.
-
-    ``achieved_error`` carries the estimate reported by the integrator.
-    """
-
-    def __init__(self, message, achieved_error=None):
-        super().__init__(message)
-        self.achieved_error = achieved_error
+    """A probability could not be evaluated to a finite value."""
 
 
 class NoAdjustmentCoefficientError(RuinCapitalError):
@@ -89,8 +82,9 @@ def check_real(name: str, x, above=-math.inf, at_least=-math.inf, below=math.inf
 
 
 def check_real_array(name: str, x, above=-math.inf, at_least=-math.inf, below=math.inf):
-    """``x`` as a float array; DomainError, naming the first bad entry, unless it
-    has an integer or float dtype and every entry lies in the range of :func:`check_real`."""
+    """``x`` as a float array; DomainError unless it has an integer or float dtype
+    and every entry lies in the range of :func:`check_real`.  The message names
+    the first bad entry, or the dtype and shape of an array of non-numbers."""
     try:
         a = np.asarray(x)
     except ValueError:  # a ragged nesting: made an object array, rejected below
@@ -99,7 +93,8 @@ def check_real_array(name: str, x, above=-math.inf, at_least=-math.inf, below=ma
     if ok.all():
         return np.asarray(a, dtype=float)
     if not ok.ndim:  # a scalar, or not an array of numbers
-        raise _bad_argument(name, repr(x), "an array of real numbers", above, at_least, below)
+        got = f"an array of dtype {a.dtype} and shape {a.shape}" if a.ndim else repr(x)
+        raise _bad_argument(name, got, "an array of real numbers", above, at_least, below)
     i = np.unravel_index(ok.argmin(), a.shape)  # the first entry out of range
     got = f"{name}[{', '.join(map(str, i))}] = {a[i].item()!r} in an array of shape {a.shape}"
     raise _bad_argument(name, got, "an array of real numbers", above, at_least, below)

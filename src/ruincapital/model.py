@@ -81,10 +81,6 @@ class DerivedConstants:
         return self.d2_big**0.5
 
     @property
-    def d_v(self) -> float:
-        return self.d2_v**0.5
-
-    @property
     def capital_scale(self) -> float:
         """D / M^{3/2} = D_V, the sqrt(t) coefficient in the capital asymptotics."""
         return self.d_big / self.m_big**1.5

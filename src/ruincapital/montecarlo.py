@@ -3,7 +3,7 @@
 One path sweep yields both capitals at once, at every premium rate of a
 grid: for each path and rate the engine records the running maximum of the
 claim-surplus deficit V_s - c s over claim epochs (the deficit only peaks
-at jump instants) and its terminal value at the horizon.  The claim draws
+at jump instants), and for each path its claims total V_t.  The claim draws
 do not depend on c, so ``simulate_paths(m, c_grid, cfg)`` prices a whole
 grid of premium rates from one sweep with common random numbers.  It
 returns one ``PathSample``, whose methods give one ``Estimate`` per rate:
@@ -84,15 +84,16 @@ class Estimate:
 class PathSample:
     """Simulated deficits at a grid of premium rates, one row per rate.
 
-    ``sup[k]`` and ``term[k]`` hold, for each of the ``cfg.n_paths`` paths,
-    the running maximum over [0, t] and the terminal value at t of the
-    deficit V_s - c s at the rate ``c[k]``; both arrays have shape
-    (len(c), n_paths).  The estimators return one ``Estimate`` per rate.
+    ``sup[k]`` holds, for each of the ``cfg.n_paths`` paths, the running
+    maximum over [0, t] of the deficit V_s - c s at the rate ``c[k]``, shape
+    (len(c), n_paths); ``total`` holds each path's claims total V_t, shape
+    (n_paths,), so the terminal deficit at ``c[k]`` is total - c[k] t.  The
+    estimators return one ``Estimate`` per rate.
     """
 
     c: np.ndarray
     sup: np.ndarray
-    term: np.ndarray
+    total: np.ndarray
     cfg: SimConfig
 
     def quantile(self, kind: str, alpha: float) -> list[Estimate]:
@@ -103,9 +104,11 @@ class PathSample:
         point is the upper order statistic at ceil((1 - alpha) N), clamped
         at zero, with a binomial-bracket 95% interval; stderr is its half
         width over 1.96.  Warns when fewer than 50 tail paths are expected.
+        A terminal deficit total - c t is nondecreasing in total, and so is
+        its rounding, so one sort of ``total`` gives every rate's order
+        statistics.
         """
-        rows = {"var": self.term, "nonruin": self.sup}.get(kind)
-        if rows is None:
+        if kind not in ("var", "nonruin"):
             raise DomainError(f"quantile kind must be 'var' or 'nonruin', got {kind!r}")
         alpha = check_alpha(alpha)
         n = self.cfg.n_paths
@@ -121,10 +124,14 @@ class PathSample:
         spread = 1.96 * math.sqrt(n * q * (1.0 - q))
         k_lo = max(1, math.floor(q * n - spread))
         k_hi = min(n, math.ceil(q * n + spread))
+        if kind == "var":
+            xs = np.sort(self.total)
+            rows = ((xs, c * self.cfg.t) for c in self.c)
+        else:  # one sorted copy at a time
+            rows = ((np.sort(row), 0.0) for row in self.sup)
         out = []
-        for row in rows:  # one sorted copy at a time
-            xs = np.sort(row)
-            lo, point, hi = (max(0.0, float(xs[j - 1])) for j in (k_lo, k, k_hi))
+        for xs, shift in rows:
+            lo, point, hi = (max(0.0, float(xs[j - 1] - shift)) for j in (k_lo, k, k_hi))
             out.append(Estimate(point=point, stderr=(hi - lo) / (2.0 * 1.96), ci95=(lo, hi)))
         return out
 
@@ -145,11 +152,9 @@ def simulate_paths(m: RiskModel, c_grid: Sequence[float], cfg: SimConfig) -> Pat
     """Simulate all configured paths at every premium rate of ``c_grid``.
 
     ``c_grid`` is a 1-D grid of finite, nonnegative rates; row i of the
-    sample equals a sweep at ``c_grid[i]`` alone, bit for bit.  The two
-    arrays take 2 * len(c_grid) * n_paths * 8 bytes.  The sweep's blocks
-    of claim epochs (below) take 3 * k * n_paths * 8 bytes; from three
-    rates on they fit in ``term`` and live in its memory until it is
-    filled, so they take no memory of their own.
+    sample equals a sweep at ``c_grid[i]`` alone, bit for bit.  ``sup``
+    takes len(c_grid) * n_paths * 8 bytes, and the sweep's blocks of claim
+    epochs (below) 3 * k * n_paths * 8 bytes more.
 
     Deterministic for a fixed (seed, n_paths).  Claims are drawn for the
     paths still inside [0, t] only, so the draw sequence depends only on
@@ -171,15 +176,11 @@ def simulate_paths(m: RiskModel, c_grid: Sequence[float], cfg: SimConfig) -> Pat
     n, t = cfg.n_paths, cfg.t
     k = min(8, max(1, rates.size // 3))
     sup = np.zeros((rates.size, n))
-    term = np.empty((rates.size, n))
-    # the blocks live in term's memory until term is filled, from three
-    # rates on; epochs[:, j] is (arrival, claim total) after the block's
-    # j-th epoch, and starts as a copy of epochs[:, j - 1], which for
-    # j = 0 is the last epoch of the block before
-    work = term.reshape(-1) if 3 * k <= rates.size else np.empty(3 * k * n)
-    epochs = work[: 2 * k * n].reshape(2, k, n)
-    epochs[:, -1] = 0.0
-    deficit = work[2 * k * n : 3 * k * n].reshape(k, n)
+    # epochs[:, j] is (arrival, claim total) after the block's j-th epoch,
+    # and starts as a copy of epochs[:, j - 1], which for j = 0 is the last
+    # epoch of the block before
+    epochs = np.zeros((2, k, n))
+    deficit = np.empty((k, n))
     active = np.ones(n, dtype=bool)
     inside = True  # no path has left [0, t] yet
     j = 0
@@ -206,10 +207,7 @@ def simulate_paths(m: RiskModel, c_grid: Sequence[float], cfg: SimConfig) -> Pat
             total[idx[alive]] += sizes[alive]
             active[idx[~alive]] = False
     _fold(rates, sup, epochs[:, :j], deficit[:j])
-    total = total.copy()  # term's rows overwrite the blocks
-    for c, row in zip(rates, term):
-        np.subtract(total, c * t, out=row)
-    return PathSample(c=rates, sup=sup, term=term, cfg=cfg)
+    return PathSample(c=rates, sup=sup, total=total.copy(), cfg=cfg)  # frees the blocks
 
 
 def _fold(rates: np.ndarray, sup: np.ndarray, epochs: np.ndarray, deficit: np.ndarray) -> None:

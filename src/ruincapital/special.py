@@ -2,11 +2,12 @@
 
 The heavy lifting (the erf family) is delegated to :mod:`scipy.special`;
 this module pins down domains, overflow-safe compositions and the
-inverse-Gaussian distribution function, which scipy does not expose in
-the overflow-safe form needed here.  :func:`_scipy_special` is the one
-place that imports :mod:`scipy.special`, on a kernel's first call, so
-importing the package and the routes without special functions (Monte
-Carlo, the Lundberg solves of light-tailed laws) never load it.
+inverse-Gaussian distribution function of the IG ruin route, which scipy
+does not expose in the overflow-safe form needed here.
+:func:`_scipy_special` is the one place that imports
+:mod:`scipy.special`, on a kernel's first call, so importing the package
+and the routes without special functions (Monte Carlo, the Lundberg
+solves of light-tailed laws) never load it.
 :func:`brentq`, Brent's method, is the one bracketed root finder of the
 capital and Lundberg solves, so nothing imports :mod:`scipy.optimize`;
 :func:`brentq_columns` runs it element by element on many independent
@@ -19,19 +20,17 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 
 import numpy as np
 
-from .errors import BracketError, DomainError, IntegrationError, check_real, check_real_array
+from .errors import BracketError, check_real
 
 __all__ = [
     "std_normal_quantile",
-    "inverse_gaussian_cdf",
 ]
 
 # the IntegrationError of an inverse Gaussian distribution function that overflows
-IG_NOT_FINITE = "inverse_gaussian_cdf is not finite: x/mu or 2 lam/mu overflows"
+IG_NOT_FINITE = "inverse Gaussian distribution function not finite: x/mu or 2 lam/mu overflows"
 
 
 @functools.cache
@@ -61,26 +60,18 @@ def std_normal_quantile(p: float) -> float:
     return float(z)
 
 
-def _positive(name: str, x):
-    """``x`` checked by the argument rule, finite and > 0: a float stays a
-    float (the IG route's scalar calls), anything else becomes a float array."""
-    if type(x) is float:
-        return check_real(name, x, above=0.0)
-    return check_real_array(name, x, above=0.0)
-
-
 def _ig_cdf(sp, x, mu, lam):
     """The IG(mu, lam) distribution function on checked arguments, clamped to
     [0, 1]; NaN where x/mu or 2 lam/mu overflows.  ``sp`` is
     :func:`_scipy_special`, fetched once by the caller.
 
     One expression for floats and for arrays of one broadcast shape, mu
-    included: the body of :func:`inverse_gaussian_cdf` and of the inverse
-    Gaussian ruin probability's prepared kernel, whose cells each have
-    their own mu.  Where mu is inf the zero-drift limit ``2 Phi(-s)``
-    replaces the general expression, element by element.  Callers evaluate
-    it under ``np.errstate(invalid="ignore", over="ignore")``, so that NaN
-    is their typed error and not first a NumPy warning.
+    included: the body of the inverse Gaussian ruin probability's prepared
+    kernel, whose cells each have their own mu.  Where mu is inf the
+    zero-drift limit ``2 Phi(-s)`` replaces the general expression, element
+    by element.  Callers evaluate it under ``np.errstate(invalid="ignore",
+    over="ignore")``, so that NaN is their typed error and not first a
+    NumPy warning.
     """
     s = np.sqrt(lam / x)
     a = s * (x / mu - 1.0)
@@ -90,35 +81,6 @@ def _ig_cdf(sp, x, mu, lam):
     if np.count_nonzero(inf_mu):  # zero drift
         out = np.where(inf_mu, 2.0 * sp.ndtr(-s), out)
     return np.minimum(np.maximum(out, 0.0), 1.0)
-
-
-def inverse_gaussian_cdf(x, mu, lam):
-    """Distribution function of the inverse Gaussian law IG(mu, lam).
-
-    Evaluates ``Phi(a) + exp(2 lam / mu) * Phi(-b)`` with
-    ``a = sqrt(lam/x) (x/mu - 1)`` and ``b = sqrt(lam/x) (x/mu + 1)``.
-    The second term is combined in log space, ``exp(2 lam/mu + log Phi(-b))``,
-    because the raw product overflows for large ``lam/mu`` long before the
-    result leaves [0, 1].
-
-    ``x`` and ``lam`` may be arrays of one broadcast shape; ``mu = inf`` is
-    accepted and returns the zero-drift limit ``2 Phi(-sqrt(lam/x))``.
-
-    Raises:
-        DomainError: unless ``x`` and ``lam`` are finite and > 0, checked
-            per element by the argument rule, and ``mu`` is a real number
-            > 0 (``inf`` included); a string is never converted.
-        IntegrationError: where x/mu or 2 lam/mu overflows and the two
-            terms give NaN.
-    """
-    x, lam = _positive("x", x), _positive("lam", lam)
-    if not (isinstance(mu, numbers.Real) and mu > 0.0):
-        raise DomainError(f"mu must be a real number > 0 (inf included), got {mu!r}")
-    with np.errstate(invalid="ignore", over="ignore"):
-        out = _ig_cdf(_scipy_special(), x, mu, lam)
-    if np.isnan(out).any():
-        raise IntegrationError(IG_NOT_FINITE)
-    return float(out) if out.ndim == 0 else out
 
 
 # brentq's default relative tolerance, and brentq_columns' only one

@@ -31,5 +31,5 @@ def ig_integral(u: float, c: float, t: float, m_big: float, d2_big: float) -> fl
     pts = [xstar] if 0.0 < xstar < hi else None
     val, err = integrate.quad(integrand, 0.0, hi, points=pts, limit=200, epsabs=1e-10, epsrel=1e-10)
     if err > 1e-7:
-        raise IntegrationError(f"inverse Gaussian integral error estimate {err:.2e}", err)
+        raise IntegrationError(f"inverse Gaussian integral error estimate {err:.2e}")
     return float(min(1.0, max(0.0, val)))

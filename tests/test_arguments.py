@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ruincapital import approx, bounds, capital, dist, exact, model, montecarlo, special
+from ruincapital import approx, bounds, capital, dist, exact, model, montecarlo
 from ruincapital.capital import SolveSpec
 from ruincapital.dist import Erlang, Exponential, Kummer, MixtureExp2, Pareto
 from ruincapital.errors import DomainError
@@ -71,9 +71,6 @@ CASES = {
     "capital_asymptotic_bounds": Case(
         lambda alpha, t, c: approx.capital_asymptotic_bounds(UNIT, alpha, t, c),
         dict(alpha=0.05, t=200, c=1), dict(alpha=0.7, t=0, c=-1)),
-    # special: mu may be inf, the zero-drift limit, so it has its own test
-    "inverse_gaussian_cdf": Case(lambda x, lam: special.inverse_gaussian_cdf(x, 2.5, lam),
-                                 dict(x=2, lam=1), dict(x=0, lam=0), ("x", "lam")),
     # bounds
     "adjustment_coefficient": Case(lambda c: bounds.adjustment_coefficient(UNIT, c),
                                    dict(c=2), dict(c=0)),
@@ -143,7 +140,7 @@ def _floats(case: Case) -> dict:
 
 def _same(a, b) -> bool:
     if isinstance(a, PathSample):
-        return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("c", "sup", "term"))
+        return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("c", "sup", "total"))
     if isinstance(a, np.ndarray):
         return np.array_equal(a, b)
     return type(a) is type(b) and a == b
@@ -184,6 +181,14 @@ def test_an_array_error_names_the_entry_not_the_array():
         exact.aggregate_pdf_exp(PAIR, 50.0, x)
     message = str(info.value)
     assert len(message) < 200 and "x[3217] = nan" in message and "(5000,)" in message, message
+
+
+def test_an_array_of_non_numbers_is_named_by_its_dtype_and_shape():
+    # the repr of 5,000 strings made a message of 25,054 characters
+    with pytest.raises(DomainError) as info:
+        exact.aggregate_pdf_exp(PAIR, 50.0, ["5"] * 5000)
+    message = str(info.value)
+    assert len(message) < 200 and "<U1" in message and "(5000,)" in message, message
 
 
 def test_no_hand_written_range_checks():

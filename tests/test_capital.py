@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -130,6 +130,35 @@ def test_exact_column_cells_are_their_roots(delta, rho, alpha, s, kind, start, s
         assert abs(u - root) <= _U_TOLERANCE + 1e-12 + 1e-15 * root
         assert abs(u - solve(m, alpha, t, c, EXACT).value) <= 2.0 * _U_TOLERANCE
     assert all(b <= a + 2.0 * _U_TOLERANCE for a, b in zip(column, column[1:]))
+
+
+@given(
+    delta=st.floats(0.1, 10.0),
+    rho=st.floats(0.1, 10.0),
+    t=st.floats(math.log(1e-2), math.log(1e4)).map(math.exp),
+    alpha=st.floats(1e-3, 0.2),
+    # rate steps over c*, log-uniform, so that a short horizon's column can
+    # reach the rates where its VaR clamps at 0
+    steps=st.lists(st.floats(math.log(1e-2), math.log(300.0)).map(math.exp), max_size=4),
+)
+# at t = 0.01 and alpha = 0.001 the root x = 2.309 lies past the non-ruin
+# solves' asymptotic bracket c* t + 11.96 D_V sqrt(t) = 1.89
+@example(delta=1.0, rho=1.0, t=0.01, alpha=0.001, steps=[1.0, 99.0, 200.0, 200.0])
+def test_exact_var_cells_match_per_rate_solves(delta, rho, t, alpha, steps):
+    # the column is one solve of P{V_t > x} = alpha, each cell (x - c t)+;
+    # the reference solves P{V_t > u + c t} = alpha at each rate on its
+    # own, from a bracket doubled until it holds
+    m, p = RiskModel(Exponential(delta), Exponential(rho)), ExpPair(delta, rho)
+    cs = list(delta / rho * np.cumsum([0.0, *steps]))
+    column = capital_curve(m, alpha, t, cs, EXACT, kinds=("var",)).column("var")
+    for c, u in zip(cs, column):
+        g = lambda v: 1.0 - aggregate_cdf_exp(p, t, v + c * t) - alpha
+        root, hi = 0.0, 1.0
+        if g(0.0) >= 0.0:
+            while g(hi) >= 0.0:
+                hi *= 2.0
+            root = brentq(g, 0.0, hi, xtol=1e-12)
+        assert u is not None and abs(u - root) <= 2.0 * _U_TOLERANCE, (c, u, root)
 
 
 @given(
@@ -301,7 +330,7 @@ def test_ig_solution_satisfies_defining_equation():
 @pytest.mark.parametrize("backend", ["exact_exp", "inverse_gaussian", "monte_carlo", "clt"])
 def test_curve_cells_equal_their_single_cell_calls(backend, kind):
     # a single cell is a column of one, so a curve cell is its single-cell
-    # call: bit for bit, except under exact_exp, whose column cells start
+    # call: bit for bit, except for exact_exp non-ruin cells, which start
     # from a bracket warm-started along the column and agree to within both
     # solves' tolerances.  An NA cell logs the error the single call raises.
     # The c = 0 inverse Gaussian cell is the redirected VaR solve.
@@ -319,7 +348,7 @@ def test_curve_cells_equal_their_single_cell_calls(backend, kind):
                 assert value is None and next(reasons) == f"{kind}@c={c:g}: {exc}"
                 continue
             assert value is not None
-            if backend == "exact_exp":
+            if (backend, kind) == ("exact_exp", "nonruin"):
                 assert abs(value - single) <= 2.0 * _U_TOLERANCE
             else:
                 assert value == single

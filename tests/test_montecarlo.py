@@ -26,13 +26,13 @@ def test_deterministic_replay():
     a = simulate_paths(UNIT, [1.0], cfg)
     b = simulate_paths(UNIT, [1.0], cfg)
     assert np.array_equal(a.sup, b.sup)
-    assert np.array_equal(a.term, b.term)
+    assert np.array_equal(a.total, b.total)
 
 
 def test_sup_dominates_terminal_pathwise():
     cfg = SimConfig(n_paths=5000, seed=11, t=100.0)
     sample = simulate_paths(UNIT, [0.9], cfg)
-    assert np.all(sample.sup >= sample.term - 1e-12)
+    assert np.all(sample.sup >= sample.total - 0.9 * cfg.t - 1e-12)
     assert np.all(sample.sup >= 0.0)
 
 
@@ -101,13 +101,15 @@ PARETO_EXP = RiskModel(Pareto(3.5, 2.5), Exponential(1.0))
 def test_grid_sweep_equals_per_rate_calls(m, n_paths, seed, t, cs, exits_at):
     cfg = SimConfig(n_paths=n_paths, seed=seed, t=t)
     sample = simulate_paths(m, cs, cfg)
-    assert sample.sup.shape == sample.term.shape == (len(cs), cfg.n_paths)
+    assert sample.sup.shape == (len(cs), cfg.n_paths)
+    assert sample.total.shape == (cfg.n_paths,)
     assert sample.c.tolist() == cs
     singles = [simulate_paths(m, [c], cfg) for c in cs]
-    for c, sup_row, term_row, single in zip(cs, sample.sup, sample.term, singles):
-        assert single.sup.shape == single.term.shape == (1, cfg.n_paths)
+    for c, sup_row, single in zip(cs, sample.sup, singles):
+        term_row = sample.total - c * cfg.t
+        assert single.sup.shape == (1, cfg.n_paths)
         assert np.array_equal(sup_row, single.sup[0])
-        assert np.array_equal(term_row, single.term[0])
+        assert np.array_equal(term_row, single.total - c * cfg.t)
         ref_sup, ref_term, exits = _per_rate_reference(m, c, cfg)
         assert np.array_equal(sup_row, ref_sup)
         assert np.array_equal(term_row, ref_term)
@@ -124,9 +126,9 @@ def test_grid_sweep_equals_per_rate_calls(m, n_paths, seed, t, cs, exits_at):
 def test_sweep_memory_stays_below_the_earlier_engine():
     # tracemalloc peaks of the epoch-by-epoch engine this one replaced, on
     # these calls after the same warm-up: 2,442,568 bytes at (3 rates,
-    # 20,000 paths) and 3,562,432 at (51 rates, 4,000 paths), against sup
-    # and term's 960,000 and 3,264,000.  From three rates on the blocks of
-    # epochs live in term's memory, so they add nothing to the peak.
+    # 20,000 paths) and 3,562,432 at (51 rates, 4,000 paths).  The sweep
+    # holds sup (480,000 and 1,632,000 bytes), its blocks of epochs (3 k
+    # rows of paths: 480,000 and 768,000) and one row of claim totals.
     iv = RiskModel(Erlang(1.6, 2), Exponential(0.6))
     for cs, cfg, earlier_peak in (
         ([0.8, 1.0, 1.2], SimConfig(n_paths=20_000, seed=5, t=100.0), 2_442_568),
@@ -170,7 +172,7 @@ def test_capital_quantiles_bracket_exact_value():
     # the order statistic of the sup deficits, not of the terminal ones
     k = math.ceil(0.95 * cfg.n_paths)
     assert nonruin.point == max(0.0, np.sort(sample.sup[0])[k - 1])
-    assert var.point == max(0.0, np.sort(sample.term[0])[k - 1])
+    assert var.point == max(0.0, np.sort(sample.total - 1.0 * cfg.t)[k - 1])
     assert var.point <= nonruin.point
 
 
