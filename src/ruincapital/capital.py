@@ -12,16 +12,17 @@ each backend name to one function that prices whole columns, one
 ``CapitalPoint`` or ``RuinCapitalError`` per rate and kind, and a single
 cell is a column of one.  ``clt`` evaluates its closed form, and
 ``monte_carlo`` takes empirical quantiles of one sweep of simulated
-deficits for every kind.  ``exact_exp`` and ``inverse_gaussian`` invert
-their probability by Brent's method; each is nonincreasing beyond the
-lower bracket, so the root-finder converges unconditionally.  The
-Value-at-Risk capital is (x - c t)+, x the (1 - alpha)-quantile of V_t,
-so ``exact_exp`` solves a var column once; it runs Brent on log prob -
-log alpha, each non-ruin cell bracketed by the line through its column's
-last two roots.  The inverse Gaussian probability vanishes at u = 0, so an
-80-point scan in u finds its peak and brackets the root beyond it, and a
-column is one array problem: every scan in one 2-D call, then
-``special.brentq_columns`` on the open cells in lockstep.  When even the
+deficits for every kind.  ``exact_exp`` inverts its probability by
+Brent's method and ``inverse_gaussian`` by the Illinois method; each
+probability is nonincreasing beyond the lower bracket, so both solves
+converge unconditionally.  The Value-at-Risk capital is (x - c t)+, x the
+(1 - alpha)-quantile of V_t, so ``exact_exp`` solves a var column once;
+it runs Brent on log prob - log alpha below the one Cantelli bracket of
+its column, each non-ruin cell bracketed by the line through its
+column's last two roots.  The inverse Gaussian probability vanishes at
+u = 0, so an 80-point scan in u finds its peak and brackets the root
+beyond it, and a column is one array problem: every scan in one 2-D call,
+then ``special.falsi_columns`` on the open cells in lockstep.  When even the
 lower bracket satisfies the target the capital is 0 by definition and the
 result carries a "clamped" flag.  ``capital_curve`` and ``ruin_curve``
 (ruin probabilities at a fixed capital) fill their tables row by row
@@ -49,7 +50,7 @@ from .errors import (
 from .exact import _TINY, ExpPair
 from .model import DerivedConstants, RiskModel, check_alpha, check_c_grid, derived_constants
 from .montecarlo import SimConfig
-from .special import IG_NOT_FINITE, brentq, brentq_columns
+from .special import IG_NOT_FINITE, brentq, falsi_columns
 from .table import CurveTable
 
 __all__ = [
@@ -177,15 +178,14 @@ def _invert(
     return CapitalPoint(kind=kind, c=c, value=u, residual=abs(f(u) - alpha))
 
 
-def _exact_cell(p: ExpPair, k: DerivedConstants, alpha, t, c, prev) -> CapitalPoint:
-    """One ``exact_exp`` non-ruin cell at rate c, given ``prev``: the (rate,
-    capital) cells solved last in its column, at smaller rates, the latest
-    first.  The curve is nonincreasing in c, so the latest capital u1 > 0
-    bounds this solution: the solve tries u1, preceded, once there are two
-    cells, by the line through both extrapolated to c, with u1 plus a margin
-    as its warm upper bracket."""
+def _exact_cell(p: ExpPair, alpha, t, c, prev, mb: float) -> CapitalPoint:
+    """One ``exact_exp`` non-ruin cell at rate c below the upper bracket
+    ``mb``, given ``prev``: the (rate, capital) cells solved last in its
+    column, at smaller rates, the latest first.  The curve is nonincreasing
+    in c, so the latest capital u1 > 0 bounds this solution: the solve tries
+    u1, preceded, once there are two cells, by the line through both
+    extrapolated to c, with u1 plus a margin as its warm upper bracket."""
     prob = lambda u: exact.ruin_finite_exp(p, u, c, t)
-    mb = float(_default_bracket(k, alpha, t, c))
     if not prev or prev[0][1] == 0.0:
         return _invert(prob, alpha, mb, "nonruin", c, None)
     (c1, u1), *older = prev
@@ -196,15 +196,15 @@ def _exact_cell(p: ExpPair, k: DerivedConstants, alpha, t, c, prev) -> CapitalPo
 def _exact_column(m: RiskModel, alpha: float, t: float, cs: list, kinds, sim) -> dict:
     """``exact_exp``: the var column from one solve of P{V_t > x} = alpha, each
     cell (x - c t)+; the non-ruin cells in grid order, each warm-started from
-    the last two cells of its column that solved."""
+    the last two cells of its column that solved.  Both solve below mb, where
+    P{V_t > mb} <= alpha/(1 + alpha) by Cantelli (V_t has mean c* t, variance
+    D_V^2 t); for c >= 0 ruin by t is no likelier than V_t > u."""
     try:
         p, k = _require_exp_pair(m, "backend 'exact_exp'"), derived_constants(m)
     except RuinCapitalError as exc:
         return {kind: _failed(exc, cs) for kind in kinds}
-    out = {}
+    out, mb = {}, k.c_star * t + k.capital_scale * math.sqrt(t / alpha)
     if "var" in kinds:
-        # Cantelli: V_t has mean c* t and variance D_V^2 t, so P{V_t > mb} <= alpha/(1 + alpha)
-        mb = k.c_star * t + k.capital_scale * math.sqrt(t / alpha)
         tail = lambda x: 1.0 - exact.aggregate_cdf_exp(p, t, x)
         x = _cell(_invert, tail, alpha, mb, "var", 0.0, None)
         out["var"] = _failed(x, cs) if isinstance(x, RuinCapitalError) else [
@@ -213,7 +213,7 @@ def _exact_column(m: RiskModel, alpha: float, t: float, cs: list, kinds, sim) ->
     if "nonruin" in kinds:
         prev, out["nonruin"] = (), []
         for c in cs:
-            point = _cell(_exact_cell, p, k, alpha, t, c, prev)
+            point = _cell(_exact_cell, p, alpha, t, c, prev, mb)
             if isinstance(point, CapitalPoint):
                 prev = ((c, point.value), *prev[:1])
             out["nonruin"].append(point)
@@ -252,10 +252,11 @@ def _ig_solve(m: RiskModel, alpha: float, t: float, cs: list) -> list:
     geometric scan ``mb * _SCAN`` of [1e-6, 1] * mb, mb its upper bracket;
     a cell whose scan peak is below alpha is clamped to 0, and otherwise
     its bracket is the first scan point beyond the peak where prob < alpha
-    and the point before it.  ``brentq_columns`` then runs Brent's method on
-    the open cells in lockstep, starting from the scan's values at the
-    bracket ends; the residual is read off the last iterate, so no u of a
-    cell is evaluated twice.  A cell whose shape or limit check fails or
+    and the point before it.  ``falsi_columns`` then runs the Illinois
+    method on the open cells in lockstep, starting from the scan's values at
+    the bracket ends, and stops within ``_U_TOLERANCE`` of a sign change;
+    the root is its last iterate, whose value gives the residual, so no u of
+    a cell is evaluated twice.  A cell whose shape or limit check fails or
     whose probability overflows gets the kernel's IntegrationError, one
     with no bracket or no convergence a BracketError.
     """
@@ -265,7 +266,7 @@ def _ig_solve(m: RiskModel, alpha: float, t: float, cs: list) -> list:
         return _failed(exc, cs)
     c = np.array(cs)
     mbs = _default_bracket(k, alpha, t, c)
-    # the scan and every brentq iterate of cell i lie in [mbs[i] * _SCAN[0], mbs[i]]
+    # the scan and every iterate of cell i lie in [mbs[i] * _SCAN[0], mbs[i]]
     prob, out = approx._ig_prob(k, c, t, mbs * _SCAN[0], mbs)
     rows = np.array([i for i, e in enumerate(out) if e is None], dtype=np.intp)
     us = mbs[rows, None] * _SCAN
@@ -286,7 +287,7 @@ def _ig_solve(m: RiskModel, alpha: float, t: float, cs: list) -> list:
     solve = ~nan & ~clamped & bracketed
     rows, lo, hi = rows[solve], (first - 1)[solve], first[solve]
     at = np.flatnonzero(solve)
-    roots, f_roots, errors = brentq_columns(
+    roots, f_roots, errors = falsi_columns(
         lambda x, j: prob(x, rows[j]) - alpha,
         us[at, lo], us[at, hi],
         vals[at, lo] - alpha, vals[at, hi] - alpha,

@@ -84,11 +84,13 @@ def check_real(name: str, x, above=-math.inf, at_least=-math.inf, below=math.inf
 def check_real_array(name: str, x, above=-math.inf, at_least=-math.inf, below=math.inf):
     """``x`` as a float array; DomainError unless it has an integer or float dtype
     and every entry lies in the range of :func:`check_real`.  The message names
-    the first bad entry, or the dtype and shape of an array of non-numbers."""
+    the first bad entry, the dtype and shape of an array of non-numbers, or the
+    type and length of a ragged nesting."""
     try:
         a = np.asarray(x)
-    except ValueError:  # a ragged nesting: made an object array, rejected below
-        a = np.asarray(None)
+    except ValueError:  # a ragged nesting
+        got = f"a ragged {type(x).__name__} of length {len(x)}"
+        raise _bad_argument(name, got, "an array of real numbers", above, at_least, below) from None
     ok = (above < a) & (a < below) & (a >= at_least) if a.dtype.kind in "iuf" else np.False_
     if ok.all():
         return np.asarray(a, dtype=float)

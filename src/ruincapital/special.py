@@ -8,10 +8,11 @@ does not expose in the overflow-safe form needed here.
 :mod:`scipy.special`, on a kernel's first call, so importing the package
 and the routes without special functions (Monte Carlo, the Lundberg
 solves of light-tailed laws) never load it.
-:func:`brentq`, Brent's method, is the one bracketed root finder of the
-capital and Lundberg solves, so nothing imports :mod:`scipy.optimize`;
-:func:`brentq_columns` runs it element by element on many independent
-brackets in lockstep, for the inverse Gaussian capital columns.
+:func:`brentq`, Brent's method, is the scalar bracketed root finder of
+the exact capital and Lundberg solves, so nothing imports
+:mod:`scipy.optimize`; :func:`falsi_columns` runs the Illinois method on
+many independent brackets in lockstep, for the inverse Gaussian capital
+columns.
 
 All functions are pure and accept numpy arrays where it is natural.
 """
@@ -83,7 +84,7 @@ def _ig_cdf(sp, x, mu, lam):
     return np.minimum(np.maximum(out, 0.0), 1.0)
 
 
-# brentq's default relative tolerance, and brentq_columns' only one
+# brentq's default relative tolerance, and falsi_columns' only one
 _RTOL = 4 * math.ulp(1.0)
 
 
@@ -150,101 +151,41 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _RTOL):
     raise BracketError(f"brentq: no convergence after 100 iterations, last x = {xcur!r}")
 
 
-def brentq_columns(f, a, b, fa, fb, xtol: float):
-    """Brent's method on n independent brackets [a[i], b[i]] in lockstep.
+def falsi_columns(f, a, b, fa, fb, xtol: float):
+    """The Illinois method (Dowell & Jarratt 1971) on n brackets [a[i], b[i]] in lockstep.
 
-    An element-wise port of :func:`brentq`: element i takes the iterates,
-    the tolerance and the early returns of ``brentq(lambda x: f_i(x), a[i],
-    b[i], xtol)``, bit for bit and after the same evaluations past the
-    bracket ends.  ``fa`` and ``fb`` are f at the ends, known to the caller
-    (``fb[i]`` is not read where ``fa[i]`` is NaN, as brentq stops there).
-    ``f(x, rows)`` evaluates the elements ``rows`` (an index array) at
-    ``x[j]`` for element ``rows[j]`` and returns a float array; each
-    iteration asks only for the elements still open.
+    ``fa`` and ``fb`` are f at the ends, of opposite signs, known to the
+    caller.  ``f(x, rows)`` evaluates the elements ``rows`` (an index array)
+    at ``x[j]`` for element ``rows[j]``; each step asks only for the open
+    elements.  A step evaluates the secant point of the ends, kept tol/2
+    inside each, tol = xtol + 4 eps max(|a|, |b|), as the new b: where f
+    changes sign the old b becomes a, otherwise f(a) is halved.  An element
+    stops once |b - a| <= tol or f(b) = 0 and returns b, one of its own
+    iterates, none evaluated twice.
 
-    Returns ``(x, fx, errors)``: the roots, f at each root and one
-    :class:`BracketError` or None per element.  A failed element (f(a) and
-    f(b) of one sign, f NaN, 100 iterations without convergence) carries
-    brentq's message, its last iterate in ``x`` and f there in ``fx``
-    (NaN when a NaN failed it); the other elements go on.
+    Returns ``(x, fx, errors)``: the roots, f there and one
+    :class:`BracketError` or None per element.  A NaN or 100 steps fail only
+    their own element, whose last iterate and f there are in ``x`` and ``fx``.
     """
-    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-    n = a.size
-    x, fx, errors = np.full(n, math.nan), np.full(n, math.nan), [None] * n
-
-    def settle(done, rows, xs, fs, error=None):
-        """Record the elements ``rows[done]``, at ``xs[done]``; return the open mask."""
-        if done.any():
-            ended, xs = rows[done], xs[done]
-            x[ended], fx[ended] = xs, fs[done]
-            if error:
-                for i, xi in zip(ended.tolist(), xs.tolist()):
-                    errors[i] = error(i, xi)
-        return ~done
-
-    nan_error = lambda i, xi: BracketError(f"brentq: the function value at x = {xi!r} is NaN")
-    rows = np.arange(n)
-    fpre = np.array(fa, dtype=float)
-    keep = settle(np.isnan(fpre), rows, a, fpre, nan_error)
-    rows, xpre, xcur, fpre = rows[keep], a[keep], b[keep], fpre[keep]
-    fcur = np.array(fb, dtype=float)[rows]
-    keep = settle(np.isnan(fcur), rows, xcur, fcur, nan_error)
-    keep &= settle(keep & (fpre == 0.0), rows, xpre, fpre)
-    keep &= settle(keep & (fcur == 0.0), rows, xcur, fcur)
-    same = keep & (np.signbit(fpre) == np.signbit(fcur))
-    keep &= settle(
-        same, rows, xcur, fcur,
-        lambda i, xi: BracketError(f"brentq: f({float(a[i])!r}) and f({xi!r}) have the same sign"),
-    )
-    rows, xpre, xcur, fpre, fcur = rows[keep], xpre[keep], xcur[keep], fpre[keep], fcur[keep]
-    xblk = fblk = spre = scur = np.zeros(rows.size)
-    for _ in range(100):
+    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
+    x, fx, errors, rows = b.copy(), fb.copy(), [None] * b.size, np.arange(b.size)
+    for step in range(101):
+        tol = xtol + _RTOL * np.maximum(np.abs(a), np.abs(b))
+        nan = np.isnan(fb)
+        ok = ~nan & ((fb == 0.0) | (np.abs(b - a) <= tol))
+        bad = nan | (~ok & (step == 100))
+        done = ok | bad
+        x[rows[done]], fx[rows[done]] = b[done], fb[done]
+        for i, xi, isnan in zip(rows[bad].tolist(), b[bad].tolist(), nan[bad].tolist()):
+            why = "the function value is NaN" if isnan else "no convergence after 100 steps"
+            errors[i] = BracketError(f"falsi_columns: {why} at x = {xi!r}")
+        rows, a, b, fa, fb, tol = (v[~done] for v in (rows, a, b, fa, fb, tol))
         if not rows.size:
             break
-        # float arithmetic as brentq's: overflow to inf, NaN and a zero
-        # divisor pass silently (an inf or NaN step bisects, as there)
-        with np.errstate(all="ignore"):
-            new = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
-            step = xcur - xpre
-            xblk, fblk = np.where(new, xpre, xblk), np.where(new, fpre, fblk)
-            spre, scur = np.where(new, step, spre), np.where(new, step, scur)
-            swap = np.abs(fblk) < np.abs(fcur)
-            pairs = (xcur, xpre), (xblk, xcur), (xcur, xblk), (fcur, fpre), (fblk, fcur), (fcur, fblk)
-            xpre, xcur, xblk, fpre, fcur, fblk = (np.where(swap, *v) for v in pairs)
-
-            delta = (xtol + _RTOL * np.abs(xcur)) / 2
-            sbis = (xblk - xcur) / 2
-            keep = settle((fcur == 0.0) | (np.abs(sbis) < delta), rows, xcur, fcur)
-            if not keep.all():
-                state = (rows, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis)
-                rows, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
-                    v[keep] for v in state
-                )
-                if not rows.size:
-                    break
-
-            # interpolate, or extrapolate where xpre != xblk
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            stry = np.where(
-                xpre == xblk,
-                -fcur * (xcur - xpre) / (fcur - fpre),
-                -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)),
-            )
-            good = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
-            good &= 2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)
-            spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
-
-            xpre, fpre = xcur, fcur
-            xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
-        fcur = f(xcur, rows)
-        keep = settle(np.isnan(fcur), rows, xcur, fcur, nan_error)
-        if not keep.all():
-            rows, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = (
-                v[keep] for v in (rows, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur)
-            )
-    settle(
-        np.ones(rows.size, bool), rows, xcur, fcur,
-        lambda i, xi: BracketError(f"brentq: no convergence after 100 iterations, last x = {xi!r}"),
-    )
+        w = a - b  # the secant step from b, kept tol/2 inside both ends
+        s = np.clip(np.abs(w * (fb / (fb - fa))), tol / 2, np.abs(w) - tol / 2)
+        xs = b + np.copysign(s, w)
+        fs = f(xs, rows)
+        flip = np.signbit(fs) != np.signbit(fb)
+        a, fa, b, fb = np.where(flip, b, a), np.where(flip, fb, fa / 2), xs, fs
     return x, fx, errors

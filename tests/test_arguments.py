@@ -191,6 +191,14 @@ def test_an_array_of_non_numbers_is_named_by_its_dtype_and_shape():
     assert len(message) < 200 and "<U1" in message and "(5000,)" in message, message
 
 
+def test_a_ragged_nesting_is_named_by_its_type_and_length():
+    # the repr of 5,000 ragged rows made a message of 47,554 characters
+    with pytest.raises(DomainError) as info:
+        exact.aggregate_pdf_exp(PAIR, 50.0, [[1.0], [1.0, 2.0]] * 2500)
+    message = str(info.value)
+    assert len(message) < 200 and "ragged list of length 5000" in message, message
+
+
 def test_no_hand_written_range_checks():
     """Every range check goes through errors.check_real or check_real_array."""
     hits = [

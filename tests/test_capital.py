@@ -36,7 +36,7 @@ from ruincapital.errors import (
 from ruincapital.exact import ExpPair, aggregate_cdf_exp, ruin_finite_exp
 from ruincapital.model import RiskModel, c_grid_range, derived_constants
 from ruincapital.montecarlo import SimConfig
-from ruincapital.special import brentq
+from ruincapital.special import IG_NOT_FINITE, brentq, falsi_columns
 
 UNIT = RiskModel(Exponential(1.0), Exponential(1.0))
 EXACT = SolveSpec(backend="exact_exp")
@@ -226,6 +226,22 @@ def test_exact_grid_columns_take_at_most_five_calls_per_cell(monkeypatch):
     assert len(calls) <= 5 * 3 * len(cs)
 
 
+def test_exact_nonruin_cells_at_a_short_horizon():
+    # at t = 0.01 and alpha = 0.001 the root 2.309 lies past the asymptotic
+    # bracket c* t + 11.96 D_V sqrt(t) = 1.89, but below the Cantelli point
+    # c* t + D_V sqrt(t/alpha) = 4.48, past which ruin by t is below alpha
+    # at every rate c >= 0; at c = 0 ruin by t is a terminal shortfall
+    p, t, alpha, cs = ExpPair(1.0, 1.0), 0.01, 0.001, [0.0, 0.5, 1.0]
+    table = capital_curve(UNIT, alpha, t, cs, EXACT, kinds=("var", "nonruin"))
+    assert table.metadata["warnings"] == []
+    for c, var, nonruin in table.rows:
+        root = optimize.brentq(lambda u: ruin_finite_exp(p, u, c, t) - alpha, 0.0, 4.48, xtol=1e-12)
+        assert abs(nonruin - root) <= _U_TOLERANCE + 1e-12
+        assert var <= nonruin + 2.0 * _U_TOLERANCE
+    assert table.column("nonruin") == pytest.approx([2.30909, 2.30658, 2.30408], abs=1e-5)
+    assert table.rows[0][2] == pytest.approx(table.rows[0][1], abs=2.0 * _U_TOLERANCE)
+
+
 def test_ig_column_evaluates_no_u_twice(monkeypatch):
     # every u a cell's kernel is asked for, scan and Brent iterates alike
     asked: dict[int, list] = {}
@@ -358,36 +374,37 @@ def test_curve_cells_equal_their_single_cell_calls(backend, kind):
 def _ig_oracle(m, alpha, t, c):
     """An inverse Gaussian non-ruin cell, one rate at a time, by the public
     ig_ruin_probability: the 80-point scan (one array call, whose values are
-    its scalar calls'), its bracket beyond the peak, then special.brentq on
-    scalar calls, every probability evaluated once."""
+    its scalar calls'), its bracket beyond the peak, then falsi_columns on a
+    column of one, each of its steps a scalar call.  A solved cell is also
+    within _U_TOLERANCE of scipy's brentq on the same bracket."""
     if c == 0.0:  # the redirect: at c = 0 ruin by t is a terminal shortfall
         return replace(var_capital(m, alpha, t, 0.0, SolveSpec(backend="clt")), kind="nonruin")
     mb = _default_bracket(derived_constants(m), alpha, t, c)
-    us = mb * _SCAN
-    vals = approx.ig_ruin_probability(m, us, c, t).tolist()
-    us = us.tolist()
-    known = dict(zip(us, vals))
-    prob = lambda u: approx.ig_ruin_probability(m, u, c, t)
-    f = lambda u: known[u] if u in known else known.setdefault(u, prob(u))
+    us = (mb * _SCAN).tolist()
+    vals = approx.ig_ruin_probability(m, np.array(us), c, t).tolist()
+    g = lambda u: approx.ig_ruin_probability(m, u, c, t) - alpha
     peak = int(np.argmax(vals))
     if vals[peak] < alpha:
         return CapitalPoint(kind="nonruin", c=c, value=0.0, clamped=True)
     below = next((j for j in range(peak, len(us)) if vals[j] < alpha), None)
     if below is None:
         raise BracketError(f"no solution below max_bracket = {mb:.6g}")
-    u = brentq(lambda x: f(x) - alpha, us[below - 1], us[below], xtol=_U_TOLERANCE)
-    return CapitalPoint(kind="nonruin", c=c, value=u, residual=abs(f(u) - alpha))
+    lo, hi = us[below - 1], us[below]
+    ends = [lo], [hi], [vals[below - 1] - alpha], [vals[below] - alpha]
+    (u,), (fu,), (error,) = falsi_columns(lambda x, rows: np.array([g(x[0])]), *ends, _U_TOLERANCE)
+    if error is not None:
+        raise IntegrationError(IG_NOT_FINITE) if math.isnan(fu) else error
+    assert abs(u - optimize.brentq(g, lo, hi, xtol=1e-12)) <= _U_TOLERANCE
+    return CapitalPoint(kind="nonruin", c=c, value=u, residual=abs(fu))
 
 
-IG_MODELS = pytest.mark.parametrize(
-    "m",
-    [
-        RiskModel(Erlang(1.6, 2), Exponential(0.6)),
-        RiskModel(MixtureExp2(1.0, 2.0, 2.0 / 3.0), Pareto(4.0, 0.35)),
-        RiskModel(Exponential(0.8), Kummer(5.0, 5.0)),
-    ],
-    ids=["iv", "heavy", "kummer"],
-)
+# the inverse Gaussian models of the benchmark's CLI capital grids
+CLI_MODELS = {
+    "iv": RiskModel(Erlang(1.6, 2), Exponential(0.6)),
+    "heavy": RiskModel(MixtureExp2(1.0, 2.0, 2.0 / 3.0), Pareto(4.0, 0.35)),
+    "kummer": RiskModel(Exponential(0.8), Kummer(5.0, 5.0)),
+}
+IG_MODELS = pytest.mark.parametrize("m", list(CLI_MODELS.values()), ids=list(CLI_MODELS))
 
 
 def _assert_ig_columns_equal_the_oracle(m, cs):
@@ -431,6 +448,33 @@ def test_ig_columns_of_the_benchmark_equal_the_oracle(m):
     # the rates of `capital --kind nonruin --method ig --c-start 0
     # --c-stop 2.5 --c-step 0.05`, the c = 0 redirect cell included
     _assert_ig_columns_equal_the_oracle(m, c_grid_range(0.0, 2.5, 0.05))
+
+
+def test_ig_benchmark_columns_take_at_most_fifteen_steps(monkeypatch):
+    # the benchmark's 12 inverse Gaussian grids: past the scan, at most 15
+    # lockstep steps per column and 8 kernel evaluations per solved cell
+    steps, evals, cells = [], [], []
+    solve = capital.falsi_columns
+
+    def counting(f, a, *args):
+        def g(x, rows):
+            evals.append(x.size)
+            return f(x, rows)
+
+        cells.append(len(a))
+        calls = len(evals)
+        out = solve(g, a, *args)
+        steps.append(len(evals) - calls)
+        return out
+
+    monkeypatch.setattr(capital, "falsi_columns", counting)
+    cs = c_grid_range(0.0, 2.5, 0.05)
+    for m in CLI_MODELS.values():
+        for alpha in (0.01, 0.05):
+            for t in (200.0, 1000.0):
+                capital_curve(m, alpha, t, cs, IG, kinds=("nonruin",))
+    assert len(steps) == 12 and max(steps) <= 15
+    assert sum(evals) <= 8 * sum(cells)
 
 
 def test_ig_column_mixes_failed_clamped_and_solved_cells():

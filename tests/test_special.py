@@ -9,7 +9,7 @@ from scipy import optimize, stats
 from scipy import special as sp
 
 from ruincapital.errors import BracketError, DomainError
-from ruincapital.special import _ig_cdf, brentq, brentq_columns, std_normal_quantile
+from ruincapital.special import _ig_cdf, brentq, falsi_columns, std_normal_quantile
 
 
 def test_cdf_matches_reference_points():
@@ -88,6 +88,19 @@ def _recorded(f):
     return g, xs
 
 
+def _monotone(x0, p, k, w, e, down, cap):
+    """A drawn monotone function of any scale and sign, whose one sign change
+    is at x0: a power p < 1 is steep there, so interpolated steps overshoot,
+    and capped at +-1 its flat ends make Brent's extrapolation divide by zero."""
+    scale = (-1.0 if down else 1.0) * 10.0**e
+
+    def f(x):
+        d = x - x0
+        return scale * max(-cap, min(cap, math.copysign(abs(d) ** p, d) + w * math.expm1(k * d)))
+
+    return f
+
+
 # the tolerances of capital._invert and of bounds.adjustment_coefficient
 TOLERANCES = [(1e-6, 4 * math.ulp(1.0)), (1e-15, 8.9e-16)]
 
@@ -106,15 +119,8 @@ TOLERANCES = [(1e-6, 4 * math.ulp(1.0)), (1e-15, 8.9e-16)]
 )
 @example(0.0, 1.0, 1.0, 0.0, 0.0, False, 0.0, 1.0, math.inf, TOLERANCES[0])  # f(a) = 0
 def test_brentq_is_scipys_root_after_scipys_calls(x0, p, k, w, e, down, left, right, cap, tol):
-    # a drawn monotone function of any scale and sign, its root x0 in [a, b]:
-    # a power p < 1 is steep at the root, so interpolated steps overshoot,
-    # and capped at +-1 its flat ends make the extrapolation divide by zero
-    scale = (-1.0 if down else 1.0) * 10.0**e
-
-    def f(x):
-        d = x - x0
-        return scale * max(-cap, min(cap, math.copysign(abs(d) ** p, d) + w * math.expm1(k * d)))
-
+    # a drawn monotone function, its root x0 in [a, b]
+    f = _monotone(x0, p, k, w, e, down, cap)
     ours, ours_xs = _recorded(f)
     theirs, their_xs = _recorded(f)
     a, b = x0 - left, x0 + right
@@ -141,92 +147,96 @@ def test_brentq_raises_a_bracket_error():
         optimize.brentq(lambda x: math.copysign(1.0, x - 0.5), -1e300, 1e300)
 
 
-def _drawn(x0, p, k, w, e, down, cap, nan_from):
-    """A fresh drawn monotone function, root x0, as in the brentq test above;
-    from its call number ``nan_from`` on (when not None) it returns NaN."""
-    scale = (-1.0 if down else 1.0) * 10.0**e
-    calls = []  # (x, f(x)) in call order
+def _column(fns, nan_from):
+    """falsi_columns' f(x, rows) over the scalar functions ``fns``, and each
+    element's points in call order; element i returns NaN from its call
+    ``nan_from[i]`` on (when not None)."""
+    calls = [[] for _ in fns]
 
-    def f(x):
-        d = x - x0
-        y = scale * max(-cap, min(cap, math.copysign(abs(d) ** p, d) + w * math.expm1(k * d)))
-        if nan_from is not None and len(calls) >= nan_from:
-            y = math.nan
-        calls.append((x, y))
-        return y
+    def f(x, rows):
+        out = []
+        for i, xi in zip(rows.tolist(), x.tolist()):
+            nan = nan_from[i] is not None and len(calls[i]) >= nan_from[i]
+            out.append(math.nan if nan else fns[i](xi))
+            calls[i].append(xi)
+        return np.array(out)
 
     return f, calls
 
 
-# (x0, p, k, w, e, down, cap, nan_from) and the bracket [x0 + da, x0 + db]:
-# mostly around the root, sometimes on one side of it, sometimes NaN
+# (x0, p, k, w, e, down, cap), the distances of the ends from x0, whether a
+# is the left end, and the call from which the element is NaN (mostly never).
+# The scale 10**e neither overflows nor underflows, and w > 0 makes the root simple where p > 1; a power p < 1 gives it infinite
+# slope.  Illinois' secant steps need more than 100 steps at a multiple
+# root, or where f spans tens of orders of magnitude across the bracket
+# (the test below), so neither is drawn.
 PROBLEMS = st.tuples(
     st.tuples(
-        st.floats(-5.0, 5.0), st.floats(0.2, 3.0), st.floats(0.1, 5.0), st.floats(0.0, 2.0),
-        st.floats(-250.0, 250.0), st.booleans(), st.sampled_from([math.inf, 1.0]),
-        st.sampled_from([None, None, None, 0, 1, 4]),
+        st.floats(-5.0, 5.0), st.floats(0.2, 3.0), st.floats(0.1, 2.0), st.floats(0.1, 2.0),
+        st.floats(-100.0, 100.0), st.booleans(), st.sampled_from([math.inf, 1.0]),
     ),
-    st.floats(-40.0, 5.0),
-    st.floats(-5.0, 40.0),
+    st.floats(0.0, 10.0),
+    st.floats(1e-9, 10.0),
+    st.booleans(),
+    st.sampled_from([None, None, None, 0, 1, 4]),
 )
-UNIT_ROOT = (0.0, 1.0, 1.0, 0.0, 0.0, False, math.inf, None)
-
-
-def _brentq_columns_case(problems, xtol):
-    """brentq_columns on the drawn problems against one brentq call each."""
-    a = [fn[0] + da for fn, da, db in problems]
-    b = [fn[0] + db for fn, da, db in problems]
-    want = []
-    for (fn, _, _), ai, bi in zip(problems, a, b):
-        f, calls = _drawn(*fn)
-        try:
-            want.append((brentq(f, ai, bi, xtol), None, calls))
-        except BracketError as exc:
-            want.append((None, str(exc), calls))
-    drawn = [_drawn(*fn) for fn, _, _ in problems]
-    column = lambda x, rows: np.array([drawn[i][0](xi) for i, xi in zip(rows.tolist(), x.tolist())])
-    # f at the ends first, in brentq's order: b is not evaluated after a NaN at a
-    fa = [f(ai) for (f, _), ai in zip(drawn, a)]
-    fb = [math.nan if math.isnan(y) else f(bi) for (f, _), y, bi in zip(drawn, fa, b)]
-    x, fx, errors = brentq_columns(column, a, b, fa, fb, xtol)
-    for (root, message, calls), (_, got), xi, fxi, error in zip(want, drawn, x, fx, errors):
-        # the same evaluations, in the same order, and f at the returned x
-        assert got == calls
-        y = dict(calls)[xi]
-        assert fxi == y or math.isnan(fxi) and math.isnan(y)
-        if message is None:
-            assert error is None and xi == root
-        else:
-            assert str(error) == message and xi == calls[-1][0]
-            assert math.isnan(fxi) == ("NaN" in message)
-
-
+UNIT_ROOT = (0.0, 1.0, 1.0, 0.1, 0.0, False, math.inf)
 XTOLS = [1e-6, 1e-12, 1e-15]
 
 
+def _falsi(problems, xtol):
+    """falsi_columns on the drawn problems: its (x, fx, errors), the functions,
+    the ends and each element's evaluations."""
+    fns = [_monotone(*fn) for fn, *_ in problems]
+    a = [fn[0] + (-da if left else da) for (fn, da, _, left, _) in problems]
+    b = [fn[0] + (db if left else -db) for (fn, _, db, left, _) in problems]
+    f, calls = _column(fns, [nan_from for *_, nan_from in problems])
+    fa, fb = [g(ai) for g, ai in zip(fns, a)], [g(bi) for g, bi in zip(fns, b)]
+    return falsi_columns(f, a, b, fa, fb, xtol), fns, a, b, calls
+
+
+def _bits(v):
+    return float(v).hex()
+
+
 @given(st.lists(PROBLEMS, min_size=1, max_size=6), st.sampled_from(XTOLS))
-@example([(UNIT_ROOT, 0.0, 1.0)], XTOLS[0])  # f(a) = 0
-@example([(UNIT_ROOT, -1.0, 0.0)], XTOLS[0])  # f(b) = 0
-@example([(UNIT_ROOT, -1.0, 2.0), (UNIT_ROOT[:-1] + (2,), -1.0, 2.0)], XTOLS[0])  # NaN
-def test_brentq_columns_is_brentq_element_by_element(problems, xtol):
-    # each element has brentq's root bits, its error and its evaluations,
-    # whatever the other elements do
-    _brentq_columns_case(problems, xtol)
+@example([(UNIT_ROOT, 0.0, 1.0, True, None)], XTOLS[0])  # f(a) = 0
+@example([(UNIT_ROOT, 1.0, 1.0, True, None), (UNIT_ROOT, 1.0, 2.0, False, 2)], XTOLS[0])  # NaN
+def test_falsi_columns_finds_each_root_once_per_element(problems, xtol):
+    (x, fx, errors), fns, a, b, calls = _falsi(problems, xtol)
+    for i, (fn, *_, nan_from) in enumerate(problems):
+        # no point evaluated twice, the ends given included, and at most 100 steps
+        assert len({a[i], b[i], *calls[i]}) == 2 + len(calls[i]) <= 102
+        if errors[i] is not None:
+            # only a NaN fails a drawn element: the last iterate, NaN there
+            assert "NaN" in str(errors[i]) and nan_from is not None
+            assert x[i] == calls[i][-1] and math.isnan(fx[i])
+            continue
+        assert nan_from is None or len(calls[i]) <= nan_from
+        # the root is b or one of its own iterates, f there its value, and
+        # it lies within the stopping width of the one sign change at x0
+        assert x[i] in (b[i], *calls[i]) and fx[i] == fns[i](x[i])
+        assert abs(x[i] - fn[0]) <= xtol + 4 * math.ulp(1.0) * max(abs(a[i]), abs(b[i]))
+        # an element is its own column of one, bit for bit
+        (x1, fx1, errors1), _, _, _, calls1 = _falsi([problems[i]], xtol)
+        assert (_bits(x1[0]), _bits(fx1[0]), errors1) == (_bits(x[i]), _bits(fx[i]), [None])
+        assert calls1 == [calls[i]]
 
 
-def test_brentq_columns_early_returns_and_nan_fail_one_element_each():
-    # f(a) = 0, f(b) = 0, a NaN at the first iterate, and one regular root
-    g = lambda i, x: math.nan if i == 2 and 0.0 < x < 2.0 else x - 1.0
-    f = lambda x, rows: np.array([g(i, xi) for i, xi in zip(rows.tolist(), x.tolist())])
-    a, b = [1.0, 0.0, 0.0, 0.0], [3.0, 1.0, 2.0, 3.0]
-    x, fx, errors = brentq_columns(f, a, b, np.subtract(a, 1.0), np.subtract(b, 1.0), 2e-12)
-    assert x[:2].tolist() == [1.0, 1.0] and fx[:2].tolist() == [0.0, 0.0]
-    assert errors[:2] == [None, None]
-    assert isinstance(errors[2], BracketError) and "NaN" in str(errors[2]) and math.isnan(fx[2])
-    assert errors[3] is None and x[3] == brentq(lambda u: u - 1.0, 0.0, 3.0)
-    # the ends' values, given, are not evaluated again
-    asked = []
-    g = lambda x, rows: asked.extend(x.tolist()) or x - 1.0
-    x, _, _ = brentq_columns(g, [0.0, 0.5], [3.0, 4.0], [-1.0, -0.5], [2.0, 3.0], 2e-12)
-    assert x.tolist() == [brentq(lambda u: u - 1.0, 0.0, 3.0), brentq(lambda u: u - 1.0, 0.5, 4.0)]
-    assert asked and not {0.0, 3.0, 0.5, 4.0} & set(asked)
+def test_nan_or_100_steps_fail_only_their_own_element():
+    # element 0 falls from 1 to -5.5e34 across [0, 3]: each secant point
+    # lies tol/2 past the last one while f(a) halves, so 100 steps reach
+    # only x = 8e-5; element 1 turns NaN at its second call, and element 2
+    # is a regular root
+    square = lambda x: 1.0 - x * x
+    g = [lambda x: -math.expm1(40.0 * (x - 1.0)), square, square]
+    f, calls = _column(g, [None, 1, None])
+    a, b = [0.0, 0.0, 0.0], [3.0, 3.0, 3.0]
+    x, fx, errors = falsi_columns(f, a, b, [1.0, 1.0, 1.0], [g[0](3.0), -8.0, -8.0], 1e-6)
+    assert "100 steps" in str(errors[0]) and len(calls[0]) == 100 and x[0] == calls[0][-1]
+    assert "NaN" in str(errors[1]) and len(calls[1]) == 2 and math.isnan(fx[1])
+    assert all(isinstance(e, BracketError) for e in errors[:2])
+    assert errors[2] is None and abs(x[2] - 1.0) <= 1e-6 and fx[2] == square(x[2])
+    one, one_calls = _column([square], [None])
+    x1, fx1, _ = falsi_columns(one, [0.0], [3.0], [1.0], [-8.0], 1e-6)
+    assert (x1[0], fx1[0], one_calls[0]) == (x[2], fx[2], calls[2])
