@@ -8,27 +8,26 @@ pin the infinite-horizon capital into an interval without any simulation.
 
 The script computes kappa, the prefactor pair, and the resulting capital
 interval for a model with mixture-of-exponentials claims, and checks the
-machinery against the exponential pair where the exact answer is
-available in closed form.
+machinery against the exponential pair, where both prefactors equal c*/c
+and ``ultimate_capital`` returns the exact capital as its one-point
+enclosure.
 """
 
 from ruincapital import (
     Exponential,
-    ExpPair,
     MixtureExp2,
     RiskModel,
     adjustment_coefficient,
     lundberg_ratio_bounds,
-    ultimate_capital_exp,
+    ultimate_capital,
     ultimate_capital_interval,
 )
 
 alpha = 0.05
 
 print("exponential pair (delta = rho = 1), c = 1.5:")
-pair = ExpPair(1.0, 1.0)
-exact = ultimate_capital_exp(pair, alpha, 1.5)
 m = RiskModel(Exponential(1.0), Exponential(1.0))
+exact = ultimate_capital(m, alpha, 1.5).value
 lo, hi = ultimate_capital_interval(m, alpha, 1.5)
 print(f"  exact capital {exact:.4f}, bound interval [{lo:.4f}, {hi:.4f}]")
 

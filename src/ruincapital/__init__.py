@@ -19,10 +19,8 @@ the path simulator; :mod:`ruincapital.presets` canned reference figures.
 """
 
 from .approx import (
-    AsymptoticEndpoints,
     CramerConstants,
     capital_asymptotic_bounds,
-    capital_asymptotic_endpoints,
     cramer_constants_exp,
     cramer_ruin_exp,
     ig_ruin_probability,
@@ -34,7 +32,6 @@ from .bounds import (
     adjustment_coefficient,
     capital_upper_bound_lundberg,
     lundberg_ratio_bounds,
-    ultimate_capital_exp,
     ultimate_capital_interval,
 )
 from .capital import (
@@ -78,7 +75,6 @@ __version__ = "1.0.0"
 __all__ = [
     "__version__",
     "AdjustmentCoefficient",
-    "AsymptoticEndpoints",
     "BackendIncompatibleError",
     "BracketError",
     "CapitalPoint",
@@ -110,7 +106,6 @@ __all__ = [
     "adjustment_coefficient",
     "aggregate_cdf_exp",
     "capital_asymptotic_bounds",
-    "capital_asymptotic_endpoints",
     "capital_curve",
     "capital_upper_bound_lundberg",
     "cramer_constants_exp",
@@ -127,7 +122,6 @@ __all__ = [
     "simulate_paths",
     "theorem_preconditions",
     "ultimate_capital",
-    "ultimate_capital_exp",
     "ultimate_capital_interval",
     "var_capital",
 ]

@@ -7,9 +7,9 @@ Four families live here:
   probability, in closed form;
 * the exponential-case normal (Cramer-type) ruin approximation with its
   explicit constants;
-* the asymptotic endpoint values and bilateral bounds for the non-ruin
-  capital as a function of the premium rate: the CLT Value-at-Risk
-  formula at alpha and alpha/2, one expression shared with ``var_clt``.
+* the bilateral asymptotic bounds for the non-ruin capital as a function
+  of the premium rate on [0, c*]: the CLT Value-at-Risk formula at alpha
+  and alpha/2, one expression shared with ``var_clt``.
 """
 
 from __future__ import annotations
@@ -28,12 +28,10 @@ from .special import IG_NOT_FINITE, _ig_cdf, _scipy_special, std_normal_quantile
 
 __all__ = [
     "CramerConstants",
-    "AsymptoticEndpoints",
     "var_clt",
     "ig_ruin_probability",
     "cramer_constants_exp",
     "cramer_ruin_exp",
-    "capital_asymptotic_endpoints",
     "capital_asymptotic_bounds",
 ]
 
@@ -47,15 +45,27 @@ def _clt_capital(k: DerivedConstants, alpha: float, t: float, c: float) -> float
     return (k.c_star - c) * t + k.capital_scale * math.sqrt(t) * std_normal_quantile(1.0 - alpha)
 
 
+def _clt_checked(k: DerivedConstants, alpha: float, t: float, c):
+    """``_clt_capital``, or DomainError where it overflows to +inf or to inf - inf
+    (for a whole array at once); an overflow to -inf is kept."""
+    with np.errstate(over="ignore", invalid="ignore"):  # as in float arithmetic
+        v = _clt_capital(k, alpha, t, c)
+    if not np.all(np.isfinite(v) | (v < 0.0)):
+        raise DomainError(f"CLT capital (c* - c) t + D_V z_alpha sqrt(t) overflows at t = {t!r}")
+    return v
+
+
 def var_clt(m: RiskModel, alpha: float, t: float, c):
-    """CLT Value-at-Risk capital ``max{0, _clt_capital(alpha)}``; c may be a NumPy array."""
+    """CLT Value-at-Risk capital ``max{0, _clt_capital(alpha)}``; c may be a NumPy array.
+
+    An overflow to -inf is a capital of 0, one to +inf a DomainError.
+    """
     alpha = check_alpha(alpha)
     t = check_real("t", t, above=0.0)
     array = isinstance(c, np.ndarray)
     c = check_real_array("c", c, at_least=0.0) if array else check_real("c", c, at_least=0.0)
-    with np.errstate(over="ignore"):  # an overflow is -inf or inf, as in float arithmetic
-        v = _clt_capital(derived_constants(m), alpha, t, c)
-    return np.where(v > 0.0, v, 0.0) if array else max(0.0, v)  # both give 0 for NaN
+    v = _clt_checked(derived_constants(m), alpha, t, c)
+    return np.where(v > 0.0, v, 0.0) if array else max(0.0, v)
 
 
 def _ig_prob(k: DerivedConstants, c, t: float, u_lo, u_hi):
@@ -197,47 +207,13 @@ def cramer_ruin_exp(p: ExpPair, u: float, c: float, t: float) -> float:
     u = check_real("u", u, above=0.0)
     t = check_real("t", t, above=0.0)
     k = cramer_constants_exp(p, c)
-    var = k.d2 * u
-    if not var > 0.0:
-        raise DomainError(f"normal ruin approximation variance d2 u underflows at u = {u!r}")
-    return ruin_ultimate_exp(p, u, c) * float(_scipy_special().ndtr((t - k.m * u) / math.sqrt(var)))
-
-
-@dataclass(frozen=True)
-class AsymptoticEndpoints:
-    """Leading-order non-ruin capital at the two distinguished premium rates."""
-
-    u_at_zero: float
-    u_at_cstar: float
-
-
-def _warn_if_preconditions_fail(m: RiskModel, what: str) -> None:
-    if not theorem_preconditions(m).capital_asymptotics_ok:
-        warnings.warn(
-            f"{what}: stated moment conditions not all satisfied for this "
-            "model; the formula is applied anyway",
-            RuntimeWarning,
-            stacklevel=3,
+    mean, var = k.m * u, k.d2 * u
+    # at huge u both overflow, and (t - inf)/sqrt(inf) would be NaN
+    if not (var > 0.0 and math.isfinite(mean) and math.isfinite(var)):
+        raise DomainError(
+            f"normal ruin approximation terms m u, d2 u not finite and positive at u = {u!r}"
         )
-
-
-def capital_asymptotic_endpoints(
-    m: RiskModel, alpha: float, t: float
-) -> AsymptoticEndpoints:
-    """Asymptotic non-ruin capital at c = 0 and c = c*, the two ends of the band.
-
-    ``u(0) = c* t + D_V z_alpha sqrt(t)`` (the band's lower end) and
-    ``u(c*) = D_V z_{alpha/2} sqrt(t)`` (its upper end).  Models violating
-    the third-moment hypotheses produce a warning, not an error.
-    """
-    alpha = check_alpha(alpha)
-    t = check_real("t", t, above=0.0)
-    _warn_if_preconditions_fail(m, "capital_asymptotic_endpoints")
-    k = derived_constants(m)
-    return AsymptoticEndpoints(
-        u_at_zero=_clt_capital(k, alpha, t, 0.0),
-        u_at_cstar=_clt_capital(k, alpha / 2.0, t, k.c_star),
-    )
+    return ruin_ultimate_exp(p, u, c) * float(_scipy_special().ndtr((t - mean) / math.sqrt(var)))
 
 
 def capital_asymptotic_bounds(
@@ -248,6 +224,10 @@ def capital_asymptotic_bounds(
     The CLT Value-at-Risk formula at alpha and at alpha/2:
     ``(c* - c) t + D_V z sqrt(t)`` with z = z_alpha (lower) and
     z = z_{alpha/2} (upper), so the band is (var_clt(alpha), var_clt(alpha/2)).
+    Its lower end at c = 0, c* t + D_V z_alpha sqrt(t), and its upper end at
+    c*, D_V z_{alpha/2} sqrt(t), are the leading-order non-ruin capitals
+    there.  Models violating the third-moment hypotheses produce a warning,
+    not an error.
     """
     alpha = check_alpha(alpha)
     t = check_real("t", t, above=0.0)
@@ -258,5 +238,11 @@ def capital_asymptotic_bounds(
             "asymptotic capital bounds apply only for c <= c*; for larger "
             "premium rates use the adjustment-coefficient bounds"
         )
-    _warn_if_preconditions_fail(m, "capital_asymptotic_bounds")
-    return _clt_capital(k, alpha, t, c), _clt_capital(k, alpha / 2.0, t, c)
+    if not theorem_preconditions(m).capital_asymptotics_ok:
+        warnings.warn(
+            "capital_asymptotic_bounds: stated moment conditions not all satisfied "
+            "for this model; the formula is applied anyway",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return _clt_checked(k, alpha, t, c), _clt_checked(k, alpha / 2.0, t, c)

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 from . import dist
 from .dist import Distribution
-from .errors import (
-    BracketError,
-    InfiniteCapitalError,
-    NoAdjustmentCoefficientError,
-    check_real,
-)
-from .exact import ExpPair
+from .errors import BracketError, NoAdjustmentCoefficientError, check_real
 from .model import RiskModel, check_alpha, derived_constants
 from .special import brentq
 
@@ -33,7 +27,6 @@ __all__ = [
     "adjustment_coefficient",
     "capital_upper_bound_lundberg",
     "lundberg_ratio_bounds",
-    "ultimate_capital_exp",
     "ultimate_capital_interval",
 ]
 
@@ -166,28 +159,6 @@ def lundberg_ratio_bounds(m: RiskModel, c: float) -> RatioBounds:
     N ~ Poisson(y), increasing.  Heavy-tailed claims have no kappa and raise.
     """
     return _ratio_ends(m.y_law, adjustment_coefficient(m, c).kappa)
-
-
-def ultimate_capital_exp(p: ExpPair, alpha: float, c: float) -> float:
-    """Smallest capital with ultimate ruin probability at most alpha.
-
-    Exact in the exponential pair: inverts q exp(-u(c rho - delta)/c) =
-    alpha.  Clamped at 0 when even u = 0 already satisfies the target.
-
-    Raises:
-        InfiniteCapitalError: for c <= c*, where ultimate ruin is certain
-            at every capital level.
-    """
-    alpha = check_alpha(alpha)
-    c = check_real("c", c)
-    if not c * p.rho > p.delta:
-        raise InfiniteCapitalError(
-            "ultimate capital is infinite for c <= c* = delta/rho"
-        )
-    arg = alpha * c * p.rho / p.delta
-    if arg >= 1.0:
-        return 0.0
-    return -math.log(arg) * c / (c * p.rho - p.delta)
 
 
 def ultimate_capital_interval(m: RiskModel, alpha: float, c: float) -> tuple[float, float]:

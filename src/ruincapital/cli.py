@@ -202,7 +202,7 @@ def cmd_capital(args) -> int:
     if kind not in ("var", "nonruin", "ultimate"):
         raise DomainError(f"unknown capital kind {kind!r}")
     methods = _parse_methods(args)
-    # the ultimate capital has one route: a closed form or an enclosure
+    # the ultimate capital has one route: the adjustment-coefficient enclosure
     allowed = ["exact"] if kind == "ultimate" else list(_BACKENDS)
     if any(mth not in allowed for mth in methods):
         raise DomainError(f"{kind} capital methods are among {allowed}, got {methods}")

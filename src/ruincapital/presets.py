@@ -229,12 +229,12 @@ def _fig8(n_paths: int, seed: int):
         {"alpha": alpha, "t": t, "seed": seed},
     )
     i_star = int(np.argmin(np.abs(np.asarray(cs) - 4.0 / 3.0)))
-    ep = approx.capital_asymptotic_endpoints(m, alpha, t)
+    at_cstar = approx.capital_asymptotic_bounds(m, alpha, t, derived_constants(m).c_star)[1]
     sidecar = {
         "grid_lines": {"c_star": 4.0 / 3.0, "nonruin_at_cstar": 48.0},
         "achieved": {
             "sim_nonruin_at_cstar": sim[i_star],
-            "endpoint_formula_at_cstar": ep.u_at_cstar,
+            "endpoint_formula_at_cstar": at_cstar,
         },
         "notes": [
             "the published grid value 48 came from a 1000-path simulation; "
@@ -265,7 +265,9 @@ def _fig9(n_paths: int, seed: int):
     out = CurveTable.from_columns(columns, {"alpha": alpha, "t": t, "seed": seed})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        ep = approx.capital_asymptotic_endpoints(m_dots, alpha, t)
+        at_cstar = approx.capital_asymptotic_bounds(
+            m_dots, alpha, t, derived_constants(m_dots).c_star
+        )[1]
     sidecar = {
         "grid_lines": {
             "c_star_dots": 1.7778,
@@ -275,7 +277,7 @@ def _fig9(n_paths: int, seed: int):
         "achieved": {
             "c_star_dots": round(derived_constants(m_dots).c_star, 4),
             "c_star_crosses": round(derived_constants(m_cross).c_star, 4),
-            "endpoint_formula_dots": ep.u_at_cstar,
+            "endpoint_formula_dots": at_cstar,
         },
         "notes": notes,
     }

@@ -15,11 +15,7 @@ import time
 import numpy as np
 
 from ig_oracle import ig_integral
-from ruincapital.approx import (
-    capital_asymptotic_endpoints,
-    ig_ruin_probability,
-)
-from ruincapital.bounds import ultimate_capital_exp
+from ruincapital.approx import capital_asymptotic_bounds, ig_ruin_probability
 from ruincapital.capital import SolveSpec, capital_curve, nonruin_capital, ultimate_capital
 from ruincapital.dist import Erlang, Exponential, Kummer, MixtureExp2, Pareto
 from ruincapital.exact import ExpPair, ruin_finite_exp
@@ -27,6 +23,7 @@ from ruincapital.model import RiskModel, derived_constants
 from ruincapital.montecarlo import SimConfig, simulate_paths
 from ruincapital.presets import TABLE1_MODELS, run_preset
 from ruincapital.special import std_normal_quantile
+from ultimate_oracle import ultimate_capital_exp
 
 SEED = 20240817
 
@@ -197,11 +194,10 @@ def test_criterion_08_ordering_properties():
             if not row[inr] <= ult + slack:
                 violations += 1
     # (c) the closed-form ultimate capital dominates the exact capital above c*
-    pair_i = ExpPair(0.8, 0.6)
     for c in cs:
         if c <= 4.0 / 3.0 + 1e-9:
             continue
-        bound = ultimate_capital_exp(pair_i, 0.05, c)
+        bound = ultimate_capital_exp(0.8, 0.6, 0.05, c)
         exact_u = nonruin_capital(
             MODEL_I, 0.05, 200.0, c, SolveSpec(backend="exact_exp")
         ).value
@@ -219,7 +215,7 @@ def test_criterion_09_erlang_simulation_endpoint():
     # one sample serves both the estimate and the batch spread below
     sample = simulate_paths(MODEL_IV, [c_star], cfg)
     est = sample.quantile("nonruin", 0.05)[0]
-    endpoint = capital_asymptotic_endpoints(MODEL_IV, 0.05, 200.0).u_at_cstar
+    endpoint = capital_asymptotic_bounds(MODEL_IV, 0.05, 200.0, c_star)[1]
     # the published 48 is itself a 1000-path estimate, so it is compared as
     # a second sample: its standard deviation is the spread of the same
     # order statistic over the disjoint 1000-path batches of these paths

@@ -10,7 +10,6 @@ from ig_oracle import ig_integral
 from ruincapital.approx import (
     _ig_prob,
     capital_asymptotic_bounds,
-    capital_asymptotic_endpoints,
     cramer_constants_exp,
     cramer_ruin_exp,
     ig_ruin_probability,
@@ -199,32 +198,31 @@ def test_cramer_close_to_exact():
 
 
 def test_endpoints_unit_model():
-    # u(0) = t/M + z_.05 sqrt(2) sqrt(t); u(c*) = z_.025 sqrt(2) sqrt(t)
-    e = capital_asymptotic_endpoints(UNIT, 0.05, 200.0)
+    # the band's ends: u(0) = t/M + z_.05 sqrt(2) sqrt(t) and u(c*) = z_.025 sqrt(2) sqrt(t)
+    u_at_zero = capital_asymptotic_bounds(UNIT, 0.05, 200.0, 0.0)[0]
+    u_at_cstar = capital_asymptotic_bounds(UNIT, 0.05, 200.0, K_UNIT.c_star)[1]
     z_a = stats.norm.ppf(0.95)
     z_h = stats.norm.ppf(0.975)
-    assert e.u_at_zero == pytest.approx(200.0 + z_a * math.sqrt(400.0), rel=1e-12)
-    assert e.u_at_cstar == pytest.approx(z_h * math.sqrt(400.0), rel=1e-12)
+    assert u_at_zero == pytest.approx(200.0 + z_a * math.sqrt(400.0), rel=1e-12)
+    assert u_at_cstar == pytest.approx(z_h * math.sqrt(400.0), rel=1e-12)
 
 
 def test_endpoints_erlang_model():
     m = RiskModel(Erlang(1.6, 2), Exponential(0.6))
-    e = capital_asymptotic_endpoints(m, 0.05, 200.0)
+    u_at_cstar = capital_asymptotic_bounds(m, 0.05, 200.0, derived_constants(m).c_star)[1]
     # scale = D / M^{3/2} with D^2 = 1.40625, M = 0.75
     scale = math.sqrt(1.40625) / 0.75**1.5
-    assert e.u_at_cstar == pytest.approx(
+    assert u_at_cstar == pytest.approx(
         stats.norm.ppf(0.975) * scale * math.sqrt(200.0), rel=1e-12
     )
 
 
 def test_bounds_bracket_endpoint_and_order():
+    # at each rate the upper end lies above the lower, and both fall as c rises
     lo, hi = capital_asymptotic_bounds(UNIT, 0.05, 200.0, 1.0)
-    e = capital_asymptotic_endpoints(UNIT, 0.05, 200.0)
-    assert lo < hi
-    assert lo <= e.u_at_cstar <= hi
     lo0, hi0 = capital_asymptotic_bounds(UNIT, 0.05, 200.0, 0.0)
-    assert lo0 <= e.u_at_zero + 1e-9
-    assert e.u_at_zero <= hi0 + 1e-9
+    assert lo < hi and lo0 < hi0
+    assert lo < lo0 and hi < hi0
     with pytest.raises(DomainError):
         capital_asymptotic_bounds(UNIT, 0.05, 200.0, 1.5)
 
@@ -232,7 +230,7 @@ def test_bounds_bracket_endpoint_and_order():
 def test_precondition_warning_for_missing_third_moment():
     m = RiskModel(Exponential(0.8), Pareto(3.0, 0.3))
     with pytest.warns(RuntimeWarning):
-        capital_asymptotic_endpoints(m, 0.05, 200.0)
+        capital_asymptotic_bounds(m, 0.05, 200.0, derived_constants(m).c_star)
 
 
 # lam = u/(c^2 D^2) overflows at u = 1e308 and divides by zero at c = 1e-200;
@@ -257,9 +255,30 @@ def test_ig_overflow_raises_without_a_numpy_warning():
                 ig_ruin_probability(UNIT, u, c, t)
 
 
+def test_clt_overflow_to_inf_is_a_typed_error_and_to_minus_inf_is_zero():
+    # c* = 1e10, so (c* - c) t overflows to inf below c* and to -inf above it
+    m = RiskModel(Exponential(1.0), Exponential(1e-10))
+    for c in (0.0, np.array([0.0, 2e10])):
+        with pytest.raises(DomainError, match="overflows"):
+            var_clt(m, 0.05, 1e300, c)
+    with pytest.raises(DomainError, match="overflows"):
+        capital_asymptotic_bounds(m, 0.05, 1e300, 0.0)
+    assert var_clt(m, 0.05, 1e300, 2e10) == 0.0
+    assert var_clt(m, 0.05, 1e300, np.array([2e10, 3e10])).tolist() == [0.0, 0.0]
+    # D_V evaluates to inf here, so above c* the formula is -inf + inf, not a capital of 0
+    huge = RiskModel(Exponential(1e-100), Exponential(1e-102))
+    c = 2.0 * derived_constants(huge).c_star
+    for cs in (c, np.array([c])):
+        with pytest.raises(DomainError, match="overflows"):
+            var_clt(huge, 0.05, 1.7e308, cs)
+
+
 def test_cramer_extreme_constants_are_typed_errors():
-    # the cube (1 - q)^3 overflowed, and d2 u underflowed to a zero divisor
+    # the cube (1 - q)^3 overflowed, d2 u underflowed to a zero divisor, and
+    # m u and d2 u overflowed, where (t - inf)/sqrt(inf) was NaN
     for p, u, c, t in ((ExpPair(1e6, 0.01), 1e-12, 1e-300, 1e-300),
-                       (ExpPair(1.0, 3.0), 1e-200, 1e100, 3.0)):
+                       (ExpPair(1.0, 3.0), 1e-200, 1e100, 3.0),
+                       (ExpPair(1.0, 1.0), 1e308, 0.5, 1.0)):
         with pytest.raises(DomainError):
             cramer_ruin_exp(p, u, c, t)
+    assert cramer_ruin_exp(ExpPair(1.0, 1.0), 1e300, 0.5, 1.0) == 0.0

@@ -65,9 +65,6 @@ CASES = {
                             dict(u=40, c=2, t=200), dict(u=0, c=0, t=0)),
     "cramer_constants_exp": Case(lambda c: approx.cramer_constants_exp(PAIR, c),
                                  dict(c=2), dict(c=0)),
-    "capital_asymptotic_endpoints": Case(
-        lambda alpha, t: approx.capital_asymptotic_endpoints(UNIT, alpha, t),
-        dict(alpha=0.05, t=200), dict(alpha=0.7, t=0)),
     "capital_asymptotic_bounds": Case(
         lambda alpha, t, c: approx.capital_asymptotic_bounds(UNIT, alpha, t, c),
         dict(alpha=0.05, t=200, c=1), dict(alpha=0.7, t=0, c=-1)),
@@ -82,8 +79,6 @@ CASES = {
     "ultimate_capital_interval": Case(
         lambda alpha, c: bounds.ultimate_capital_interval(UNIT, alpha, c),
         dict(alpha=0.05, c=2), dict(alpha=0.7, c=0)),
-    "ultimate_capital_exp": Case(lambda alpha, c: bounds.ultimate_capital_exp(PAIR, alpha, c),
-                                 dict(alpha=0.05, c=2), dict(alpha=0.7, c=None)),
     # capital
     "var_capital": Case(lambda alpha, t, c: capital.var_capital(UNIT, alpha, t, c, EXACT),
                         dict(alpha=0.05, t=200, c=1), dict(alpha=0.7, t=0, c=-1)),

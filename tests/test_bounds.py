@@ -13,9 +13,9 @@ from ruincapital.bounds import (
     adjustment_coefficient,
     capital_upper_bound_lundberg,
     lundberg_ratio_bounds,
-    ultimate_capital_exp,
     ultimate_capital_interval,
 )
+from ruincapital.capital import ultimate_capital
 from ruincapital.dist import Distribution, Erlang, Exponential, MixtureExp2, Pareto, mgf
 from ruincapital.errors import (
     BracketError,
@@ -25,6 +25,7 @@ from ruincapital.errors import (
 )
 from ruincapital.exact import ExpPair, ruin_ultimate_exp
 from ruincapital.model import RiskModel
+from ultimate_oracle import ultimate_capital_exp
 
 
 def test_kappa_closed_form_exponential_pair():
@@ -78,24 +79,25 @@ def test_kappa_requires_light_tail_and_profit():
         adjustment_coefficient(m, 0.5)
     # a NaN premium rate is a typed error, not a NaN capital
     with pytest.raises(DomainError):
-        ultimate_capital_exp(ExpPair(1.0, 1.0), 0.05, math.nan)
+        ultimate_capital(m, 0.05, math.nan)
 
 
 def test_exp_upper_bound_inverts_ultimate_ruin():
     p = ExpPair(1.0, 1.0)
+    m = RiskModel(Exponential(1.0), Exponential(1.0))
     alpha, c = 0.05, 1.25
-    u = ultimate_capital_exp(p, alpha, c)
+    u = ultimate_capital(m, alpha, c).value
     assert ruin_ultimate_exp(p, u, c) == pytest.approx(alpha, rel=1e-12)
     # generous alpha clamps at zero: alpha c rho / delta = 1.125 >= 1
-    assert ultimate_capital_exp(p, 0.45, 2.5) == 0.0
+    pt = ultimate_capital(m, 0.45, 2.5)
+    assert (pt.value, pt.clamped) == (0.0, True)
 
 
 def test_markov_bound_dominates_exact_capital():
-    p = ExpPair(1.0, 1.0)
     m = RiskModel(Exponential(1.0), Exponential(1.0))
     for c in (1.2, 1.5, 2.0):
         markov = capital_upper_bound_lundberg(m, 0.05, c)
-        assert markov >= ultimate_capital_exp(p, 0.05, c)
+        assert markov >= ultimate_capital(m, 0.05, c).value
 
 
 def test_ratio_bounds_exponential_constant():
@@ -190,10 +192,9 @@ def test_mixture_ratio_decreases_between_its_ends():
 
 def test_ultimate_capital_interval_contains_truth_exponential():
     m = RiskModel(Exponential(1.0), Exponential(1.0))
-    p = ExpPair(1.0, 1.0)
     alpha, c = 0.05, 1.5
     lo, hi = ultimate_capital_interval(m, alpha, c)
-    truth = ultimate_capital_exp(p, alpha, c)
+    truth = ultimate_capital_exp(1.0, 1.0, alpha, c)
     assert lo <= truth + 1e-9
     assert truth <= hi + 1e-9
     # the interval inverts the bound pair at the same kappa
@@ -210,12 +211,11 @@ def test_ultimate_capital_interval_mixture_model():
 
 def test_every_capital_takes_alpha_below_one_half():
     # one alpha rule, model.check_alpha, for every capital in this module
-    p = ExpPair(1.0, 1.0)
     unit = RiskModel(Exponential(1.0), Exponential(1.0))
     mixture = RiskModel(Exponential(0.8), MixtureExp2(1.0, 2.0, 0.5))
     for alpha in (0.5, 0.7, 1.0, 0.0, -0.1, math.nan, math.inf):
         with pytest.raises(DomainError):
-            ultimate_capital_exp(p, alpha, 2.0)
+            ultimate_capital(unit, alpha, 2.0)
         with pytest.raises(DomainError):
             ultimate_capital_interval(mixture, alpha, 2.5)
         with pytest.raises(DomainError):
@@ -224,10 +224,11 @@ def test_every_capital_takes_alpha_below_one_half():
 
 
 def test_infinite_capital_below_equilibrium():
+    unit = RiskModel(Exponential(1.0), Exponential(1.0))
     with pytest.raises(InfiniteCapitalError):
-        ultimate_capital_exp(ExpPair(1.0, 1.0), 0.05, 1.0)
+        ultimate_capital(unit, 0.05, 1.0)
     with pytest.raises(InfiniteCapitalError):
-        ultimate_capital_exp(ExpPair(1.0, 1.0), 0.05, 0.9)
+        ultimate_capital(unit, 0.05, 0.9)
 
 
 def _phase_type_capital(y, c, alpha):
@@ -316,8 +317,8 @@ def test_kappa_rounding_to_zero_next_to_cstar_is_a_typed_error():
     c = math.nextafter(3.0 / 7.0, 1.0)
     with pytest.raises(NoAdjustmentCoefficientError):
         adjustment_coefficient(m, c)
-    with pytest.raises(InfiniteCapitalError):
-        ultimate_capital_exp(ExpPair(1.0, 1.5), 0.05, math.nextafter(2.0 / 3.0, 1.0))
+    with pytest.raises(NoAdjustmentCoefficientError):
+        ultimate_capital(m, 0.05, c)
 
 
 @pytest.mark.parametrize("ratio", [1.1, 2.0, 5.0])

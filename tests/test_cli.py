@@ -318,6 +318,21 @@ def test_ruinprob_ig_cell_with_infinite_shape_is_na(config_path, tmp_path):
     assert table.rows == [[0.5, None]]
     assert table.metadata["warnings"][0].startswith("ig@c=0.5: inverse Gaussian shape")
 
+
+def test_capital_clt_column_that_overflows_is_na(tmp_path):
+    # c* = 1e10 and t = 1e300: (c* - c) t overflows, and each cell was written as inf
+    path = tmp_path / "model.json"
+    laws = {"t_law": {"family": "exponential", "rate": 1.0},
+            "y_law": {"family": "exponential", "rate": 1e-10}}
+    path.write_text(json.dumps({"model": laws}))
+    out = tmp_path / "cap.csv"
+    assert main(["capital", "--config", str(path), "--kind", "var", "--method", "clt",
+                 "--t", "1e300", "--c-start", "0", "--c-stop", "1", "--c-step", "1",
+                 "--out", str(out)]) == 0
+    table = CurveTable.read_csv(out)
+    assert table.rows == [[0.0, None], [1.0, None]]
+    assert table.metadata["warnings"][0].startswith("clt@c=0: CLT capital")
+
 def test_each_subcommand_takes_only_the_flags_it_reads():
     grid = {"--c-start", "--c-stop", "--c-step", "--method", "--paths", "--seed", "--out"}
     expected = {

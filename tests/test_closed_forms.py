@@ -22,6 +22,7 @@ from ruincapital.dist import Erlang, Exponential, MixtureExp2, Pareto
 from ruincapital.errors import RuinCapitalError
 from ruincapital.exact import ExpPair
 from ruincapital.model import RiskModel, derived_constants
+from ultimate_oracle import ultimate_capital_exp
 
 rates = st.floats(0.05, 20.0)
 light_laws = st.one_of(
@@ -49,9 +50,6 @@ def test_band_is_var_clt_at_alpha_and_half_alpha(m, alpha, t, frac):
         warnings.simplefilter("ignore", RuntimeWarning)  # Pareto laws lack a third moment
         band = approx.capital_asymptotic_bounds(m, alpha, t, c)
         assert band == (approx.var_clt(m, alpha, t, c), approx.var_clt(m, alpha / 2.0, t, c))
-        ends = approx.capital_asymptotic_endpoints(m, alpha, t)
-        assert ends.u_at_zero == approx.capital_asymptotic_bounds(m, alpha, t, 0.0)[0]
-        assert ends.u_at_cstar == approx.capital_asymptotic_bounds(m, alpha, t, c_star)[1]
 
 
 def _printed_cramer(p, u, c, t):
@@ -85,7 +83,7 @@ def test_cramer_is_ultimate_ruin_times_phi(delta, rho, ratio, u, t):
 def test_exponential_pair_ultimate_capital_is_the_closed_form(delta, rho, ratio, alpha):
     c = ratio * delta / rho
     pt = capital.ultimate_capital(_exp_model(delta, rho), alpha, c)
-    ref = bounds.ultimate_capital_exp(ExpPair(delta, rho), alpha, c)
+    ref = ultimate_capital_exp(delta, rho, alpha, c)
     # where q = c*/c meets alpha the capital is ln(q/alpha)/kappa near 0
     tol = 1e-12 / (rho - delta / c)
     assert pt.value == pytest.approx(ref, rel=1e-12, abs=tol)
@@ -104,9 +102,7 @@ def test_ultimate_capital_near_cstar_against_50_digits(delta, rho, k, alpha):
     assert capital.ultimate_capital(_exp_model(delta, rho), alpha, c).value == pytest.approx(
         truth, rel=1e-4
     )
-    assert bounds.ultimate_capital_exp(ExpPair(delta, rho), alpha, c) == pytest.approx(
-        truth, rel=1e-4
-    )
+    assert ultimate_capital_exp(delta, rho, alpha, c) == pytest.approx(truth, rel=1e-4)
 
 
 # light claims under any arrivals, Pareto ones (a quadrature MGF) included
@@ -127,7 +123,6 @@ def _closed_forms(m, alpha, u, c, t):
     calls = [
         lambda: approx.var_clt(m, alpha, t, c),
         lambda: approx.capital_asymptotic_bounds(m, alpha, t, min(c, c_star)),
-        lambda: tuple(vars(approx.capital_asymptotic_endpoints(m, alpha, t)).values()),
         lambda: approx.ig_ruin_probability(m, u, c, t),
         lambda: bounds.adjustment_coefficient(m, c).kappa,
         lambda: bounds.ultimate_capital_interval(m, alpha, c),
@@ -135,10 +130,7 @@ def _closed_forms(m, alpha, u, c, t):
     ]
     if m.is_exponential_pair():
         p = ExpPair(m.t_law.rate, m.y_law.rate)
-        calls += [
-            lambda: approx.cramer_ruin_exp(p, u, c, t),
-            lambda: bounds.ultimate_capital_exp(p, alpha, c),
-        ]
+        calls.append(lambda: approx.cramer_ruin_exp(p, u, c, t))
     return calls
 
 
@@ -151,7 +143,8 @@ def _closed_forms(m, alpha, u, c, t):
 )
 # edge cases: the Cramer cube overflows and d2 u underflows; kappa rounds to
 # the abscissa (both prefactors 0); an Erlang(5, 60) MGF passes the float
-# range; ct/u and x/mu overflow in the IG route; kappa rounds to 0 next to c*
+# range; ct/u and x/mu overflow in the IG route; kappa rounds to 0 next to c*;
+# m u and d2 u overflow in the Cramer route; (c* - c) t overflows in the CLT one
 @example(_exp_model(1e6, 0.01), 0.05, 1e-12, 1e-300, 1e-300)
 @example(_exp_model(1.0, 3.0), 0.05, 1e-200, 1e100, 3.0)
 @example(UNIT, 0.05, 1.0, 1e17, 1.0)
@@ -160,6 +153,8 @@ def _closed_forms(m, alpha, u, c, t):
 @example(UNIT, 0.05, 1e-180, 1e37, 1e58)
 @example(_exp_model(0.3, 0.7), 0.05, 1.0, math.nextafter(3.0 / 7.0, 1.0), 1.0)
 @example(_exp_model(1.0, 1.5), 0.05, 1.0, math.nextafter(2.0 / 3.0, 1.0), 1.0)
+@example(UNIT, 0.05, 1e308, 0.5, 1.0)
+@example(_exp_model(1.0, 1e-10), 0.05, 1.0, 0.0, 1e300)
 def test_every_closed_form_is_finite_or_a_typed_error(m, alpha, u, c, t):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
