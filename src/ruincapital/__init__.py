@@ -60,6 +60,7 @@ from .errors import (
     ExcludedCaseError,
     InfiniteCapitalError,
     IntegrationError,
+    MomentRangeError,
     MomentUndefinedError,
     NoAdjustmentCoefficientError,
     RuinCapitalError,
@@ -93,6 +94,7 @@ __all__ = [
     "Kummer",
     "DerivedConstants",
     "MixtureExp2",
+    "MomentRangeError",
     "MomentUndefinedError",
     "NoAdjustmentCoefficientError",
     "Pareto",

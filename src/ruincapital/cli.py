@@ -17,7 +17,9 @@ config key or ``model`` key is a usage error, and so are ``--paths`` and
 ``--seed`` without the ``mc`` method.  ``capital --kind ultimate`` has one
 route, so it takes no method but the default ``exact``.  Output is CSV
 with '#'-prefixed metadata comment lines.  Exit codes: 0 success, 2 usage
-error, 3 numeric failure, 4 model incompatibility.
+error, 3 numeric failure, 4 model incompatibility (1 for a bare
+``RuinCapitalError``); each library error class carries its code and the
+prefix of its one stderr line.
 """
 
 from __future__ import annotations
@@ -31,23 +33,12 @@ from pathlib import Path
 from . import __version__, capital, presets
 from .capital import SolveSpec
 from .dist import distribution_from_config
-from .errors import (
-    BackendIncompatibleError,
-    BracketError,
-    ConstantsUnavailableError,
-    DomainError,
-    IntegrationError,
-    NoAdjustmentCoefficientError,
-    UnsupportedDistributionError,
-)
+from .errors import DomainError, RuinCapitalError
 from .model import RiskModel, c_grid_range
 from .montecarlo import SimConfig
 from .table import CurveTable
 
 EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_NUMERIC = 3
-EXIT_INCOMPATIBLE = 4
 
 # capital method -> SolveSpec backend
 _BACKENDS = {"exact": "exact_exp", "ig": "inverse_gaussian", "clt": "clt", "mc": "monte_carlo"}
@@ -313,20 +304,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (IntegrationError, BracketError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (
-        BackendIncompatibleError,
-        UnsupportedDistributionError,
-        ConstantsUnavailableError,
-        NoAdjustmentCoefficientError,
-    ) as exc:
-        print(f"model incompatibility: {exc}", file=sys.stderr)
-        return EXIT_INCOMPATIBLE
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except RuinCapitalError as exc:
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

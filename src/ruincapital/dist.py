@@ -3,10 +3,11 @@
 Five families are supported: exponential, Erlang, two-component exponential
 mixture, Pareto (in the Lomax form ``f(x) = a b / (x b + 1)^(a+1)``) and
 Kummer.  Each is one frozen dataclass that subclasses :class:`Distribution`
-and owns its formulas.  The Kummer family is moments-only: its density
-involves the confluent hypergeometric function U and is deliberately not
-evaluated, so ``pdf``/``cdf``/``sample`` raise
-:class:`UnsupportedDistributionError`.
+and owns the formulas the library computes with: moments, the moment
+generating function and a sampler, but no density or distribution function.
+The Kummer family is moments-only: its density involves the confluent
+hypergeometric function U and is not evaluated, so ``sample`` and its MGF
+below 0 raise :class:`UnsupportedDistributionError`.
 
 Moment generating functions return ``math.inf`` when the defining integral
 diverges, at and above a law's ``mgf_abscissa``.
@@ -20,7 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, MomentUndefinedError, UnsupportedDistributionError, check_real
+from .errors import DomainError, MomentRangeError, MomentUndefinedError, check_real
+from .errors import UnsupportedDistributionError
 from .special import _scipy_special
 
 __all__ = [
@@ -31,8 +33,6 @@ __all__ = [
     "Kummer",
     "Distribution",
     "MomentSet",
-    "pdf",
-    "cdf",
     "sample",
     "mgf",
     "distribution_from_config",
@@ -60,10 +60,9 @@ class Distribution:
 
     ``mgf_abscissa`` is the supremum of r with E exp(rX) finite (0 for a
     heavy-tailed family); ``bounded_density`` says whether the density is
-    bounded.  ``pdf``, ``cdf`` and ``draw`` take float arrays (``cdf`` at
-    x >= 0) and ``mgf`` takes a nonzero r below the abscissa; call them
-    through the module functions of the same name.  A family without a
-    formula inherits the method here, which raises
+    bounded.  ``draw`` takes a generator and a count and ``mgf`` a nonzero r
+    below the abscissa; call them through ``sample`` and ``mgf``.  A family
+    without a formula inherits the method here, which raises
     UnsupportedDistributionError.  Every parameter of every family is a
     finite positive real number, checked and stored as a float by
     ``__post_init__`` here; a family with further constraints extends it.
@@ -79,20 +78,23 @@ class Distribution:
             object.__setattr__(self, f.name, v)
 
     def moments(self) -> MomentSet:
-        """Exact closed-form mean, variance and raw third moment.
+        """The family's closed-form mean, variance and raw third moment (``_moments``).
 
         MomentUndefinedError, naming the violated parameter constraint, when
         the mean or variance does not exist (Pareto shape <= 2, Kummer
         l <= 4).  A nonexistent *third* moment is ``third_moment=None``
         instead, because downstream theorem checks consume that flag.
+        MomentRangeError, naming the law, when a moment that exists lies
+        outside the float range (a rate or scale beyond about 1e±100).
         """
-        raise NotImplementedError
-
-    def pdf(self, x: np.ndarray) -> np.ndarray:
-        raise UnsupportedDistributionError(f"{self.family} density is not supported")
-
-    def cdf(self, x: np.ndarray) -> np.ndarray:
-        raise UnsupportedDistributionError(f"{self.family} cdf is not supported")
+        try:
+            out = self._moments()
+            third = out.third_moment or 0.0
+            if math.isfinite(out.mean) and math.isfinite(out.variance) and math.isfinite(third):
+                return out
+        except (OverflowError, ZeroDivisionError):  # a power past the float range
+            pass
+        raise MomentRangeError(f"{self!r} has a moment outside the float range")
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         raise UnsupportedDistributionError(f"{self.family} sampling is not supported")
@@ -110,15 +112,9 @@ class Exponential(Distribution):
 
     mgf_abscissa = property(lambda self: self.rate)
 
-    def moments(self) -> MomentSet:
+    def _moments(self) -> MomentSet:
         r = self.rate
         return MomentSet(1.0 / r, 1.0 / r**2, 6.0 / r**3)
-
-    def pdf(self, x):
-        return np.where(x >= 0.0, self.rate * np.exp(-self.rate * x), 0.0)
-
-    def cdf(self, x):
-        return -np.expm1(-self.rate * x)
 
     def draw(self, rng, n):
         # in place: log1p(-u) / (-rate) is -log1p(-u) / rate exactly
@@ -151,20 +147,9 @@ class Erlang(Distribution):
 
     mgf_abscissa = property(lambda self: self.rate)
 
-    def moments(self) -> MomentSet:
+    def _moments(self) -> MomentSet:
         r, k = self.rate, self.shape
         return MomentSet(k / r, k / r**2, k * (k + 1) * (k + 2) / r**3)
-
-    def pdf(self, x):
-        r, k = self.rate, self.shape
-        if k == 1:
-            return np.where(x >= 0.0, r * np.exp(-r * x), 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logf = k * math.log(r) + (k - 1) * np.log(x) - r * x - _scipy_special().gammaln(k)
-        return np.where(x > 0.0, np.exp(logf), 0.0)
-
-    def cdf(self, x):
-        return _scipy_special().gammainc(self.shape, self.rate * x)
 
     def draw(self, rng, n):
         # one row of uniforms at a time, so memory stays O(n) for any shape
@@ -200,20 +185,12 @@ class MixtureExp2(Distribution):
 
     mgf_abscissa = property(lambda self: min(self.rate1, self.rate2))
 
-    def moments(self) -> MomentSet:
+    def _moments(self) -> MomentSet:
         p, r1, r2 = self.weight, self.rate1, self.rate2
         m1 = p / r1 + (1.0 - p) / r2
         m2 = 2.0 * p / r1**2 + 2.0 * (1.0 - p) / r2**2
         m3 = 6.0 * p / r1**3 + 6.0 * (1.0 - p) / r2**3
         return MomentSet(m1, m2 - m1**2, m3)
-
-    def pdf(self, x):
-        p, r1, r2 = self.weight, self.rate1, self.rate2
-        return np.where(x >= 0.0, p * r1 * np.exp(-r1 * x) + (1.0 - p) * r2 * np.exp(-r2 * x), 0.0)
-
-    def cdf(self, x):
-        p, r1, r2 = self.weight, self.rate1, self.rate2
-        return -(p * np.expm1(-r1 * x) + (1.0 - p) * np.expm1(-r2 * x))
 
     def draw(self, rng, n):
         branch = rng.random(n) < self.weight
@@ -246,19 +223,12 @@ class Pareto(Distribution):
             out /= self.shape - i
         return out
 
-    def moments(self) -> MomentSet:
+    def _moments(self) -> MomentSet:
         if self.shape <= 1.0:
             raise MomentUndefinedError(f"pareto mean requires shape > 1, got {self.shape}")
         if self.shape <= 2.0:
             raise MomentUndefinedError(f"pareto variance requires shape > 2, got {self.shape}")
         return _from_raw(self._raw, self.shape > 3.0)
-
-    def pdf(self, x):
-        a, b = self.shape, self.scale
-        return np.where(x >= 0.0, a * b / (x * b + 1.0) ** (a + 1.0), 0.0)
-
-    def cdf(self, x):
-        return 1.0 - (x * self.scale + 1.0) ** (-self.shape)
 
     def draw(self, rng, n):
         u = rng.random(n)
@@ -274,18 +244,18 @@ class Pareto(Distribution):
         # is imported on first use, not with the package
         from scipy import integrate
 
-        val, _ = integrate.quad(
-            lambda x: math.exp(r * x) * pdf(self, x), 0.0, math.inf, limit=200
-        )
-        return val
+        a, b = self.shape, self.scale
+        f = lambda x: math.exp(r * x) * (a * b / (x * b + 1.0) ** (a + 1.0))
+        return integrate.quad(f, 0.0, math.inf, limit=200)[0]
 
 
 @dataclass(frozen=True)
 class Kummer(Distribution):
     """Kummer law with parameters (k, l); j-th moment exists iff 2j < l.
 
-    The density behaves like ``x^{k/2-1}`` near 0, so it is bounded iff
-    k >= 2.
+    Moments only: no sampler, and no MGF below 0, whose integral would need
+    the density.  That density behaves like ``x^{k/2-1}`` near 0, so it is
+    bounded iff k >= 2.
     """
 
     family = "kummer"
@@ -305,25 +275,12 @@ class Kummer(Distribution):
         )
         return math.exp(lg) * (self.l / self.k) ** j
 
-    def moments(self) -> MomentSet:
+    def _moments(self) -> MomentSet:
         if self.l <= 2.0:
             raise MomentUndefinedError(f"kummer mean requires l > 2, got {self.l}")
         if self.l <= 4.0:
             raise MomentUndefinedError(f"kummer variance requires l > 4, got {self.l}")
         return _from_raw(self._raw, self.l > 6.0)
-
-
-def pdf(d: Distribution, x):
-    """Probability density at x > 0 (vectorized); UnsupportedDistributionError for Kummer."""
-    out = d.pdf(np.asarray(x, dtype=float))
-    return float(out) if out.ndim == 0 else out
-
-
-def cdf(d: Distribution, x):
-    """Distribution function at x (vectorized); UnsupportedDistributionError for Kummer."""
-    x = np.asarray(x, dtype=float)
-    out = np.where(x < 0.0, 0.0, d.cdf(np.maximum(x, 0.0)))
-    return float(out) if out.ndim == 0 else out
 
 
 def sample(d: Distribution, rng: np.random.Generator, size=None):

@@ -2,7 +2,8 @@
 
 Every error raised on purpose derives from :class:`RuinCapitalError`, so
 callers can catch one base class.  Domain violations additionally derive
-from ``ValueError`` to stay friendly to generic numeric code.  Every public
+from ``ValueError`` to stay friendly to generic numeric code.  Each class
+carries its command-line ``exit_code`` and stderr line ``prefix``.  Every public
 entry point checks its numeric arguments with :func:`check_real` or
 :func:`check_real_array`, which raise DomainError for anything else.
 """
@@ -16,44 +17,60 @@ import numpy as np
 class RuinCapitalError(Exception):
     """Base class for all library errors."""
 
+    exit_code, prefix = 1, "error"
+
+
+class _NumericFailure(RuinCapitalError):
+    exit_code, prefix = 3, "numeric failure"
+
+
+class _Incompatible(RuinCapitalError):
+    exit_code, prefix = 4, "model incompatibility"
+
 
 class DomainError(RuinCapitalError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
+
+    exit_code = 2
 
 
 class MomentUndefinedError(DomainError):
     """A requested moment does not exist for the given parameters."""
 
 
-class UnsupportedDistributionError(RuinCapitalError):
+class MomentRangeError(_Incompatible):
+    """A moment exists but lies outside the float range."""
+
+
+class UnsupportedDistributionError(_Incompatible):
     """Operation not available for this family (e.g. Kummer sampling)."""
 
 
-class ConstantsUnavailableError(RuinCapitalError):
-    """Derived model constants require moments that do not exist."""
+class ConstantsUnavailableError(_Incompatible):
+    """Derived model constants need moments that do not exist, or lie outside the float range."""
 
 
-class IntegrationError(RuinCapitalError):
+class IntegrationError(_NumericFailure):
     """A probability could not be evaluated to a finite value."""
 
 
-class NoAdjustmentCoefficientError(RuinCapitalError):
+class NoAdjustmentCoefficientError(_Incompatible):
     """Lundberg's equation has no positive root (heavy tail or c <= c*)."""
 
 
-class ExcludedCaseError(RuinCapitalError):
+class ExcludedCaseError(_Incompatible):
     """The Cramer approximation is undefined at c = c*."""
 
 
-class BackendIncompatibleError(RuinCapitalError):
+class BackendIncompatibleError(_Incompatible):
     """A probability backend cannot serve the requested model or query."""
 
 
-class BracketError(RuinCapitalError):
+class BracketError(_NumericFailure):
     """Root bracketing exhausted without enclosing a solution."""
 
 
-class InfiniteCapitalError(RuinCapitalError):
+class InfiniteCapitalError(_NumericFailure):
     """The ultimate capital u_alpha(c) is infinite for c <= c*."""
 
 

@@ -22,18 +22,14 @@ D^2 remain the parameters of the inverse Gaussian route.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dist import Distribution, Exponential
-from .errors import (
-    ConstantsUnavailableError,
-    DomainError,
-    MomentUndefinedError,
-    check_real,
-    check_real_array,
-)
+from .errors import ConstantsUnavailableError, DomainError, MomentRangeError, MomentUndefinedError
+from .errors import check_real, check_real_array
 
 __all__ = [
     "RiskModel",
@@ -98,14 +94,8 @@ class PreconditionReport:
 
     @property
     def capital_asymptotics_ok(self) -> bool:
-        """Hypotheses of the inverse Gaussian approximation and the capital asymptotics."""
-        return (
-            self.bounded_density_t
-            and self.bounded_density_y
-            and self.third_moment_t_finite
-            and self.third_moment_y_finite
-            and self.d2_positive
-        )
+        """Every hypothesis of the inverse Gaussian approximation and the capital asymptotics."""
+        return all(vars(self).values())
 
 
 def derived_constants(m: RiskModel) -> DerivedConstants:
@@ -115,30 +105,42 @@ def derived_constants(m: RiskModel) -> DerivedConstants:
     ((ET)^2 DY + (EY)^2 DT) / (ET)^3; D^2 is the same numerator over (EY)^3.
 
     Raises:
-        ConstantsUnavailableError: when a required moment does not exist,
-            naming the offending law.
+        ConstantsUnavailableError: when a required moment does not exist or
+            lies outside the float range, naming the offending law, or when
+            a constant does.
     """
     try:
         mt = m.t_law.moments()
-    except MomentUndefinedError as exc:
+    except (MomentUndefinedError, MomentRangeError) as exc:
         raise ConstantsUnavailableError(f"T law: {exc}") from exc
     try:
         my = m.y_law.moments()
-    except MomentUndefinedError as exc:
+    except (MomentUndefinedError, MomentRangeError) as exc:
         raise ConstantsUnavailableError(f"Y law: {exc}") from exc
+    moments = mt.mean, mt.variance, my.mean, my.variance
+    # the plain formulas, else the moments scaled to centre the means' exponents on 0
+    out = _constants(*moments, 0)
+    if out is None:
+        out = _constants(*moments, (math.frexp(mt.mean)[1] + math.frexp(my.mean)[1]) // 2)
+    if out is None:
+        raise ConstantsUnavailableError(f"{m}: a derived constant lies outside the float range")
+    return out
 
-    et, dt = mt.mean, mt.variance
-    ey, dy = my.mean, my.variance
-    num = et**2 * dy + ey**2 * dt
-    return DerivedConstants(
-        c_star=ey / et,
-        m_big=et / ey,
-        d2_big=num / ey**3,
-        m_v=ey / et,
-        d2_v=num / et**3,
-        m_n=1.0 / et,
-        d2_n=dt / et**3,
-    )
+
+def _constants(et: float, dt: float, ey: float, dy: float, k: int) -> DerivedConstants | None:
+    """The constants, the spreads from the moments scaled by s = 2**-k and scaled back, or
+    None where one leaves the float range.  The scaling is exact while nothing turns
+    subnormal; D^2 and D_V^2 are of degree 1 in s and D_N^2 of degree -1."""
+    try:
+        c_star, m_big, m_n, s = ey / et, et / ey, 1.0 / et, math.ldexp(1.0, -k)
+        et, ey, dt, dy = et * s, ey * s, dt * s * s, dy * s * s
+        num = et**2 * dy + ey**2 * dt
+        d2_big, d2_v, d2_n = num / ey**3 / s, num / et**3 / s, dt / et**3 * s
+    except (OverflowError, ZeroDivisionError):
+        return None
+    if not all(map(math.isfinite, (c_star, m_big, m_n, d2_big, d2_v, d2_n))):
+        return None
+    return DerivedConstants(c_star, m_big, d2_big, c_star, d2_v, m_n, d2_n)
 
 
 def _third_finite(d: Distribution) -> bool:
@@ -149,7 +151,8 @@ def _third_finite(d: Distribution) -> bool:
 
 
 def theorem_preconditions(m: RiskModel) -> PreconditionReport:
-    """Report whether the model satisfies the stated approximation hypotheses."""
+    """Report whether the model satisfies the stated approximation hypotheses;
+    MomentRangeError where a law has a moment outside the float range."""
     try:
         d2 = derived_constants(m).d2_big
         d2_positive = d2 > 0.0

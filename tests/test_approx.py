@@ -265,12 +265,15 @@ def test_clt_overflow_to_inf_is_a_typed_error_and_to_minus_inf_is_zero():
         capital_asymptotic_bounds(m, 0.05, 1e300, 0.0)
     assert var_clt(m, 0.05, 1e300, 2e10) == 0.0
     assert var_clt(m, 0.05, 1e300, np.array([2e10, 3e10])).tolist() == [0.0, 0.0]
-    # D_V evaluates to inf here, so above c* the formula is -inf + inf, not a capital of 0
-    huge = RiskModel(Exponential(1e-100), Exponential(1e-102))
-    c = 2.0 * derived_constants(huge).c_star
+    # D_V z sqrt(t) overflows here, so above c* the formula is -inf + inf, not a capital of 0
+    wide = RiskModel(Exponential(1e102), Exponential(8e-103))
+    c = 2.0 * derived_constants(wide).c_star
     for cs in (c, np.array([c])):
         with pytest.raises(DomainError, match="overflows"):
-            var_clt(huge, 0.05, 1.7e308, cs)
+            var_clt(wide, 1e-16, 1.79e308, cs)
+    # a finite D_V (about 1.4e52, once inf) leaves -inf above c*: a capital of 0
+    huge = RiskModel(Exponential(1e-100), Exponential(1e-102))
+    assert var_clt(huge, 0.05, 1.7e308, 2.0 * derived_constants(huge).c_star) == 0.0
 
 
 def test_cramer_extreme_constants_are_typed_errors():

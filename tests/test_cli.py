@@ -1,7 +1,9 @@
+import inspect
 import json
 
 import pytest
 
+from ruincapital import errors, presets
 from ruincapital.capital import SolveSpec, capital_curve, ruin_curve
 from ruincapital.cli import build_parser, main
 from ruincapital.dist import Exponential
@@ -407,3 +409,36 @@ def test_ultimate_capital_with_high_shape_erlang_claims(tmp_path):
     table = CurveTable.read_csv(out)
     assert table.rows[-1] == [12.0, pytest.approx(0.5 * (72.99 + 84.84), abs=1e-2)]
     assert all(row[1] > 0.0 for row in table.rows)
+
+
+# every library error class, with the exit code and stderr prefix the CLI gives it
+EXIT_POLICY = {
+    "RuinCapitalError": (1, "error"),
+    "DomainError": (2, "error"),
+    "MomentUndefinedError": (2, "error"),
+    "IntegrationError": (3, "numeric failure"),
+    "BracketError": (3, "numeric failure"),
+    "InfiniteCapitalError": (3, "numeric failure"),
+    "MomentRangeError": (4, "model incompatibility"),
+    "UnsupportedDistributionError": (4, "model incompatibility"),
+    "ConstantsUnavailableError": (4, "model incompatibility"),
+    "NoAdjustmentCoefficientError": (4, "model incompatibility"),
+    "ExcludedCaseError": (4, "model incompatibility"),
+    "BackendIncompatibleError": (4, "model incompatibility"),
+}
+
+
+def test_every_library_error_exits_with_its_code_and_one_line(config_path, monkeypatch, capsys):
+    public = {
+        name for name, cls in inspect.getmembers(errors, inspect.isclass)
+        if issubclass(cls, errors.RuinCapitalError) and not name.startswith("_")
+    }
+    assert public == set(EXIT_POLICY)
+    for name, (code, prefix) in EXIT_POLICY.items():
+        def fail(named, cls=getattr(errors, name)):
+            raise cls("the reason")
+
+        monkeypatch.setattr(presets, "constants_table", fail)
+        capsys.readouterr()
+        assert main(["constants", "--config", config_path]) == code, name
+        assert capsys.readouterr().err == f"{prefix}: the reason\n", name

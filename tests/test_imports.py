@@ -1,8 +1,9 @@
 """The library's import path: numpy alone, with scipy.special on first use.
 
 ``scipy.special`` is half the import time of ``ruincapital.cli``, so only
-the exact and inverse Gaussian kernels (and Erlang or Kummer formulas) load
-it, through ``special._scipy_special``.  ``scipy.optimize`` and
+the exact and inverse Gaussian kernels (and Kummer moments) load it,
+through ``special._scipy_special``, and only the seven functions of
+``SPECIAL_FUNCTIONS`` are called there.  ``scipy.optimize`` and
 ``scipy.integrate`` pull in linalg, sparse and more; no solve here loads
 them.  The route check runs in a fresh interpreter and reads only which
 modules are loaded, never a time.
@@ -18,6 +19,9 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+# the scipy.special functions the library calls; a new kernel is declared here
+SPECIAL_FUNCTIONS = {"ndtri", "ndtr", "log_ndtr", "gammaln", "i0e", "i1e", "chndtr"}
 
 PRELUDE = """
 import json, sys, tempfile
@@ -104,3 +108,47 @@ def test_no_module_of_the_package_imports_scipy_at_module_level():
             elif isinstance(node, ast.ImportFrom):
                 names = [node.module or ""]
             assert not any(n == "scipy" or n.startswith("scipy.") for n in names), path.name
+
+
+def _special_functions(trees) -> set:
+    """Every scipy.special attribute the modules reach.
+
+    The module is reached as ``_scipy_special()``, under any name bound to
+    that call or imported as ``scipy.special`` (a parameter of the same name
+    too), as ``scipy.special.<f>``, or by ``from scipy.special import <f>``.
+    """
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    holders = set()
+    for node in nodes:
+        if isinstance(node, ast.Assign) and _is_fetch(node.value):
+            holders |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+            holders |= {a.asname or a.name for a in node.names if a.name == "special"}
+    found = set()
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.module == "scipy.special":
+            found |= {a.name for a in node.names}
+        elif isinstance(node, ast.Attribute):
+            v = node.value
+            if (_is_fetch(v) or isinstance(v, ast.Name) and v.id in holders
+                    or isinstance(v, ast.Attribute) and v.attr == "special"
+                    and isinstance(v.value, ast.Name) and v.value.id == "scipy"):
+                found.add(node.attr)
+    return found
+
+
+def _is_fetch(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "_scipy_special")
+
+
+def test_the_library_calls_only_the_declared_scipy_special_functions():
+    paths = sorted((SRC / "ruincapital").glob("*.py"))
+    found = _special_functions(ast.parse(p.read_text(encoding="utf-8")) for p in paths)
+    assert found, "the scan finds no scipy.special call at all"
+    assert found <= SPECIAL_FUNCTIONS, sorted(found - SPECIAL_FUNCTIONS)
+    # each way of reaching a function is seen
+    for code in ("_scipy_special().gammainc(1, 2)", "sp = _scipy_special()\nsp.gammainc(1, 2)",
+                 "from scipy.special import gammainc", "import scipy.special\nscipy.special.gammainc(1)",
+                 "from scipy import special as ss\nss.gammainc(1)"):
+        assert _special_functions([ast.parse(code)]) == {"gammainc"}, code

@@ -1,16 +1,24 @@
 import dataclasses
+import json
+import math
+import re
 import tracemalloc
 
 import pytest
 
+from ruincapital.approx import var_clt
+from ruincapital.cli import main
 from ruincapital.dist import Erlang, Exponential, Kummer, MixtureExp2, Pareto
-from ruincapital.errors import ConstantsUnavailableError, DomainError
+from ruincapital.errors import ConstantsUnavailableError, DomainError, MomentRangeError
 from ruincapital.model import (
     RiskModel,
+    _constants,
     c_grid_range,
     derived_constants,
     theorem_preconditions,
 )
+from ruincapital.presets import TABLE1_MODELS
+from ruincapital.table import CurveTable
 
 
 def test_unit_exponential_pair():
@@ -51,6 +59,67 @@ def test_heavy_tailed_claims_constants():
     # ET = 2/3 + 1/6 = 5/6, EY = 1/(0.35*3)
     assert k.c_star == pytest.approx((1.0 / 1.05) / (5.0 / 6.0))
     assert k.m_big == pytest.approx((5.0 / 6.0) * 1.05)
+
+
+# laws of every family with a moment outside the float range
+OUT_OF_RANGE = [
+    Exponential(1e-110),
+    Exponential(1e103),
+    Erlang(1e-110, 2),
+    MixtureExp2(1e-110, 1.0, 0.5),
+    Pareto(4.0, 1e-200),
+    Pareto(4.0, 1e200),
+    Kummer(1e-300, 7.0),
+    Kummer(5.0, 1e300),
+]
+
+
+@pytest.mark.parametrize("law", OUT_OF_RANGE, ids=repr)
+def test_moments_past_the_float_range_are_typed_errors_naming_the_law(law, tmp_path, capsys):
+    name = re.escape(repr(law))
+    with pytest.raises(MomentRangeError, match=name):
+        law.moments()
+    unit = Exponential(1.0)
+    for m, side in ((RiskModel(law, unit), "T law"), (RiskModel(unit, law), "Y law")):
+        with pytest.raises(ConstantsUnavailableError, match=f"{side}: {name}"):
+            derived_constants(m)
+        with pytest.raises(MomentRangeError, match=name):
+            theorem_preconditions(m)
+    # the command line: one stderr line and exit 4, or NA cells that give the reason
+    cfg, out = tmp_path / "model.json", tmp_path / "cap.csv"
+    y_law = {"family": law.family, **dataclasses.asdict(law)}
+    cfg.write_text(json.dumps({"model": {"t_law": {"family": "exponential", "rate": 1.0},
+                                         "y_law": y_law}}))
+    capsys.readouterr()
+    assert main(["constants", "--config", str(cfg)]) == 4
+    err = capsys.readouterr().err
+    assert err == f"model incompatibility: Y law: {law!r} has a moment outside the float range\n"
+    grid = ["--c-start", "1", "--c-stop", "1.5", "--c-step", "0.5"]
+    assert main(["capital", "--config", str(cfg), "--method", "ig", *grid, "--out", str(out)]) == 0
+    table = CurveTable.read_csv(out)
+    assert table.column("nonruin_ig") == [None, None]
+    assert [repr(law) in w for w in table.metadata["warnings"]] == [True, True]
+    assert capsys.readouterr().err == ""
+
+
+def test_spreads_stay_finite_where_the_plain_sums_overflow():
+    # et^2 DY + ey^2 DT is about 2e404 here, though D^2 and D_V^2 are in range
+    m = RiskModel(Exponential(1e-100), Exponential(1e-102))
+    k = derived_constants(m)
+    assert k.d2_big == pytest.approx(2e98, rel=1e-12)
+    assert k.d2_v == pytest.approx(2e104, rel=1e-12)
+    assert k.d2_n == pytest.approx(1e-100, rel=1e-12)
+    assert math.isfinite(var_clt(m, 0.05, 1.0, 0.0))
+
+
+def test_a_power_of_two_scale_keeps_the_bits_of_the_plain_formulas():
+    for _, m in TABLE1_MODELS:
+        mt, my = m.t_law.moments(), m.y_law.moments()
+        moments = (mt.mean, mt.variance, my.mean, my.variance)
+        plain = _constants(*moments, 0)
+        assert plain == derived_constants(m)
+        for k in (-60, -1, 3, 90):
+            assert _constants(*moments, k) == plain, k
 
 
 def test_missing_variance_raises():
