@@ -87,10 +87,22 @@ class Distribution:
         MomentRangeError, naming the law, when a moment that exists lies
         outside the float range (a rate or scale beyond about 1e±100).
         """
+        return self._checked_moments(third=True)
+
+    def _mean_variance(self) -> tuple[float, float]:
+        """The mean and variance alone, checked as ``moments()`` checks them; the
+        third moment is neither computed nor checked (the derived constants)."""
+        out = self._checked_moments(third=False)
+        return out.mean, out.variance
+
+    def _checked_moments(self, third: bool) -> MomentSet:
+        """``_moments(third)``, MomentRangeError unless every moment it computes is
+        finite.  Without ``third`` its None means "not computed", so only
+        ``_mean_variance`` asks for that and passes on the mean and variance."""
         try:
-            out = self._moments()
-            third = out.third_moment or 0.0
-            if math.isfinite(out.mean) and math.isfinite(out.variance) and math.isfinite(third):
+            out = self._moments(third)
+            m3 = out.third_moment or 0.0
+            if math.isfinite(out.mean) and math.isfinite(out.variance) and math.isfinite(m3):
                 return out
         except (OverflowError, ZeroDivisionError):  # a power past the float range
             pass
@@ -112,9 +124,9 @@ class Exponential(Distribution):
 
     mgf_abscissa = property(lambda self: self.rate)
 
-    def _moments(self) -> MomentSet:
+    def _moments(self, third: bool) -> MomentSet:
         r = self.rate
-        return MomentSet(1.0 / r, 1.0 / r**2, 6.0 / r**3)
+        return MomentSet(1.0 / r, 1.0 / r**2, 6.0 / r**3 if third else None)
 
     def draw(self, rng, n):
         # in place: log1p(-u) / (-rate) is -log1p(-u) / rate exactly
@@ -147,9 +159,9 @@ class Erlang(Distribution):
 
     mgf_abscissa = property(lambda self: self.rate)
 
-    def _moments(self) -> MomentSet:
+    def _moments(self, third: bool) -> MomentSet:
         r, k = self.rate, self.shape
-        return MomentSet(k / r, k / r**2, k * (k + 1) * (k + 2) / r**3)
+        return MomentSet(k / r, k / r**2, k * (k + 1) * (k + 2) / r**3 if third else None)
 
     def draw(self, rng, n):
         # one row of uniforms at a time, so memory stays O(n) for any shape
@@ -185,11 +197,11 @@ class MixtureExp2(Distribution):
 
     mgf_abscissa = property(lambda self: min(self.rate1, self.rate2))
 
-    def _moments(self) -> MomentSet:
+    def _moments(self, third: bool) -> MomentSet:
         p, r1, r2 = self.weight, self.rate1, self.rate2
         m1 = p / r1 + (1.0 - p) / r2
         m2 = 2.0 * p / r1**2 + 2.0 * (1.0 - p) / r2**2
-        m3 = 6.0 * p / r1**3 + 6.0 * (1.0 - p) / r2**3
+        m3 = 6.0 * p / r1**3 + 6.0 * (1.0 - p) / r2**3 if third else None
         return MomentSet(m1, m2 - m1**2, m3)
 
     def draw(self, rng, n):
@@ -223,12 +235,12 @@ class Pareto(Distribution):
             out /= self.shape - i
         return out
 
-    def _moments(self) -> MomentSet:
+    def _moments(self, third: bool) -> MomentSet:
         if self.shape <= 1.0:
             raise MomentUndefinedError(f"pareto mean requires shape > 1, got {self.shape}")
         if self.shape <= 2.0:
             raise MomentUndefinedError(f"pareto variance requires shape > 2, got {self.shape}")
-        return _from_raw(self._raw, self.shape > 3.0)
+        return _from_raw(self._raw, third and self.shape > 3.0)
 
     def draw(self, rng, n):
         u = rng.random(n)
@@ -275,12 +287,12 @@ class Kummer(Distribution):
         )
         return math.exp(lg) * (self.l / self.k) ** j
 
-    def _moments(self) -> MomentSet:
+    def _moments(self, third: bool) -> MomentSet:
         if self.l <= 2.0:
             raise MomentUndefinedError(f"kummer mean requires l > 2, got {self.l}")
         if self.l <= 4.0:
             raise MomentUndefinedError(f"kummer variance requires l > 4, got {self.l}")
-        return _from_raw(self._raw, self.l > 6.0)
+        return _from_raw(self._raw, third and self.l > 6.0)
 
 
 def sample(d: Distribution, rng: np.random.Generator, size=None):

@@ -29,6 +29,13 @@ every term is below 2**-60 (L = 60 ln 2) of its bound at any u; on 4,000 cells
 with t <= 1e5 the sum is within 4.8e-14 of that bound from 8,192 uniform panels
 on [0, pi].  Its panel count grows with u, so below an envelope of exp(-746)
 (every term 0.0) the ultimate ruin probability is returned without a rule.
+
+The validation rule: every public function checks every argument, and the
+private kernels take only values the library built from checked arguments,
+so they check nothing again.  The aggregate density is one kernel
+(:func:`_density`) with two callers: :func:`aggregate_pdf_exp`, after its
+checks, and Seal's route (:func:`_ruin_finite_seal`), on the arrays of its
+per-rate rule, where the density's u-free factors are stored once.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,12 +110,20 @@ def _clamp_probability(value: float, context: str) -> float:
 def _ncx2_cdf(x, df: float, nc):
     """scipy's noncentral chi-square CDF, NaN once x and nc both pass ~4e10: an error here.
 
-    A subnormal noncentrality is taken as 0, which moves the CDF by less than
-    1e-307: chndtr errs there by up to 7e-2 (chndtr(6, 4, 3e-323) = 0.867,
-    against 0.801 at nc = 0).
+    A float ``nc`` (its callers pass a float ``x`` with it) takes a plain-float
+    path with no 0-d array, which Seal's terminal term runs once per call; an
+    array ``nc`` takes the array path.  A subnormal noncentrality is taken as 0,
+    which moves the CDF by less than 1e-307: chndtr errs there by up to
+    7e-2 (chndtr(6, 4, 3e-323) = 0.867, against 0.801 at nc = 0).
     """
-    out = _scipy_special().chndtr(x, df, np.where(nc < _TINY, 0.0, nc))
-    if np.isnan(out).any():
+    chndtr = _scipy_special().chndtr
+    if isinstance(nc, float):
+        out = float(chndtr(x, df, 0.0 if nc < _TINY else nc))
+        bad = math.isnan(out)
+    else:
+        out = chndtr(x, df, np.where(nc < _TINY, 0.0, nc))
+        bad = np.isnan(out).any()
+    if bad:
         raise IntegrationError("noncentral chi-square CDF out of range (arguments ~4e10)")
     return out
 
@@ -126,7 +142,18 @@ def aggregate_cdf_exp(p: ExpPair, t: float, x: float) -> float:
     x = check_real("x", x)
     if x < 0.0:
         return 0.0
-    return 1.0 - float(_ncx2_cdf(2.0 * p.delta * t, 2.0, 2.0 * p.rho * x))
+    return 1.0 - _ncx2_cdf(2.0 * p.delta * t, 2.0, 2.0 * p.rho * x)
+
+
+def _density(rho: float, drs, sd, x):
+    """The aggregate density at x from its u-free factors drs = delta rho t and
+    sd = sqrt(t delta): ``sqrt(drs / x) * i1e(2 sqrt(drs x)) * exp(-(sqrt(rho x) -
+    sd)^2)``.  Checks nothing (the module's validation rule)."""
+    return (
+        np.sqrt(drs / x)
+        * _scipy_special().i1e(2.0 * np.sqrt(drs * x))
+        * np.exp(-((np.sqrt(rho * x) - sd) ** 2))
+    )
 
 
 def aggregate_pdf_exp(p: ExpPair, t, x):
@@ -134,17 +161,12 @@ def aggregate_pdf_exp(p: ExpPair, t, x):
 
     ``sqrt(delta rho t / x) * i1e(w) * exp(-(sqrt(rho x) - sqrt(t delta))^2)``
     with ``w = 2 sqrt(delta rho t x)``; every factor is bounded, so the
-    expression never overflows.
+    expression never overflows.  Checks t and x, then evaluates the kernel
+    that Seal's route shares (:func:`_density`).
     """
-    delta, rho = p.delta, p.rho
     t = check_real_array("t", t, above=0.0)
     x = check_real_array("x", x, above=0.0)
-    w = 2.0 * np.sqrt(delta * rho * t * x)
-    out = (
-        np.sqrt(delta * rho * t / x)
-        * _scipy_special().i1e(w)
-        * np.exp(-((np.sqrt(rho * x) - np.sqrt(t * delta)) ** 2))
-    )
+    out = _density(p.rho, p.delta * p.rho * t, np.sqrt(t * p.delta), x)
     if out.ndim == 0:
         return float(out)
     return out
@@ -199,10 +221,10 @@ def _oscillatory_integral(p: ExpPair, u: float, c: float, t: float) -> float:
     delta, rho = p.delta, p.rho
     freq = u * rho * math.sqrt(delta / (c * rho))  # frequency of sin(u rho sqrt(q) sin x + x)
     sin_x, x, drift, decay, coef = _oscillatory_rule(delta, rho, c, t, max(64, int(1.0 + freq)))
-    vals = np.exp(u * rho * drift - decay) * np.sin(freq * sin_x + x)
-    if not np.all(np.isfinite(vals)):
+    total = float((np.exp(u * rho * drift - decay) * np.sin(freq * sin_x + x)) @ coef)
+    if not math.isfinite(total):  # a NaN or infinite term, coef being positive and finite
         raise IntegrationError("ruin_finite_exp integrand not finite")
-    return float(vals @ coef)
+    return total
 
 
 def _survival_zero(p: ExpPair, c: float, tau):
@@ -252,13 +274,27 @@ def _survival_zero(p: ExpPair, c: float, tau):
     return phi0
 
 
+class _SealRule(NamedTuple):
+    """Seal's per-rate arrays: everything of its sum that does not depend on u."""
+
+    s: np.ndarray  # the nodes, in (0, t]
+    w: np.ndarray  # their weights
+    phi0: np.ndarray  # phi(0, t - s)
+    drs: np.ndarray  # delta rho s, the density's u-free factors ...
+    sd: np.ndarray  # ... and sqrt(s delta)
+
+
 @lru_cache(maxsize=64)
-def _seal_rule(delta: float, rho: float, c: float, t: float):
-    """Seal's quadrature nodes s in [0, t], their weights, and phi(0, t - s).
+def _seal_rule(delta: float, rho: float, c: float, t: float) -> _SealRule:
+    """Seal's quadrature nodes s in (0, t], their weights, phi(0, t - s) and the
+    density's u-free factors delta rho s and sqrt(s delta) (:func:`_density`).
 
     The zero-capital survival phi(0, tau) comes from Takacs' ballot
     formula, one noncentral chi-square CDF and two scaled Bessel functions
     per node (:func:`_survival_zero`), so no integral is needed at the nodes.
+    Every node is finite and positive once the rule is built: a node that
+    is not makes phi(0, t - s) not finite, an IntegrationError.  The arrays
+    are shared by every call at this rate, so none may be written.
     """
     # f_V(u + c s, s) near s = 0 and phi(0, tau) near tau = 0 move on the time
     # scale 1/max(delta, c rho), elsewhere on that of s and t - s: 8 panels on
@@ -277,7 +313,10 @@ def _seal_rule(delta: float, rho: float, c: float, t: float):
     p, tau = ExpPair(delta, rho), t - s
     if 2.0 * min(delta, c * rho) * tau[0] > _NCX2_PROBE:
         _survival_zero(p, c, tau[:1])  # the largest tau alone: raises where chndtr is NaN
-    return s, w, _survival_zero(p, c, tau)
+    rule = _SealRule(s, w, _survival_zero(p, c, tau), delta * rho * s, np.sqrt(s * delta))
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def _ruin_finite_seal(p: ExpPair, u: float, c: float, t: float) -> float:
@@ -289,10 +328,16 @@ def _ruin_finite_seal(p: ExpPair, u: float, c: float, t: float) -> float:
     ballot formula, so every term is a probability or a density; no
     exponential cancellation.  The dispatcher calls it only for u > 0: at
     u = 0 Takacs' formula answers directly.
+
+    A private kernel on checked u, c and t: the density (:func:`_density`)
+    runs on the rule's arrays at x = u + c s, and the terminal term takes
+    one chi-square CDF.  The one check left is u + c t, which may overflow
+    (DomainError); every u + c s is then finite and positive.
     """
-    s, w, phi0 = _seal_rule(p.delta, p.rho, c, t)
-    corr = float(w @ (aggregate_pdf_exp(p, s, u + c * s) * phi0))
-    phi = aggregate_cdf_exp(p, t, u + c * t) - c * corr
+    rule = _seal_rule(p.delta, p.rho, c, t)
+    x_t = check_real("u + c t", u + c * t)
+    corr = float(rule.w @ (_density(p.rho, rule.drs, rule.sd, u + c * rule.s) * rule.phi0))
+    phi = 1.0 - _ncx2_cdf(2.0 * p.delta * t, 2.0, 2.0 * p.rho * x_t) - c * corr
     return _clamp_probability(1.0 - phi, "ruin_finite_exp")
 
 

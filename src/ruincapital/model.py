@@ -103,25 +103,26 @@ def derived_constants(m: RiskModel) -> DerivedConstants:
 
     D_V^2 = E(T EY - Y ET)^2 / (ET)^3 expands by independence to
     ((ET)^2 DY + (EY)^2 DT) / (ET)^3; D^2 is the same numerator over (EY)^3.
+    Only the means and variances are read, so a third moment outside the
+    float range leaves the constants available.
 
     Raises:
-        ConstantsUnavailableError: when a required moment does not exist or
+        ConstantsUnavailableError: when a mean or variance does not exist or
             lies outside the float range, naming the offending law, or when
             a constant does.
     """
     try:
-        mt = m.t_law.moments()
+        et, dt = m.t_law._mean_variance()
     except (MomentUndefinedError, MomentRangeError) as exc:
         raise ConstantsUnavailableError(f"T law: {exc}") from exc
     try:
-        my = m.y_law.moments()
+        ey, dy = m.y_law._mean_variance()
     except (MomentUndefinedError, MomentRangeError) as exc:
         raise ConstantsUnavailableError(f"Y law: {exc}") from exc
-    moments = mt.mean, mt.variance, my.mean, my.variance
     # the plain formulas, else the moments scaled to centre the means' exponents on 0
-    out = _constants(*moments, 0)
+    out = _constants(et, dt, ey, dy, 0)
     if out is None:
-        out = _constants(*moments, (math.frexp(mt.mean)[1] + math.frexp(my.mean)[1]) // 2)
+        out = _constants(et, dt, ey, dy, (math.frexp(et)[1] + math.frexp(ey)[1]) // 2)
     if out is None:
         raise ConstantsUnavailableError(f"{m}: a derived constant lies outside the float range")
     return out

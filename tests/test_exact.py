@@ -2,6 +2,7 @@ import math
 import time
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -100,8 +101,8 @@ def test_seal_zero_capital_survival_matches_oscillatory_form(pair, c):
     # Takacs' ballot formula against 1 - psi(0) + the oscillatory integral
     # at u = 0, whose envelope never exceeds 1
     for t in (200.0, 1000.0):
-        s, _, phi0 = _seal_rule(pair.delta, pair.rho, c, t)
-        for tau, got in zip(t - s[::8], phi0[::8]):
+        rule = _seal_rule(pair.delta, pair.rho, c, t)
+        for tau, got in zip(t - rule.s[::8], rule.phi0[::8]):
             osc = 1.0 - ruin_ultimate_exp(pair, 0.0, c) + _oscillatory_integral(pair, 0.0, c, tau)
             assert got == pytest.approx(osc, abs=1e-12)
 
@@ -543,6 +544,76 @@ def test_a_seal_rule_build_makes_one_chi_square_call(monkeypatch, q, df):
     assert [args[1] for args in calls] == [df]
 
 
+def test_a_seal_evaluation_on_a_built_rule_checks_no_array(monkeypatch):
+    # the density's one i1e call and the terminal term's one chndtr call, on
+    # the rule's arrays: no i0e or chndtr per node and no array check again
+    _seal_rule(1.0, 1.0, 1.0, 200.0)
+    special, calls = exact._scipy_special(), []
+
+    def counted(name):
+        return lambda *args: calls.append(name) or getattr(special, name)(*args)
+
+    names = ("i0e", "i1e", "chndtr")
+    monkeypatch.setattr(exact, "_scipy_special", lambda: SimpleNamespace(**{n: counted(n) for n in names}))
+    monkeypatch.setattr(exact, "check_real_array", lambda *args, **kw: calls.append("check"))
+    ruin_finite_exp(UNIT, 30.0, 1.0, 200.0)
+    assert sorted(calls) == ["chndtr", "i1e"]
+
+
+def _seal_oracle(p: ExpPair, u: float, c: float, t: float) -> float:
+    # Seal's sum through the public density and distribution function, each
+    # checking its arguments, on the same rule
+    rule = _seal_rule(p.delta, p.rho, c, t)
+    corr = float(rule.w @ (aggregate_pdf_exp(p, rule.s, u + c * rule.s) * rule.phi0))
+    phi = aggregate_cdf_exp(p, t, u + c * t) - c * corr
+    return _clamp_probability(1.0 - phi, "oracle")
+
+
+@given(
+    delta=st.floats(0.1, 10.0),
+    rho=st.floats(0.1, 10.0),
+    # Seal's band within 3% of c*, or a rate below it whose envelope passes exp(10)
+    f_envelope=st.one_of(
+        st.tuples(st.floats(0.97, 1.03), st.just(None)),
+        st.tuples(st.floats(0.25, 0.97), st.floats(10.0, 300.0)),
+    ),
+    v=st.floats(1e-3, 2000.0),  # u rho, in the band
+    t=st.floats(0.0, math.log(1e4)).map(math.exp),
+)
+def test_seal_equals_the_public_density_and_distribution_function_bit_for_bit(
+    delta, rho, f_envelope, v, t
+):
+    p = ExpPair(delta, rho)
+    f, log_envelope = f_envelope
+    c, u = f * delta / rho, v / rho
+    if log_envelope is not None:  # u where the oscillatory envelope is exp(log_envelope)
+        decay = t * (math.sqrt(c * rho) - math.sqrt(delta)) ** 2
+        u = (log_envelope + decay) / (rho * (math.sqrt(delta / (c * rho)) - 1.0))
+    assume(u > 0.0 and (abs(f - 1.0) < 0.03 or _log_envelope(p, u, c, t) > _OSC_MAX_LOG_ENVELOPE))
+    want = _seal_oracle(p, u, c, t)
+    assert _ruin_finite_seal(p, u, c, t) == want
+    assert ruin_finite_exp(p, u, c, t) == want
+
+
+@pytest.mark.parametrize("field,k,value", [(2, 5, math.nan), (3, 7, -math.inf), (4, 0, math.nan)],
+                         ids=["drift_nan", "decay_minus_inf", "coef_nan"])
+def test_a_nan_or_inf_in_an_oscillatory_rule_is_an_integration_error(monkeypatch, field, k, value):
+    # the sum is checked once: any NaN or infinite term makes it not finite
+    rule = [a.copy() for a in _oscillatory_rule(1.0, 1.0, 1.5, 200.0, 64)]
+    rule[field][k] = value
+    monkeypatch.setattr(exact, "_oscillatory_rule", lambda *args: tuple(rule))
+    with pytest.raises(IntegrationError):
+        _oscillatory_integral(UNIT, 10.0, 1.5, 200.0)
+
+
+def test_a_seal_cell_whose_u_plus_ct_overflows_is_a_domain_error():
+    # c = c* = 1e300: u + c t passes the float range, though u, c and t are finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(DomainError):
+            ruin_finite_exp(ExpPair(1.0, 1e-300), 1.7976931348623157e308, 1e300, 1e-7)
+
+
 @pytest.mark.parametrize("u", [0.0, 3.0])
 @pytest.mark.parametrize(
     "pair,c,t,want",
@@ -564,7 +635,7 @@ def test_survival_zero_is_finite_or_a_typed_error(pair, c, t, want, u):
                 ruin_finite_exp(pair, u, c, t)
             return
         assert ruin_finite_exp(pair, u, c, t) == pytest.approx(want, abs=1e-15)
-        phi0 = _seal_rule(pair.delta, pair.rho, c, t)[2]
+        phi0 = _seal_rule(pair.delta, pair.rho, c, t).phi0
     assert np.all((phi0 >= 0.0) & (phi0 <= 1.0 + 1e-15))
 
 

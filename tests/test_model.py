@@ -2,8 +2,12 @@ import dataclasses
 import json
 import math
 import re
+import sys
 import tracemalloc
+import warnings
 
+import mpmath
+import numpy as np
 import pytest
 
 from ruincapital.approx import var_clt
@@ -61,12 +65,16 @@ def test_heavy_tailed_claims_constants():
     assert k.m_big == pytest.approx((5.0 / 6.0) * 1.05)
 
 
-# laws of every family with a moment outside the float range
-OUT_OF_RANGE = [
+# laws of every family with a moment outside the float range; in the first
+# four only the third moment is, so their models keep their constants
+THIRD_ONLY = [
     Exponential(1e-110),
     Exponential(1e103),
     Erlang(1e-110, 2),
     MixtureExp2(1e-110, 1.0, 0.5),
+]
+OUT_OF_RANGE = [
+    *THIRD_ONLY,
     Pareto(4.0, 1e-200),
     Pareto(4.0, 1e200),
     Kummer(1e-300, 7.0),
@@ -81,8 +89,11 @@ def test_moments_past_the_float_range_are_typed_errors_naming_the_law(law, tmp_p
         law.moments()
     unit = Exponential(1.0)
     for m, side in ((RiskModel(law, unit), "T law"), (RiskModel(unit, law), "Y law")):
-        with pytest.raises(ConstantsUnavailableError, match=f"{side}: {name}"):
-            derived_constants(m)
+        if law in THIRD_ONLY:  # the constants read the means and variances alone
+            assert all(map(math.isfinite, vars(derived_constants(m)).values()))
+        else:
+            with pytest.raises(ConstantsUnavailableError, match=f"{side}: {name}"):
+                derived_constants(m)
         with pytest.raises(MomentRangeError, match=name):
             theorem_preconditions(m)
     # the command line: one stderr line and exit 4, or NA cells that give the reason
@@ -91,15 +102,92 @@ def test_moments_past_the_float_range_are_typed_errors_naming_the_law(law, tmp_p
     cfg.write_text(json.dumps({"model": {"t_law": {"family": "exponential", "rate": 1.0},
                                          "y_law": y_law}}))
     capsys.readouterr()
-    assert main(["constants", "--config", str(cfg)]) == 4
-    err = capsys.readouterr().err
-    assert err == f"model incompatibility: Y law: {law!r} has a moment outside the float range\n"
+    if law in THIRD_ONLY:
+        assert main(["constants", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err == ""
+    else:
+        assert main(["constants", "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert err == f"model incompatibility: Y law: {law!r} has a moment outside the float range\n"
     grid = ["--c-start", "1", "--c-stop", "1.5", "--c-step", "0.5"]
-    assert main(["capital", "--config", str(cfg), "--method", "ig", *grid, "--out", str(out)]) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["capital", "--config", str(cfg), "--method", "ig", *grid, "--out", str(out)]) == 0
+    assert caught == []
     table = CurveTable.read_csv(out)
-    assert table.column("nonruin_ig") == [None, None]
-    assert [repr(law) in w for w in table.metadata["warnings"]] == [True, True]
+    cells, reasons = table.column("nonruin_ig"), table.metadata["warnings"]
+    if law in THIRD_ONLY:  # the IG solve runs on extreme constants: finite, or NA with its reason
+        assert all(v is None or math.isfinite(v) for v in cells)
+        assert len(reasons) == cells.count(None)
+    else:
+        assert cells == [None, None]
+        assert [repr(law) in w for w in reasons] == [True, True]
     assert capsys.readouterr().err == ""
+
+
+def test_a_third_moment_past_the_float_range_leaves_the_constants():
+    # the claims' third moment, 6/b^3 over (a-1)(a-2)(a-3), is about 2e309
+    m = RiskModel(Exponential(1.0), Pareto(4.0, 1e-103))
+    k = derived_constants(m)
+    assert (k.c_star, k.d2_big, k.d2_v) == pytest.approx((1e103 / 3, 9e-103, 1e206 / 3), rel=1e-12)
+    with pytest.raises(MomentRangeError, match="Pareto"):
+        theorem_preconditions(m)
+
+
+def _sweep_law(rng):
+    # a law of one of four families, its rates and scales log-uniform on 1e+-115
+    def p():
+        return float(10.0 ** rng.uniform(-115.0, 115.0))
+
+    family = rng.integers(4)
+    if family == 0:
+        return Exponential(p())
+    if family == 1:
+        return Erlang(p(), int(rng.integers(1, 5)))
+    if family == 2:
+        return MixtureExp2(p(), p(), float(rng.uniform(0.05, 0.95)))
+    return Pareto(float(rng.uniform(2.2, 6.0)), p())
+
+
+def _exact_mean_variance(law):
+    # 60-digit mean and variance from each family's closed form
+    mp = mpmath.mpf
+    if isinstance(law, (Exponential, Erlang)):
+        k, r = mp(getattr(law, "shape", 1)), mp(law.rate)
+        return k / r, k / r**2
+    if isinstance(law, MixtureExp2):
+        w, r1, r2 = mp(law.weight), mp(law.rate1), mp(law.rate2)
+        m1 = w / r1 + (1 - w) / r2
+        return m1, 2 * w / r1**2 + 2 * (1 - w) / r2**2 - m1**2
+    a, b = mp(law.shape), mp(law.scale)
+    m1 = 1 / (b * (a - 1))
+    return m1, 2 / (b**2 * (a - 1) * (a - 2)) - m1**2
+
+
+def test_the_constants_need_only_means_and_variances_in_range():
+    # 3,000 models whose means and variances all lie in the float range (rates
+    # and scales within 1e+-115), many with a third moment past it: none is
+    # refused for a moment, and a constant is refused only where its exact
+    # value lies outside the normal float range.  Where a law's moments() is
+    # finite, the constants read the same mean and variance, bit for bit
+    rng = np.random.default_rng(115)
+    normal = (sys.float_info.min, sys.float_info.max)
+    with mpmath.workdps(60):
+        for _ in range(3000):
+            m = RiskModel(_sweep_law(rng), _sweep_law(rng))
+            for law in (m.t_law, m.y_law):
+                try:
+                    full = law.moments()
+                except MomentRangeError:
+                    continue
+                assert law._mean_variance() == (full.mean, full.variance), law
+            try:
+                derived_constants(m)
+            except ConstantsUnavailableError as exc:
+                (et, dt), (ey, dy) = map(_exact_mean_variance, (m.t_law, m.y_law))
+                num = et**2 * dy + ey**2 * dt
+                exact = (ey / et, et / ey, num / ey**3, num / et**3, 1 / et, dt / et**3)
+                assert not all(normal[0] <= v <= normal[1] for v in exact), exc
 
 
 def test_spreads_stay_finite_where_the_plain_sums_overflow():
